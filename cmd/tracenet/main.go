@@ -11,7 +11,8 @@
 //	-vantage host     vantage host name (default: the topology's default)
 //	-proto p          probe protocol: icmp (default), udp, tcp
 //	-maxttl n         maximum trace length (default 30)
-//	-seed n           simulation seed
+//	-seed n           simulation seed (default 1; 0 also selects 1, as an
+//	                  unset Spec seed does)
 //	-subnets          print the collected subnet inventory after the trace
 //	-debug            log every probe exchange to stderr as structured
 //	                  JSON-lines records (see DESIGN.md §13)
@@ -26,9 +27,6 @@
 //	                  suspicious replies from a second TTL, quarantine
 //	                  inconsistent sources, demote conflicted subnets
 //	                  (DESIGN.md §11)
-//	-checkpoint file  write a session checkpoint after tracing
-//	-resume file      preload the session from a checkpoint and skip
-//	                  destinations it already completed
 //
 // Campaigns (parallel multi-destination collection, see DESIGN.md §9):
 //
@@ -40,23 +38,33 @@
 //	-parallel n          trace up to n destinations concurrently (default 1)
 //	-campaign-budget n   shared wire-probe budget across all workers; targets
 //	                     still queued when it runs out are skipped
-//	-campaign-out file   write a campaign checkpoint (JSON) after the run
-//	-campaign-resume f   resume a campaign: skip targets done in the
-//	                     checkpoint and never re-explore its subnets
+//	-campaign-out file   write the campaign checkpoint (JSON) after the run:
+//	                     the resume journal, one row per completed target
+//	-campaign-resume f   resume the campaign from its checkpoint: completed
+//	                     targets keep their journaled rows instead of being
+//	                     re-traced, and its subnets are never re-explored; a
+//	                     checkpoint naming other targets is refused
 //	-campaign-greedy     also share subnets by member address (saves more
 //	                     probes; probe totals become schedule-dependent)
 //	-campaign-no-cache   disable the shared subnet cache (for comparisons)
-//	-spec file           load a tracenetd campaign spec (JSON, DESIGN.md §14)
-//	                     and run it locally in campaign mode: the spec's
-//	                     topology, seed, vantage, protocol, targets, budget,
-//	                     and resilience knobs override the equivalent flags;
-//	                     daemon-only fields (tenant, priority, rescans) are
-//	                     ignored
+//	-spec file           run a tracenetd campaign spec (JSON, DESIGN.md §14)
+//	                     locally in campaign mode. The spec supplies the whole
+//	                     campaign: a field it leaves unset takes the Spec
+//	                     default, which equals the flag default. Campaign
+//	                     flags given beside it (-topo, -seed, -vantage,
+//	                     -proto, -maxttl, -targets and destinations,
+//	                     -parallel, -campaign-budget, -defend, -chaos,
+//	                     -backoff, -breaker, -campaign-greedy,
+//	                     -campaign-no-cache, -eval) are ignored, not overlaid
+//	                     field by field. Daemon-only fields (tenant,
+//	                     priority, rescans) have no local meaning.
 //
 // Any of these flags (or -parallel > 1) selects campaign mode: every
 // destination is traced by its own session/prober pair against a shared
 // subnet cache, and the observations merge into one subnet-level topology.
-// The merged report is byte-identical whatever -parallel is.
+// The merged report is byte-identical whatever -parallel is. Without them,
+// one session traces the destinations in turn. Either way the campaign
+// flags become a daemon.Spec, resolved exactly as tracenetd resolves one.
 //
 // Ground-truth evaluation (see DESIGN.md §10):
 //
@@ -119,7 +127,6 @@ import (
 	"sync"
 	"syscall"
 
-	"tracenet/internal/cli"
 	"tracenet/internal/collect"
 	"tracenet/internal/core"
 	"tracenet/internal/daemon"
@@ -145,8 +152,6 @@ type options struct {
 	backoff bool
 	breaker bool
 	defend  bool
-	ckptOut string // write checkpoint here after the run
-	ckptIn  string // resume from this checkpoint
 
 	spec            string // tracenetd campaign spec file; implies campaign mode
 	campaign        bool   // force campaign mode even at parallel 1
@@ -188,9 +193,10 @@ func (o options) telemetryEnabled() bool {
 	return o.metricsOut != "" || o.traceOut != "" || o.flightOut != "" || o.serve != ""
 }
 
-// evalMode reports whether a ground-truth evaluation was requested.
-func (o options) evalMode() bool {
-	return o.eval || o.evalOut != "" || o.evalCore
+// evalMode reports whether a ground-truth evaluation was requested: by the
+// campaign (-eval or the spec's eval field) or by an evaluation output flag.
+func (o options) evalMode(sp *daemon.Spec) bool {
+	return sp.Eval || o.evalOut != "" || o.evalCore
 }
 
 // campaignMode reports whether any campaign flag selects the parallel
@@ -201,64 +207,53 @@ func (o options) campaignMode() bool {
 		o.progress
 }
 
-// applySpec maps a tracenetd campaign spec onto the equivalent CLI options,
-// so the same submission file drives the daemon and a local one-shot run.
-// Fields the spec sets override their flags; daemon-only fields (tenant,
-// priority, rescan schedule) have no local meaning and are ignored.
-func (o *options) applySpec(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// campaignSpec returns the campaign to collect: the -spec file whole, or a
+// Spec built from the campaign flags.
+func (o options) campaignSpec() (*daemon.Spec, error) {
+	if o.spec != "" {
+		f, err := os.Open(o.spec)
+		if err != nil {
+			return nil, err
+		}
+		sp, err := daemon.ReadSpec(f)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+		return sp, sp.Validate()
 	}
-	sp, err := daemon.ReadSpec(f)
-	f.Close()
-	if err != nil {
-		return err
+	sp := &daemon.Spec{
+		Topology:     o.topo,
+		Seed:         o.seed,
+		Vantage:      o.vantage,
+		Proto:        o.proto,
+		MaxTTL:       o.maxTTL,
+		Parallel:     o.parallel,
+		Budget:       o.campaignBudget,
+		Defend:       o.defend,
+		Chaos:        o.chaos,
+		Backoff:      o.backoff,
+		Breaker:      o.breaker,
+		Greedy:       o.campaignGreedy,
+		DisableCache: o.campaignNoCache,
+		Eval:         o.eval,
 	}
-	if err := sp.Validate(); err != nil {
-		return err
+	if o.targets != "" {
+		fromFile, err := readTargets(o.targets)
+		if err != nil {
+			return nil, err
+		}
+		sp.Targets = fromFile
 	}
-	if sp.Topology != "" {
-		o.topo = sp.Topology
-	}
-	if sp.Seed != 0 {
-		o.seed = sp.Seed
-	}
-	if sp.Vantage != "" {
-		o.vantage = sp.Vantage
-	}
-	if sp.Proto != "" {
-		o.proto = sp.Proto
-	}
-	if sp.MaxTTL > 0 {
-		o.maxTTL = sp.MaxTTL
-	}
-	if len(sp.Targets) > 0 {
-		o.dests = sp.Targets
-	}
-	if sp.Parallel > 0 {
-		o.parallel = sp.Parallel
-	}
-	if sp.Budget > 0 {
-		o.campaignBudget = sp.Budget
-	}
-	if sp.Chaos != 0 {
-		o.chaos = sp.Chaos
-	}
-	o.defend = o.defend || sp.Defend
-	o.backoff = o.backoff || sp.Backoff
-	o.breaker = o.breaker || sp.Breaker
-	o.campaignGreedy = o.campaignGreedy || sp.Greedy
-	o.campaignNoCache = o.campaignNoCache || sp.DisableCache
-	o.eval = o.eval || sp.Eval
-	return nil
+	sp.Targets = append(sp.Targets, o.dests...)
+	return sp, nil
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.topo, "topo", "figure3", "built-in topology name or JSON file")
 	flag.StringVar(&o.vantage, "vantage", "", "vantage host name")
-	flag.StringVar(&o.proto, "proto", "icmp", "probe protocol: icmp, udp, tcp")
+	flag.StringVar(&o.proto, "proto", "", "probe protocol: icmp (default), udp, tcp")
 	flag.IntVar(&o.maxTTL, "maxttl", 30, "maximum trace length")
 	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.BoolVar(&o.subnets, "subnets", false, "print the collected subnet inventory")
@@ -268,9 +263,7 @@ func main() {
 	flag.BoolVar(&o.backoff, "backoff", false, "retry silent probes with exponential backoff")
 	flag.BoolVar(&o.breaker, "breaker", false, "circuit-break probing into persistently silent zones")
 	flag.BoolVar(&o.defend, "defend", false, "cross-validate suspicious replies and quarantine inconsistent responders")
-	flag.StringVar(&o.ckptOut, "checkpoint", "", "write a session checkpoint to this file")
-	flag.StringVar(&o.ckptIn, "resume", "", "resume the session from this checkpoint file")
-	flag.StringVar(&o.spec, "spec", "", "load a tracenetd campaign spec (JSON) and run it locally")
+	flag.StringVar(&o.spec, "spec", "", "run a tracenetd campaign spec (JSON) locally; it replaces the campaign flags")
 	flag.BoolVar(&o.campaign, "campaign", false, "force campaign mode even with -parallel 1")
 	flag.StringVar(&o.targets, "targets", "", "read destinations from this file, one address per line")
 	flag.IntVar(&o.parallel, "parallel", 1, "trace up to n destinations concurrently (campaign mode)")
@@ -301,10 +294,12 @@ func main() {
 }
 
 func run(w io.Writer, o options) error {
-	if o.spec != "" {
-		if err := o.applySpec(o.spec); err != nil {
-			return err
-		}
+	sp, err := o.campaignSpec()
+	if err != nil {
+		return err
+	}
+	if o.faults != "" && sp.Chaos != 0 {
+		return fmt.Errorf("-faults and -chaos are mutually exclusive")
 	}
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
@@ -321,49 +316,12 @@ func run(w io.Writer, o options) error {
 		}()
 	}
 
-	sc, err := cli.Load(o.topo, o.seed)
+	c, err := sp.Resolve("")
 	if err != nil {
 		return err
 	}
-	if o.vantage == "" {
-		o.vantage = sc.Vantage
-	}
-	var proto probe.Protocol
-	switch o.proto {
-	case "icmp":
-		proto = probe.ICMP
-	case "udp":
-		proto = probe.UDP
-	case "tcp":
-		proto = probe.TCP
-	default:
-		return fmt.Errorf("unknown protocol %q", o.proto)
-	}
-
-	dests := sc.Destinations
-	if len(o.dests) > 0 || o.targets != "" {
-		dests = nil
-		if o.targets != "" {
-			fromFile, err := readTargets(o.targets)
-			if err != nil {
-				return err
-			}
-			dests = append(dests, fromFile...)
-		}
-		for _, a := range o.dests {
-			d, err := ipv4.ParseAddr(a)
-			if err != nil {
-				return err
-			}
-			dests = append(dests, d)
-		}
-	}
-	if len(dests) == 0 {
-		return fmt.Errorf("no destinations: pass one or more addresses")
-	}
-
-	net := netsim.New(sc.Topo, netsim.Config{Seed: o.seed})
-	faulted := false
+	net := c.Net
+	faulted := sp.Chaos != 0
 	if o.faults != "" {
 		f, err := os.Open(o.faults)
 		if err != nil {
@@ -375,15 +333,6 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 		if err := net.InstallFaults(plan); err != nil {
-			return err
-		}
-		faulted = true
-	}
-	if o.chaos != 0 {
-		if faulted {
-			return fmt.Errorf("-faults and -chaos are mutually exclusive")
-		}
-		if err := net.InstallFaults(netsim.RandomFaultPlan(sc.Topo, o.chaos)); err != nil {
 			return err
 		}
 		faulted = true
@@ -485,28 +434,23 @@ func run(w io.Writer, o options) error {
 		}
 	}
 
-	port, err := net.PortFor(o.vantage)
-	if err != nil {
-		return err
-	}
-	var tr probe.Transport = port
+	ccfg := c.Config
 	if o.debug {
-		tr = probe.LoggingTransport{Inner: port, Clock: net, Sink: obs.ProbeSink(lg)}
-	}
-	popts := probe.Options{Protocol: proto, Cache: true, Telemetry: tel}
-	if o.backoff {
-		popts.Retry = &probe.RetryPolicy{MaxRetries: 2, BackoffBase: 4, BackoffMax: 64, Jitter: 0.25}
-	}
-	if o.breaker {
-		popts.Breaker = &probe.BreakerConfig{}
-	}
-	if o.campaignMode() {
-		if o.ckptIn != "" || o.ckptOut != "" {
-			return fmt.Errorf("-checkpoint and -resume are single-session flags; use -campaign-out and -campaign-resume in campaign mode")
+		ccfg.Dial = func(opts probe.Options) (*probe.Prober, error) {
+			tr := probe.LoggingTransport{Inner: c.Port, Clock: net, Sink: obs.ProbeSink(lg)}
+			return probe.New(tr, c.Port.LocalAddr(), opts), nil
 		}
-		fmt.Fprintf(w, "tracenet campaign over %s, vantage %s (%v), %s probes\n",
-			sc.Description, o.vantage, port.LocalAddr(), proto)
-		if err := runCampaign(ctx, w, o, sc.Topo, net, popts, tel, lg, prog, dests); err != nil {
+	}
+	banner := "tracenet"
+	if o.campaignMode() {
+		banner = "tracenet campaign"
+	}
+	fmt.Fprintf(w, "%s over %s, vantage %s (%v), %s probes\n",
+		banner, c.Scenario.Description, c.Port.Host().Name, c.Port.LocalAddr(), ccfg.Probe.Protocol)
+	if o.campaignMode() {
+		ccfg.Telemetry = tel
+		ccfg.Progress = prog
+		if err := runCampaign(ctx, w, o, sp, c.Scenario.Topo, ccfg, lg); err != nil {
 			return err
 		}
 		if err := awaitDrain(ctx, w, srv); err != nil {
@@ -515,38 +459,15 @@ func run(w io.Writer, o options) error {
 		return writeArtifacts(w, o, tel, traceFile, flightFile)
 	}
 
-	pr := probe.New(tr, port.LocalAddr(), popts)
-
-	cfg := core.Config{MaxTTL: o.maxTTL, Defend: o.defend}
-	var sess *core.Session
-	if o.ckptIn != "" {
-		f, err := os.Open(o.ckptIn)
-		if err != nil {
-			return err
-		}
-		cp, err := core.ReadCheckpoint(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		sess, err = core.NewSessionFromCheckpoint(pr, cfg, cp)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "resumed from %s: %d subnets, %d destinations done\n",
-			o.ckptIn, len(sess.Subnets()), len(sess.Done()))
-	} else {
-		sess = core.NewSession(pr, cfg)
+	popts := ccfg.Probe
+	popts.Telemetry = tel
+	pr, err := ccfg.Dial(popts)
+	if err != nil {
+		return err
 	}
-
-	fmt.Fprintf(w, "tracenet over %s, vantage %s (%v), %s probes\n",
-		sc.Description, o.vantage, port.LocalAddr(), proto)
+	sess := core.NewSession(pr, ccfg.Session)
 	var recovered, defenseProbes uint64
-	for _, dst := range dests {
-		if sess.IsDone(dst) {
-			fmt.Fprintf(w, "tracenet to %v: already completed in checkpoint, skipped\n", dst)
-			continue
-		}
+	for _, dst := range ccfg.Targets {
 		res, err := sess.Trace(dst)
 		if err != nil {
 			return err
@@ -584,7 +505,7 @@ func run(w io.Writer, o options) error {
 				fs.LiarSpoofs, fs.AliasShares, fs.HiddenDrops, fs.EchoMirrors)
 		}
 	}
-	if o.defend {
+	if sp.Defend {
 		q := sess.Quarantined()
 		fmt.Fprintf(w, "defense: cross-check probes %d, quarantined %d", defenseProbes, len(q))
 		if len(q) > 0 {
@@ -593,25 +514,10 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintln(w)
 	}
 
-	if o.evalMode() {
-		if err := runEval(w, o, sc.Topo, groundtruth.FromCoreSubnets(sess.Subnets()), tel); err != nil {
+	if o.evalMode(sp) {
+		if err := runEval(w, o, c.Scenario.Topo, groundtruth.FromCoreSubnets(sess.Subnets()), tel); err != nil {
 			return err
 		}
-	}
-
-	if o.ckptOut != "" {
-		f, err := os.Create(o.ckptOut)
-		if err != nil {
-			return err
-		}
-		if err := sess.WriteCheckpoint(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "checkpoint written to %s\n", o.ckptOut)
 	}
 
 	if err := awaitDrain(ctx, w, srv); err != nil {
@@ -633,33 +539,11 @@ func awaitDrain(ctx context.Context, w io.Writer, srv *obs.Server) error {
 	return srv.Shutdown(context.Background())
 }
 
-// runCampaign drives the collect engine: every destination gets its own
-// session/prober pair, the shared subnet cache spans them, and the merged
-// report lands on w. prog (may be nil) feeds the observability plane's
-// /campaigns endpoint; -progress prints a deterministic per-target line.
-func runCampaign(ctx context.Context, w io.Writer, o options, top *netsim.Topology, net *netsim.Network, popts probe.Options, tel *telemetry.Telemetry, lg *obs.Logger, prog *collect.Progress, dests []ipv4.Addr) error {
-	ccfg := collect.Config{
-		Targets:      dests,
-		Parallel:     o.parallel,
-		Budget:       o.campaignBudget,
-		DisableCache: o.campaignNoCache,
-		Greedy:       o.campaignGreedy,
-		Session:      core.Config{MaxTTL: o.maxTTL, Defend: o.defend},
-		Probe:        popts,
-		Telemetry:    tel,
-		Progress:     prog,
-		Dial: func(opts probe.Options) (*probe.Prober, error) {
-			port, err := net.PortFor(o.vantage)
-			if err != nil {
-				return nil, err
-			}
-			var tr probe.Transport = port
-			if o.debug {
-				tr = probe.LoggingTransport{Inner: port, Clock: net, Sink: obs.ProbeSink(lg)}
-			}
-			return probe.New(tr, port.LocalAddr(), opts), nil
-		},
-	}
+// runCampaign drives the collect engine over the resolved campaign config:
+// every destination gets its own session/prober pair, the shared subnet
+// cache spans them, and the merged report lands on w. -progress prints a
+// deterministic per-target line.
+func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, top *netsim.Topology, ccfg collect.Config, lg *obs.Logger) error {
 	if o.progress || lg != nil {
 		// The completion count is tracked locally under the mutex so the
 		// printed sequence 1/n..n/n is identical at any -parallel; which
@@ -667,7 +551,7 @@ func runCampaign(ctx context.Context, w io.Writer, o options, top *netsim.Topolo
 		// names only the count. Per-target detail goes to the log ring.
 		var mu sync.Mutex
 		done := 0
-		total := len(dests)
+		total := len(ccfg.Targets)
 		ccfg.OnTargetDone = func(r collect.TargetResult) {
 			mu.Lock()
 			done++
@@ -690,7 +574,7 @@ func runCampaign(ctx context.Context, w io.Writer, o options, top *netsim.Topolo
 		}
 		ccfg.Resume = cp
 		fmt.Fprintf(w, "resuming campaign from %s: %d of %d targets done, %d subnets\n",
-			o.campaignResume, len(cp.Done), len(cp.Targets), len(cp.Subnets))
+			o.campaignResume, len(cp.Rows), len(ccfg.Targets), len(cp.Subnets))
 	}
 
 	rep, err := collect.Run(ctx, ccfg)
@@ -701,8 +585,8 @@ func runCampaign(ctx context.Context, w io.Writer, o options, top *netsim.Topolo
 		return err
 	}
 
-	if o.evalMode() {
-		if err := runEval(w, o, top, groundtruth.FromTopomap(rep.Map), tel); err != nil {
+	if o.evalMode(sp) {
+		if err := runEval(w, o, top, groundtruth.FromTopomap(rep.Map), ccfg.Telemetry); err != nil {
 			return err
 		}
 	}
@@ -754,13 +638,14 @@ func runEval(w io.Writer, o options, top *netsim.Topology, collected []groundtru
 }
 
 // readTargets reads a destinations file: one address per line, '#' starts a
-// comment, blank lines are skipped.
-func readTargets(path string) ([]ipv4.Addr, error) {
+// comment, blank lines are skipped. Each address is checked here so a bad
+// line is reported with its line number.
+func readTargets(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var dests []ipv4.Addr
+	var dests []string
 	for i, line := range strings.Split(string(data), "\n") {
 		if idx := strings.IndexByte(line, '#'); idx >= 0 {
 			line = line[:idx]
@@ -769,11 +654,10 @@ func readTargets(path string) ([]ipv4.Addr, error) {
 		if line == "" {
 			continue
 		}
-		d, err := ipv4.ParseAddr(line)
-		if err != nil {
+		if _, err := ipv4.ParseAddr(line); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, i+1, err)
 		}
-		dests = append(dests, d)
+		dests = append(dests, line)
 	}
 	return dests, nil
 }

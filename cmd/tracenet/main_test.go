@@ -65,11 +65,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&b, bad); err == nil {
 		t.Error("missing fault plan accepted")
 	}
-	bad = base
-	bad.ckptIn = filepath.Join(t.TempDir(), "missing.json")
-	if err := run(&b, bad); err == nil {
-		t.Error("missing checkpoint accepted")
-	}
 }
 
 func TestRunChaosSeed(t *testing.T) {
@@ -142,30 +137,6 @@ func TestRunRejectsUnknownFaultKind(t *testing.T) {
 	err := run(&b, options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1, faults: plan})
 	if err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
 		t.Fatalf("unknown fault kind not rejected: %v", err)
-	}
-}
-
-func TestRunCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "session.json")
-	var b1 strings.Builder
-	if err := run(&b1, options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1,
-		ckptOut: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b1.String(), "checkpoint written") {
-		t.Fatalf("no checkpoint confirmation:\n%s", b1.String())
-	}
-	var b2 strings.Builder
-	if err := run(&b2, options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1,
-		ckptIn: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-	out := b2.String()
-	if !strings.Contains(out, "resumed from") {
-		t.Fatalf("no resume confirmation:\n%s", out)
-	}
-	if !strings.Contains(out, "already completed in checkpoint, skipped") {
-		t.Fatalf("resumed run did not skip completed destination:\n%s", out)
 	}
 }
 
@@ -411,12 +382,7 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 
 func TestRunCampaignErrors(t *testing.T) {
 	var b strings.Builder
-	o := options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1, parallel: 2,
-		ckptOut: filepath.Join(t.TempDir(), "session.json")}
-	if err := run(&b, o); err == nil {
-		t.Error("campaign mode accepted single-session -checkpoint flag")
-	}
-	o = options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1,
+	o := options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1,
 		targets: filepath.Join(t.TempDir(), "missing.txt")}
 	if err := run(&b, o); err == nil {
 		t.Error("missing targets file accepted")
@@ -574,5 +540,38 @@ func TestRunSpecFile(t *testing.T) {
 	var b strings.Builder
 	if err := run(&b, options{spec: bad, proto: "icmp", maxTTL: 30}); err == nil {
 		t.Error("spec with a file topology accepted")
+	}
+}
+
+// TestRunSpecFileReplacesCampaignFlags pins the -spec rule: the spec file is
+// the whole campaign. Campaign flags given beside it are ignored rather than
+// overlaid field by field, and the spec's unset fields take the Spec
+// defaults, which equal the flag defaults.
+func TestRunSpecFileReplacesCampaignFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	if err := os.WriteFile(path, []byte(`{"tenant": "alice", "topology": "random", "seed": 42}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var alone strings.Builder
+	if err := run(&alone, options{spec: path}); err != nil {
+		t.Fatal(err)
+	}
+	var beside strings.Builder
+	if err := run(&beside, options{spec: path, topo: "chain", seed: 9, vantage: "nobody", proto: "udp",
+		maxTTL: 3, parallel: 4, campaignBudget: 5, defend: true, chaos: 7, backoff: true, breaker: true,
+		campaignGreedy: true, campaignNoCache: true, eval: true, dests: []string{"10.9.255.2"}}); err != nil {
+		t.Fatal(err)
+	}
+	if beside.String() != alone.String() {
+		t.Errorf("campaign flags beside -spec changed the run:\n--- spec alone\n%s\n--- spec with flags\n%s",
+			alone.String(), beside.String())
+	}
+	var defaults strings.Builder
+	if err := run(&defaults, options{topo: "random", proto: "icmp", maxTTL: 30, seed: 42, campaign: true, parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if defaults.String() != alone.String() {
+		t.Errorf("unset spec fields do not take the flag defaults:\n--- spec\n%s\n--- flags\n%s",
+			alone.String(), defaults.String())
 	}
 }

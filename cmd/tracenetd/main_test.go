@@ -41,7 +41,8 @@ func httpDo(t *testing.T, method, url, body string) (int, string) {
 }
 
 // serveDaemon launches run in the background and returns the base URL plus
-// the channels to drain it.
+// the channels to drain it, once /readyz reports the spool replayed: the
+// listener opens before replay, and a submission racing it gets 503.
 func serveDaemon(t *testing.T, b *strings.Builder, o options) (base string, shutdown chan struct{}, done chan error) {
 	t.Helper()
 	shutdown = make(chan struct{})
@@ -53,10 +54,20 @@ func serveDaemon(t *testing.T, b *strings.Builder, o options) (base string, shut
 	go func() { done <- run(b, o) }()
 	select {
 	case a := <-addrCh:
-		return "http://" + a, shutdown, done
+		base = "http://" + a
 	case err := <-done:
 		t.Fatalf("run exited before serving: %v", err)
 		return "", nil, nil
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if code, _ := httpDo(t, "GET", base+"/readyz", ""); code == http.StatusOK {
+			return base, shutdown, done
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("tracenetd never reported ready")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

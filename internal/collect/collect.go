@@ -109,9 +109,12 @@ type Config struct {
 	// consumers must render only their own call count, not the row content.
 	OnTargetDone func(TargetResult)
 
-	// Resume seeds the campaign from a checkpoint: targets listed done are
-	// skipped, and the checkpoint's subnets pre-populate the cache's frozen
-	// member tier so their address space is never re-explored.
+	// Resume seeds the campaign from its own checkpoint: journaled targets
+	// are not re-traced — their rows are restored into the report as
+	// StatusResumed results — and the checkpoint's subnets pre-populate the
+	// cache's frozen member tier so their address space is never
+	// re-explored. A checkpoint from another campaign fails the run with
+	// ErrCheckpointMismatch.
 	Resume *Checkpoint
 }
 
@@ -126,7 +129,8 @@ const (
 	// locally manufactured, so the partial result is kept but the target is
 	// NOT recorded done; a resume (fresh breaker) retries it.
 	StatusBreaker TargetStatus = "breaker"
-	// StatusResumed: the checkpoint already contained this target.
+	// StatusResumed: the checkpoint already contained this target; the row
+	// carries the outcome it journaled.
 	StatusResumed TargetStatus = "resumed"
 	// StatusBudget: the campaign budget ran out mid-trace; partial result.
 	StatusBudget TargetStatus = "budget"
@@ -185,9 +189,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if !cfg.DisableCache {
 		c.cache = NewCache(cfg.Greedy)
 	}
-	resumedDone := make(map[ipv4.Addr]bool)
+	var journaled map[ipv4.Addr]*CheckpointRow
 	if cfg.Resume != nil {
-		frozen, done, err := cfg.Resume.restore()
+		frozen, rows, err := cfg.Resume.restore(&cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -195,10 +199,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			c.cache.Freeze(frozen)
 		}
 		c.frozen = frozen
-		for _, d := range done {
-			resumedDone[d] = true
-		}
-		c.resumeDone = done
+		journaled = rows
 	}
 	c.bindTelemetry()
 	c.prog.start(cfg.ID, len(cfg.Targets), parallel, c.budget, c.cache)
@@ -220,11 +221,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}(w)
 	}
 	for idx := range cfg.Targets {
-		if resumedDone[cfg.Targets[idx]] {
+		if row := journaled[cfg.Targets[idx]]; row != nil {
 			results[idx] = TargetResult{
-				Dst:    cfg.Targets[idx],
-				Status: StatusResumed,
-				Note:   "completed in checkpoint",
+				Dst:         cfg.Targets[idx],
+				Status:      StatusResumed,
+				Note:        "completed in checkpoint",
+				Reached:     row.Reached,
+				Hops:        row.Hops,
+				Subnets:     row.Subnets,
+				TraceProbes: row.TraceProbes,
 			}
 			c.prog.targetDone(results[idx])
 			if cfg.OnTargetDone != nil {
@@ -258,10 +263,9 @@ type campaign struct {
 	cache  *Cache    // nil when the shared cache is disabled
 	prog   *Progress // nil when no one is watching; all methods nil-safe
 
-	// frozen and resumeDone carry the restored checkpoint state forward into
-	// the next checkpoint.
-	frozen     []*core.Subnet
-	resumeDone []ipv4.Addr
+	// frozen carries the restored checkpoint subnets into the merged report
+	// and the next checkpoint.
+	frozen []*core.Subnet
 
 	wireProbes   atomic.Uint64
 	breakerTrips atomic.Uint64
@@ -424,7 +428,6 @@ func (c *campaign) buildReport(results []TargetResult) *Report {
 		rep.Stats.ProbesSaved = c.cache.ProbesSaved()
 	}
 	rep.merge(c.frozen)
-	rep.resumeDone = c.resumeDone
 	return rep
 }
 

@@ -181,9 +181,9 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// TestCampaignCheckpointResume: a resumed campaign skips completed targets
-// entirely, preserves the checkpointed subnets in its merged topology, and a
-// re-checkpoint carries everything forward.
+// TestCampaignCheckpointResume: a resumed campaign restores completed
+// targets instead of re-tracing them, preserves the checkpointed subnets in
+// its merged topology, and a re-checkpoint carries everything forward.
 func TestCampaignCheckpointResume(t *testing.T) {
 	full, _, _ := runCampaign(t, 4, nil)
 	var buf bytes.Buffer
@@ -214,13 +214,13 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recp.Done) != len(cp.Done) || len(recp.Subnets) != len(cp.Subnets) {
-		t.Errorf("re-checkpoint lost state: done %d->%d, subnets %d->%d",
-			len(cp.Done), len(recp.Done), len(cp.Subnets), len(recp.Subnets))
+	if len(recp.Rows) != len(cp.Rows) || len(recp.Subnets) != len(cp.Subnets) {
+		t.Errorf("re-checkpoint lost state: rows %d->%d, subnets %d->%d",
+			len(cp.Rows), len(recp.Rows), len(cp.Subnets), len(recp.Subnets))
 	}
 }
 
-// TestCampaignResumeFrozenTier: resuming with a partial done list makes the
+// TestCampaignResumeFrozenTier: resuming with a partial row list makes the
 // remaining targets draw on the frozen member tier — checkpointed subnets are
 // never re-explored, so the cache reports saved probes even for fresh
 // targets.
@@ -228,8 +228,8 @@ func TestCampaignResumeFrozenTier(t *testing.T) {
 	full, _, _ := runCampaign(t, 1, nil)
 	cp := full.Checkpoint()
 	// Pretend the campaign died after the first half of the targets.
-	half := len(cp.Done) / 2
-	cp.Done = cp.Done[:half]
+	half := len(cp.Rows) / 2
+	cp.Rows = cp.Rows[:half]
 
 	resumed, _, _ := runCampaign(t, 4, func(cfg *collect.Config) {
 		cfg.Resume = cp
@@ -329,9 +329,9 @@ func TestCampaignMergedEqualsSequentialSession(t *testing.T) {
 // TestCampaignBreakerTruncatedNotDone is the regression test for the
 // campaign-level checkpoint/resume hole: a target whose trace the circuit
 // breaker cut short ends with err == nil, so it used to be marked done,
-// listed in the checkpoint's Done set, and silently skipped on resume. It
-// must instead carry the breaker status, stay out of Done, and be retried by
-// a resumed campaign.
+// journaled in the checkpoint, and silently skipped on resume. It must
+// instead carry the breaker status, stay out of the checkpoint's rows, and be
+// retried by a resumed campaign.
 func TestCampaignBreakerTruncatedNotDone(t *testing.T) {
 	tp := topo.Figure3()
 	n := netsim.New(tp, netsim.Config{})
@@ -375,8 +375,8 @@ func TestCampaignBreakerTruncatedNotDone(t *testing.T) {
 	}
 
 	cp := rep.Checkpoint()
-	if len(cp.Done) != 1 || cp.Done[0] != reachable.String() {
-		t.Fatalf("checkpoint done = %v; breaker-truncated target must not be listed", cp.Done)
+	if len(cp.Rows) != 1 || cp.Rows[0].Dst != reachable.String() {
+		t.Fatalf("checkpoint rows = %+v; breaker-truncated target must not be listed", cp.Rows)
 	}
 
 	// Resume: the done target is skipped, the truncated one is retraced.
@@ -403,8 +403,8 @@ func TestCampaignBreakerTruncatedNotDone(t *testing.T) {
 func TestCampaignResumeEvalEquivalence(t *testing.T) {
 	full, _, _ := runCampaign(t, 1, nil)
 	cp := full.Checkpoint()
-	half := len(cp.Done) / 2
-	cp.Done = cp.Done[:half]
+	half := len(cp.Rows) / 2
+	cp.Rows = cp.Rows[:half]
 
 	resumed, _, _ := runCampaign(t, 4, func(cfg *collect.Config) {
 		cfg.Resume = cp

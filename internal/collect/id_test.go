@@ -86,8 +86,12 @@ func TestCampaignIDSeparatesMetrics(t *testing.T) {
 	if err := collect.WriteCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"campaign_id": "c0001"`) {
-		t.Fatalf("serialized checkpoint lacks campaign_id:\n%s", buf.String())
+	back, err := collect.ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.CampaignID != "c0001" {
+		t.Fatalf("serialized checkpoint campaign_id = %q:\n%s", back.CampaignID, buf.String())
 	}
 }
 

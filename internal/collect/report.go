@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"tracenet/internal/core"
-	"tracenet/internal/ipv4"
 	"tracenet/internal/topomap"
 )
 
@@ -52,8 +51,6 @@ type Report struct {
 	// subnets is the deduplicated, deterministically ordered set of distinct
 	// collected subnets, for checkpointing.
 	subnets []*core.Subnet
-	// resumeDone carries the resumed checkpoint's done list forward.
-	resumeDone []ipv4.Addr
 }
 
 // merge builds the merged topology and the distinct-subnet set from the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -168,155 +167,20 @@ func TestAdversarialChaosProperties(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{})
-	sess := NewSession(pr, Config{})
-	if _, err := sess.Trace(addr("10.0.5.2")); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sess.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Subnets) != len(sess.Subnets()) {
-		t.Fatalf("checkpoint has %d subnets, session %d", len(cp.Subnets), len(sess.Subnets()))
-	}
-
-	pr2 := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{})
-	resumed, err := NewSessionFromCheckpoint(pr2, Config{}, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.IsDone(addr("10.0.5.2")) {
-		t.Error("resumed session lost the done set")
-	}
-	if resumed.IsDone(addr("10.0.3.1")) {
-		t.Error("resumed session claims an untraced destination")
-	}
-	want := sess.Subnets()
-	got := resumed.Subnets()
-	if len(got) != len(want) {
-		t.Fatalf("resumed %d subnets, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Prefix != want[i].Prefix {
-			t.Errorf("subnet %d: prefix %v, want %v", i, got[i].Prefix, want[i].Prefix)
-		}
-		if len(got[i].Addrs) != len(want[i].Addrs) {
-			t.Errorf("subnet %d: %d members, want %d", i, len(got[i].Addrs), len(want[i].Addrs))
-		}
-		if got[i].Pivot != want[i].Pivot || got[i].PivotDist != want[i].PivotDist ||
-			got[i].ContraPivot != want[i].ContraPivot || got[i].Stop != want[i].Stop {
-			t.Errorf("subnet %d annotations differ:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-
-	// Resume saves probes: a second trace toward a different host behind the
-	// same backbone reuses the restored subnets via SkipKnown.
-	before := pr2.Stats().Sent
-	res, err := resumed.Trace(addr("10.0.5.2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := pr2.Stats().Sent - before
-	freshCost := pr.Stats().Sent // the original session's full cost
-	if cost >= freshCost {
-		t.Errorf("resumed trace cost %d probes, original %d — no reuse", cost, freshCost)
-	}
-	revisits := 0
-	for _, h := range res.Hops {
-		if h.Revisited {
-			revisits++
-		}
-	}
-	if revisits == 0 {
-		t.Errorf("resumed trace never revisited a restored subnet:\n%v", res)
-	}
-}
-
+// TestCheckpointRejectsBadInput: Restore refuses a checkpointed subnet whose
+// prefix, pivot, or members do not parse, or whose members fall outside its
+// prefix. (The campaign-level path through collect.Run is pinned in
+// internal/collect.)
 func TestCheckpointRejectsBadInput(t *testing.T) {
-	if _, err := ReadCheckpoint(strings.NewReader("{not json")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := ReadCheckpoint(strings.NewReader(`{"version": 99, "subnets": []}`)); err == nil {
-		t.Error("future version accepted")
-	}
-	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{})
-	for name, cp := range map[string]*Checkpoint{
-		"bad prefix": {Version: CheckpointVersion, Subnets: []CheckpointSubnet{
-			{Prefix: "nope", Pivot: "10.0.0.1"}}},
-		"bad pivot": {Version: CheckpointVersion, Subnets: []CheckpointSubnet{
-			{Prefix: "10.0.0.0/30", Pivot: "x"}}},
-		"member outside prefix": {Version: CheckpointVersion, Subnets: []CheckpointSubnet{
-			{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Addrs: []string{"10.9.0.1"}}}},
-		"bad done entry": {Version: CheckpointVersion, Done: []string{"not-an-ip"}},
+	for name, cs := range map[string]CheckpointSubnet{
+		"bad prefix":            {Prefix: "nope", Pivot: "10.0.0.1"},
+		"bad pivot":             {Prefix: "10.0.0.0/30", Pivot: "x"},
+		"bad member":            {Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Addrs: []string{"x"}},
+		"member outside prefix": {Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Addrs: []string{"10.9.0.1"}},
+		"bad contra-pivot":      {Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", ContraPivot: "x"},
 	} {
-		if _, err := NewSessionFromCheckpoint(pr, Config{}, cp); err == nil {
-			t.Errorf("%s: checkpoint accepted", name)
-		}
-	}
-	// nil checkpoint is a fresh session, not an error.
-	s, err := NewSessionFromCheckpoint(pr, Config{}, nil)
-	if err != nil || s == nil {
-		t.Errorf("nil checkpoint: (%v, %v)", s, err)
-	}
-}
-
-// TestCheckpointMidCampaignResume splits a two-destination campaign across a
-// checkpoint boundary and verifies the union of collected subnets matches an
-// uninterrupted run.
-func TestCheckpointMidCampaignResume(t *testing.T) {
-	full := NewSession(prober(t, topo.Figure3(), netsim.Config{}, probe.Options{}), Config{})
-	for _, d := range []string{"10.0.5.2", "10.0.3.1"} {
-		if _, err := full.Trace(addr(d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	first := NewSession(prober(t, topo.Figure3(), netsim.Config{}, probe.Options{}), Config{})
-	if _, err := first.Trace(addr("10.0.5.2")); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := first.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := NewSessionFromCheckpoint(
-		prober(t, topo.Figure3(), netsim.Config{}, probe.Options{}), Config{}, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.IsDone(addr("10.0.3.1")) {
-		t.Fatal("destination 10.0.3.1 wrongly marked done")
-	}
-	if _, err := second.Trace(addr("10.0.3.1")); err != nil {
-		t.Fatal(err)
-	}
-
-	wantSet := map[string]bool{}
-	for _, s := range full.Subnets() {
-		wantSet[s.Prefix.String()] = true
-	}
-	gotSet := map[string]bool{}
-	for _, s := range second.Subnets() {
-		gotSet[s.Prefix.String()] = true
-	}
-	for p := range wantSet {
-		if !gotSet[p] {
-			t.Errorf("resumed campaign missing subnet %s", p)
-		}
-	}
-	for p := range gotSet {
-		if !wantSet[p] {
-			t.Errorf("resumed campaign has extra subnet %s", p)
+		if _, err := cs.Restore(); err == nil {
+			t.Errorf("%s: subnet restored", name)
 		}
 	}
 }
@@ -324,9 +188,10 @@ func TestCheckpointMidCampaignResume(t *testing.T) {
 // TestBreakerTruncatedTraceNotDone is the regression test for a
 // checkpoint/resume hole: a trace the circuit breaker cut short ends with
 // err == nil (breaker skips read as local silence), but its terminating
-// silence was manufactured, not observed. Such a destination must NOT be
-// recorded done — a session resumed from the checkpoint (breaker starts
-// closed) has to retry it rather than silently skip it.
+// silence was manufactured, not observed. The session must mark it
+// BreakerLimited so a campaign keeps it out of its checkpoint and a resume
+// (breaker starts closed) retries it — TestCampaignBreakerTruncatedNotDone
+// in internal/collect pins that half.
 func TestBreakerTruncatedTraceNotDone(t *testing.T) {
 	n := netsim.New(topo.Figure3(), netsim.Config{})
 	port, err := n.PortFor("vantage")
@@ -339,17 +204,18 @@ func TestBreakerTruncatedTraceNotDone(t *testing.T) {
 	})
 	sess := NewSession(pr, Config{})
 
-	// A reachable destination completes normally and is recorded done.
-	if _, err := sess.Trace(addr("10.0.5.2")); err != nil {
+	// A reachable destination completes normally.
+	res, err := sess.Trace(addr("10.0.5.2"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.IsDone(addr("10.0.5.2")) {
-		t.Fatal("reached destination not recorded done")
+	if res.BreakerLimited {
+		t.Fatal("reached destination marked BreakerLimited")
 	}
 
 	// 172.16.0.1 is unroutable: every hop beyond the first is silent, the
 	// breaker opens after two silences and skips the rest of the trace.
-	res, err := sess.Trace(addr("172.16.0.1"))
+	res, err = sess.Trace(addr("172.16.0.1"))
 	if err != nil {
 		t.Fatalf("breaker-truncated trace errored: %v", err)
 	}
@@ -360,26 +226,6 @@ func TestBreakerTruncatedTraceNotDone(t *testing.T) {
 		t.Fatal("scenario did not exercise the breaker: no skips recorded")
 	}
 	if !res.BreakerLimited {
-		t.Error("truncated result not marked BreakerLimited")
-	}
-	if sess.IsDone(addr("172.16.0.1")) {
-		t.Error("breaker-truncated destination recorded done; a resume would silently skip it")
-	}
-
-	// The checkpoint round-trip preserves the distinction.
-	var buf bytes.Buffer
-	if err := sess.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewSessionFromCheckpoint(pr, Config{}, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.IsDone(addr("10.0.5.2")) || resumed.IsDone(addr("172.16.0.1")) {
-		t.Errorf("resumed done list wrong: done=%v", resumed.Done())
+		t.Error("truncated result not marked BreakerLimited; a resume would silently skip it")
 	}
 }

@@ -1,33 +1,14 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
 
 	"tracenet/internal/invariant"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/probe"
 )
 
-// CheckpointVersion is the current checkpoint schema version.
-const CheckpointVersion = 1
-
-// Checkpoint is a serializable snapshot of a partially-collected session:
-// every subnet grown so far plus the destinations already traced to
-// completion. A campaign interrupted mid-run (crash, fault storm, operator
-// stop) resumes from its checkpoint without re-spending the probes that
-// collected the snapshot — the SkipKnown optimization treats restored
-// subnets exactly like subnets grown in this run.
-type Checkpoint struct {
-	Version int                `json:"version"`
-	Subnets []CheckpointSubnet `json:"subnets"`
-	// Done lists destinations whose traces completed, in trace order.
-	Done []string `json:"done,omitempty"`
-}
-
-// CheckpointSubnet is the serialized form of one collected Subnet.
+// CheckpointSubnet is the serialized form of one collected Subnet, as the
+// campaign checkpoint (internal/collect) journals it.
 type CheckpointSubnet struct {
 	Prefix      string   `json:"prefix"`
 	Addrs       []string `json:"addrs"`
@@ -43,8 +24,7 @@ type CheckpointSubnet struct {
 	Degraded    bool     `json:"degraded,omitempty"`
 }
 
-// SnapshotSubnet serializes one collected subnet. Campaign checkpoints
-// (internal/collect) share this representation with session checkpoints.
+// SnapshotSubnet serializes one collected subnet.
 func SnapshotSubnet(sub *Subnet) CheckpointSubnet {
 	cs := CheckpointSubnet{
 		Prefix:     sub.Prefix.String(),
@@ -73,37 +53,6 @@ func SnapshotSubnet(sub *Subnet) CheckpointSubnet {
 		cs.TraceEntry = sub.TraceEntry.String()
 	}
 	return cs
-}
-
-// Checkpoint snapshots the session's collected state.
-func (s *Session) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{Version: CheckpointVersion}
-	for _, sub := range s.subnets {
-		cp.Subnets = append(cp.Subnets, SnapshotSubnet(sub))
-	}
-	for _, d := range s.done {
-		cp.Done = append(cp.Done, d.String())
-	}
-	return cp
-}
-
-// WriteCheckpoint serializes the session's checkpoint as indented JSON.
-func (s *Session) WriteCheckpoint(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Checkpoint())
-}
-
-// ReadCheckpoint decodes and validates a JSON checkpoint.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	return &cp, nil
 }
 
 // Restore converts a checkpointed subnet back to its in-memory form,
@@ -171,56 +120,4 @@ func (cs CheckpointSubnet) Restore() (*Subnet, error) {
 		return nil, err
 	}
 	return sub, nil
-}
-
-// NewSessionFromCheckpoint creates a session over pr preloaded with the
-// subnets of a checkpoint: restored subnets are reused by SkipKnown instead
-// of re-explored, and destinations listed in the checkpoint's Done set are
-// reported by IsDone so a resumed campaign can skip them.
-func NewSessionFromCheckpoint(pr *probe.Prober, cfg Config, cp *Checkpoint) (*Session, error) {
-	if cp == nil {
-		return NewSession(pr, cfg), nil
-	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	s := NewSession(pr, cfg)
-	for _, cs := range cp.Subnets {
-		sub, err := cs.Restore()
-		if err != nil {
-			return nil, err
-		}
-		s.subnets = append(s.subnets, sub)
-		for _, a := range sub.Addrs {
-			if _, dup := s.collected[a]; !dup {
-				s.collected[a] = sub
-			}
-		}
-	}
-	for _, d := range cp.Done {
-		addr, err := ipv4.ParseAddr(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint done list: %w", err)
-		}
-		s.done = append(s.done, addr)
-	}
-	// Resumed state is visible in telemetry: restored subnets count under
-	// their own metric (not tracenet_session_subnets_total, which counts
-	// subnets grown in this run), and the resume point lands in the trace.
-	s.tel.Counter("tracenet_session_restored_subnets_total").Add(uint64(len(cp.Subnets)))
-	s.tel.Instant("resume",
-		"subnets", strconv.Itoa(len(cp.Subnets)),
-		"done", strconv.Itoa(len(cp.Done)))
-	return s, nil
-}
-
-// IsDone reports whether dst was already traced to completion, either in
-// this run or in the checkpoint this session was resumed from.
-func (s *Session) IsDone(dst ipv4.Addr) bool {
-	for _, d := range s.done {
-		if d == dst {
-			return true
-		}
-	}
-	return false
 }

@@ -1,14 +1,11 @@
 package core_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"tracenet/internal/core"
-	"tracenet/internal/ipv4"
-	"tracenet/internal/netsim"
-	"tracenet/internal/probe"
-	"tracenet/internal/topo"
 )
 
 // TestRestoreConfidenceNormalization pins the Restore contract on the
@@ -61,37 +58,28 @@ func TestRestoreConfidenceNormalization(t *testing.T) {
 	})
 }
 
-// TestRestoreLegacyCheckpointConfidence round-trips a checkpoint written
-// before confidence tracking existed (no confidence keys at all) through
-// NewSessionFromCheckpoint: every restored subnet must satisfy the (0,1]
-// contract so downstream consumers (reports, eval weighting) never see a
-// zero-confidence subnet.
+// TestRestoreLegacyCheckpointConfidence restores subnets as a checkpoint
+// written before confidence tracking existed serializes them (no confidence
+// keys at all): every restored subnet must satisfy the (0,1] contract so
+// downstream consumers (reports, eval weighting) never see a
+// zero-confidence subnet, while a journaled degraded confidence survives.
+// The campaign-level resume of such a checkpoint is pinned in
+// internal/collect.
 func TestRestoreLegacyCheckpointConfidence(t *testing.T) {
-	legacy := strings.NewReader(`{
-  "version": 1,
-  "subnets": [
+	var legacy []core.CheckpointSubnet
+	if err := json.Unmarshal([]byte(`[
     {"prefix": "10.0.1.0/30", "addrs": ["10.0.1.1", "10.0.1.2"], "pivot": "10.0.1.2", "pivot_dist": 1},
     {"prefix": "10.0.2.0/31", "addrs": ["10.0.2.0", "10.0.2.1"], "pivot": "10.0.2.0", "pivot_dist": 2, "confidence": 0.75, "degraded": true}
-  ],
-  "done": ["10.0.2.1"]
-}`)
-	cp, err := core.ReadCheckpoint(legacy)
-	if err != nil {
+  ]`), &legacy); err != nil {
 		t.Fatal(err)
 	}
-	n := netsim.New(topo.Figure3(), netsim.Config{})
-	port, err := n.PortFor("vantage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess, err := core.NewSessionFromCheckpoint(pr, core.Config{}, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := sess.Subnets()
-	if len(subs) != 2 {
-		t.Fatalf("restored %d subnets, want 2", len(subs))
+	var subs []*core.Subnet
+	for _, cs := range legacy {
+		sub, err := cs.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
 	}
 	for _, sub := range subs {
 		if sub.Confidence <= 0 || sub.Confidence > 1 {
@@ -105,8 +93,5 @@ func TestRestoreLegacyCheckpointConfidence(t *testing.T) {
 	if subs[1].Confidence != 0.75 || !subs[1].Degraded {
 		t.Errorf("degraded subnet restored as confidence=%v degraded=%v, want 0.75 true",
 			subs[1].Confidence, subs[1].Degraded)
-	}
-	if !sess.IsDone(ipv4.MustParseAddr("10.0.2.1")) {
-		t.Error("done list lost in restore")
 	}
 }

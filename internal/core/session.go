@@ -18,8 +18,8 @@ import (
 // absorbed as silent probes (never aborting the trace), and subnets whose
 // collection observed definite fault evidence are annotated with
 // Degraded/Confidence instead of being silently misreported as clean.
-// Partially collected sessions can be checkpointed and resumed (see
-// Checkpoint).
+// Resuming interrupted collection is the campaign engine's job
+// (internal/collect checkpoints).
 type Session struct {
 	pr  *probe.Prober
 	cfg Config
@@ -28,7 +28,6 @@ type Session struct {
 	// the SkipKnown optimization.
 	collected map[ipv4.Addr]*Subnet
 	subnets   []*Subnet
-	done      []ipv4.Addr
 
 	// quarantined maps addresses with internally inconsistent responses onto
 	// the reason they were quarantined (Config.Defend; see defense.go).
@@ -115,11 +114,6 @@ func (s *Session) DegradedSubnets() []*Subnet {
 	return out
 }
 
-// Done returns the destinations whose traces ran to completion, in order.
-// A checkpointed campaign uses this to skip already-traced targets on
-// resume.
-func (s *Session) Done() []ipv4.Addr { return s.done }
-
 // StopStats returns how often each rule terminated subnet growth across the
 // session — the observability counterpart of §3.5's heuristics: H1 shrinks
 // are attributed to the heuristic that fired, the half-fill rule and the
@@ -159,15 +153,11 @@ func (s *Session) Trace(dst ipv4.Addr) (*Result, error) {
 	res, err := s.trace(dst)
 	scope.CountInto(span)
 	span.End()
-	if err == nil {
-		// A trace the breaker truncated ended on manufactured silence, not
-		// an observed outcome: leave it out of the done list so a resumed
-		// session (whose breaker starts closed) retries it.
-		if !res.Reached && scope.Delta().BreakerSkips > 0 {
-			res.BreakerLimited = true
-		} else {
-			s.done = append(s.done, dst)
-		}
+	// A trace the breaker truncated ended on manufactured silence, not an
+	// observed outcome: mark it so a campaign leaves it out of its
+	// checkpoint and a resume (whose breaker starts closed) retries it.
+	if err == nil && !res.Reached && scope.Delta().BreakerSkips > 0 {
+		res.BreakerLimited = true
 	}
 	return res, err
 }

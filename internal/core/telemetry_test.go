@@ -160,30 +160,3 @@ func TestStopStatsOrderedMatchesMap(t *testing.T) {
 		t.Errorf("ordered counts total %d, want %d subnets", total, want)
 	}
 }
-
-func TestCheckpointRestoreTelemetry(t *testing.T) {
-	// Collect with one instrumented session, resume into another.
-	s, _, _ := telemetrySession(t)
-	if _, err := s.Trace(addr("10.0.5.2")); err != nil {
-		t.Fatal(err)
-	}
-	cp := s.Checkpoint()
-
-	s2, tel2, trace2 := telemetrySession(t)
-	restored, err := NewSessionFromCheckpoint(s2.Prober(), Config{}, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tel2.Counter("tracenet_session_restored_subnets_total").Value(); got != uint64(len(cp.Subnets)) {
-		t.Errorf("restored counter = %d, want %d", got, len(cp.Subnets))
-	}
-	if len(restored.Subnets()) != len(cp.Subnets) {
-		t.Fatalf("restored %d subnets, want %d", len(restored.Subnets()), len(cp.Subnets))
-	}
-	if err := tel2.Tracer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(trace2.String(), `"name":"resume"`) {
-		t.Errorf("no resume instant in trace:\n%s", trace2.String())
-	}
-}

@@ -199,9 +199,9 @@ type Result struct {
 	Recovered uint64
 	// BreakerLimited marks a trace that ended without reaching dst while the
 	// circuit breaker was skipping probes: the silence that terminated it was
-	// locally manufactured, not observed, so the outcome is provisional. Such
-	// destinations are not recorded as done — a checkpoint resume (with a
-	// fresh breaker) retries them instead of silently skipping.
+	// locally manufactured, not observed, so the outcome is provisional. A
+	// campaign does not journal such a target in its checkpoint, so a resume
+	// (with a fresh breaker) retries it instead of silently skipping.
 	BreakerLimited bool
 }
 

@@ -9,15 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tracenet/internal/cli"
 	"tracenet/internal/collect"
-	"tracenet/internal/core"
 	"tracenet/internal/groundtruth"
 	"tracenet/internal/invariant"
-	"tracenet/internal/ipv4"
 	"tracenet/internal/netsim"
 	"tracenet/internal/obs"
-	"tracenet/internal/probe"
 	"tracenet/internal/telemetry"
 )
 
@@ -57,6 +53,10 @@ var (
 	ErrUnknownCampaign = errors.New("daemon: unknown campaign")
 	// ErrCampaignFinal: the campaign already reached a final state.
 	ErrCampaignFinal = errors.New("daemon: campaign already final")
+	// ErrCorruptSpool: Start found a spool file it cannot trust — one that
+	// does not decode, or a spec that fails Validate. The wrapped error
+	// names the file; the daemon refuses to start rather than guess.
+	ErrCorruptSpool = errors.New("daemon: corrupt spool file")
 )
 
 // schedClock is the daemon's own deterministic scheduler clock: a monotone
@@ -81,7 +81,6 @@ type campaignState struct {
 	status     string
 	errText    string
 	notBefore  uint64
-	rows       []TargetRow // journaled completed-target rows
 	prog       *collect.Progress
 	wd         *collect.Watchdog
 	tel        *telemetry.Telemetry // the campaign's clock domain
@@ -219,7 +218,7 @@ func (d *Daemon) Start() error {
 // replay reconstructs the daemon from the spool: the scheduler clock and ID
 // sequence, every campaign's record, and the queue — queued entries
 // re-admitted as they were, running/interrupted ones re-queued with their
-// checkpoint and journaled rows so the resumed run re-renders the same
+// checkpoint, whose journaled rows let the resumed run re-render the same
 // report bytes.
 func (d *Daemon) replay() error {
 	var ds daemonState
@@ -240,8 +239,8 @@ func (d *Daemon) replay() error {
 		d.nextSeq = ds.NextSeq
 	}
 	for _, st := range states {
-		var sp Spec
-		if err := d.sp.readJSON(st.ID+".spec.json", &sp); err != nil {
+		sp, err := d.sp.readSpec(st.ID + ".spec.json")
+		if err != nil {
 			return err
 		}
 		cs := &campaignState{
@@ -249,11 +248,10 @@ func (d *Daemon) replay() error {
 			seq:       st.Seq,
 			rescan:    st.Rescan,
 			tenant:    d.tenants.get(st.Tenant),
-			spec:      &sp,
+			spec:      sp,
 			status:    st.Status,
 			errText:   st.Error,
 			notBefore: st.NotBefore,
-			rows:      st.Rows,
 		}
 		if cs.seq >= d.nextSeq {
 			d.nextSeq = cs.seq + 1
@@ -265,15 +263,10 @@ func (d *Daemon) replay() error {
 			d.cReplayed.Inc()
 		case stateRunning, stateInterrupted:
 			// The previous process died (or drained) mid-campaign: resume
-			// from its checkpoint, carrying the journaled rows forward.
+			// from its checkpoint, completed-target rows and all.
 			e := d.entryFor(cs, nil)
 			if d.sp.exists(st.ID + ".checkpoint.json") {
-				f, err := os.Open(d.sp.path(st.ID + ".checkpoint.json"))
-				if err != nil {
-					return err
-				}
-				cp, err := collect.ReadCheckpoint(f)
-				f.Close()
+				cp, err := d.sp.readCheckpoint(st.ID + ".checkpoint.json")
 				if err != nil {
 					return err
 				}
@@ -300,7 +293,6 @@ func (d *Daemon) entryFor(cs *campaignState, resume *collect.Checkpoint) *queueE
 		spec:      cs.spec,
 		notBefore: cs.notBefore,
 		resume:    resume,
-		rows:      cs.rows,
 		rescan:    cs.rescan,
 	}
 }
@@ -317,7 +309,6 @@ func (d *Daemon) stateOf(cs *campaignState) *State {
 		Rescan:    cs.rescan,
 		NotBefore: cs.notBefore,
 		Error:     cs.errText,
-		Rows:      cs.rows,
 	}
 }
 
@@ -390,9 +381,9 @@ func (d *Daemon) Nudge() {
 
 // Drain stops the daemon: submissions are refused, queued campaigns stay
 // journaled for the next start, and running campaigns are cancelled — their
-// in-flight targets finish, a checkpoint and the journaled rows land in the
-// spool, and their state becomes interrupted. Returns once every runner has
-// stopped, or when ctx expires.
+// in-flight targets finish, a checkpoint journaling the completed rows lands
+// in the spool, and their state becomes interrupted. Returns once every
+// runner has stopped, or when ctx expires.
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	d.draining = true
@@ -472,10 +463,17 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 		return // cancelled out of the registry between pop and run
 	}
 
-	sc, net, targets, ccfg, err := d.resolve(e)
+	c, err := e.spec.Resolve(e.id)
 	if err != nil {
-		d.finish(cs, e, nil, nil, nil, err)
+		d.finish(cs, e, nil, nil, err)
 		return
+	}
+	net := c.Net
+	ccfg := c.Config
+	ccfg.BudgetParent = e.tenant.budget
+	ccfg.Resume = e.resume
+	if e.tenant.pacer != nil {
+		ccfg.Pacer = e.tenant.pacer
 	}
 
 	// The campaign's telemetry rides the fresh substrate's virtual clock but
@@ -522,10 +520,10 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
 	}
 	d.lg.Info("campaign started", "campaign", cs.id, "tenant", cs.tenant.cfg.Name,
-		"targets", fmt.Sprint(len(targets)))
+		"targets", fmt.Sprint(len(ccfg.Targets)))
 
 	startTick := net.Ticks()
-	rep, err := collect.Run(ctx, *ccfg)
+	rep, err := collect.Run(ctx, ccfg)
 	elapsed := net.Ticks() - startTick
 	if d.cfg.Clock == nil {
 		d.clock.advance(elapsed)
@@ -535,97 +533,22 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 	d.mu.Lock()
 	d.gRunning.Add(-1)
 	d.mu.Unlock()
-	d.finish(cs, e, sc, targets, rep, err)
-	if err := d.persistDaemonState(); err != nil {
-		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
-	}
+	d.finish(cs, e, c.Scenario.Topo, rep, err)
 }
 
-// resolve turns a spec into a runnable collect.Config on a fresh substrate.
-func (d *Daemon) resolve(e *queueEntry) (*cli.Scenario, *netsim.Network, []ipv4.Addr, *collect.Config, error) {
-	sp := e.spec
-	sc, err := cli.Load(sp.topology(), sp.seed())
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	vantage := sp.Vantage
-	if vantage == "" {
-		vantage = sc.Vantage
-	}
-	var proto probe.Protocol
-	switch sp.Proto {
-	case "", "icmp":
-		proto = probe.ICMP
-	case "udp":
-		proto = probe.UDP
-	case "tcp":
-		proto = probe.TCP
-	}
-	targets := sc.Destinations
-	if len(sp.Targets) > 0 {
-		targets = nil
-		for _, t := range sp.Targets {
-			a, err := ipv4.ParseAddr(t)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			targets = append(targets, a)
-		}
-	}
-	if len(targets) == 0 {
-		return nil, nil, nil, nil, errors.New("daemon: spec resolves to no targets")
-	}
-
-	net := netsim.New(sc.Topo, netsim.Config{Seed: sp.seed()})
-	if sp.Chaos != 0 {
-		if err := net.InstallFaults(netsim.RandomFaultPlan(sc.Topo, sp.Chaos)); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-
-	popts := probe.Options{Protocol: proto, Cache: true}
-	if sp.Backoff {
-		popts.Retry = &probe.RetryPolicy{MaxRetries: 2, BackoffBase: 4, BackoffMax: 64, Jitter: 0.25}
-	}
-	if sp.Breaker {
-		popts.Breaker = &probe.BreakerConfig{}
-	}
-
-	ccfg := &collect.Config{
-		ID:           e.id,
-		Targets:      targets,
-		Parallel:     sp.Parallel,
-		Budget:       sp.Budget,
-		BudgetParent: e.tenant.budget,
-		DisableCache: sp.DisableCache,
-		Greedy:       sp.Greedy,
-		Session:      core.Config{MaxTTL: sp.maxTTL(), Defend: sp.Defend},
-		Probe:        popts,
-		Resume:       e.resume,
-		Dial: func(opts probe.Options) (*probe.Prober, error) {
-			port, err := net.PortFor(vantage)
-			if err != nil {
-				return nil, err
-			}
-			return probe.New(port, port.LocalAddr(), opts), nil
-		},
-	}
-	if e.tenant.pacer != nil {
-		ccfg.Pacer = e.tenant.pacer
-	}
-	return sc, net, targets, ccfg, nil
-}
-
-// finish lands a campaign's outcome: classify it, journal the merged rows,
+// finish lands a campaign's outcome: classify it, journal the checkpoint,
 // write the artifacts a completed campaign owes, account the tenant's
-// spend, and enroll the next re-scan generation when the spec asks for one.
-func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targets []ipv4.Addr, rep *collect.Report, runErr error) {
+// spend, enroll the next re-scan generation when the spec asks for one, and
+// journal the advanced scheduler clock — every spool write before the
+// outcome is announced.
+// top is the campaign's topology, for the evaluation (nil when the spec
+// never resolved).
+func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, rep *collect.Report, runErr error) {
 	d.mu.Lock()
 	status := stateDone
 	switch {
 	case runErr != nil:
 		status = stateFailed
-		cs.errText = runErr.Error()
 	case cs.ctx != nil && cs.ctx.Err() != nil:
 		if cs.userCancel {
 			status = stateCancelled
@@ -633,13 +556,6 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targ
 			status = stateInterrupted
 		}
 	}
-	cs.status = status
-	var merged []TargetRow
-	if rep != nil {
-		merged = mergeRows(rep.Targets, e.rows)
-		cs.rows = journalRows(merged)
-	}
-	st := d.stateOf(cs)
 	d.mu.Unlock()
 
 	if rep != nil {
@@ -657,12 +573,12 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targ
 		}
 	}
 	if status == stateDone && rep != nil {
-		report := renderReport(cs.id, cs.tenant.cfg.Name, targets, merged, rep.Subnets())
+		report := renderReport(cs.id, cs.tenant.cfg.Name, rep)
 		if err := d.sp.writeFile(cs.id+".report.txt", report); err != nil {
 			d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
 		}
-		if cs.spec.Eval && sc != nil {
-			truth := groundtruth.FromTopology(sc.Topo, groundtruth.Options{})
+		if cs.spec.Eval && top != nil {
+			truth := groundtruth.FromTopology(top, groundtruth.Options{})
 			score := truth.Score(groundtruth.FromCoreSubnets(rep.Subnets()))
 			var buf bytes.Buffer
 			if err := score.WriteJSON(&buf); err == nil {
@@ -672,6 +588,15 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targ
 			}
 		}
 	}
+	// Publish the outcome only once its artifacts are in the spool: a client
+	// that sees a final status can fetch the report it implies.
+	d.mu.Lock()
+	cs.status = status
+	if runErr != nil {
+		cs.errText = runErr.Error()
+	}
+	st := d.stateOf(cs)
+	d.mu.Unlock()
 	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
 		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
 	}
@@ -691,6 +616,9 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targ
 
 	if status == stateDone && cs.spec.RescanInterval > 0 && e.rescan < cs.spec.MaxRescans {
 		d.enqueueRescan(cs, e)
+	}
+	if err := d.persistDaemonState(); err != nil {
+		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
 	}
 	if d.testCampaignFinished != nil {
 		d.testCampaignFinished(cs.id, status)

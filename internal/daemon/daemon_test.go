@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -208,11 +209,15 @@ func TestDaemonLifecycleResumeByteIdentity(t *testing.T) {
 	if persisted.Status != stateInterrupted {
 		t.Fatalf("after drain, c0001 state = %s, want interrupted", persisted.Status)
 	}
-	if len(persisted.Rows) == 0 {
+	journal, err := (spool{dir: dir}).readCheckpoint("c0001.checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journal.Rows) == 0 {
 		t.Fatal("interrupted campaign journaled no completed rows")
 	}
-	if len(persisted.Rows) >= 6 {
-		t.Fatalf("interrupt left no work to resume: %d rows journaled", len(persisted.Rows))
+	if len(journal.Rows) >= 6 {
+		t.Fatalf("interrupt left no work to resume: %d rows journaled", len(journal.Rows))
 	}
 
 	// Restart against the same spool: the interrupted campaign resumes from
@@ -386,5 +391,54 @@ func TestReadinessLifecycle(t *testing.T) {
 	}
 	if code, body := readyz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
 		t.Errorf("after drain: %d %q, want 503 mentioning draining", code, body)
+	}
+}
+
+// TestReplayRejectsCorruptSpool: Start trusts nothing it reads back from the
+// spool. A hand-corrupted file — a spec POST would refuse, an undecodable
+// state, a retired checkpoint version — fails Start with ErrCorruptSpool
+// naming the file, instead of running something the API never admitted.
+func TestReplayRejectsCorruptSpool(t *testing.T) {
+	const queued = `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "queued"}`
+	const interrupted = `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "interrupted"}`
+	const good = `{"tenant": "alice", "topology": "figure3"}`
+	cases := []struct {
+		name  string
+		files map[string]string
+		bad   string // the file the error must name
+	}{
+		{"unknown protocol", map[string]string{
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "proto": "xyz"}`}, "c0001.spec.json"},
+		{"file topology", map[string]string{
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "topology": "/etc/passwd"}`}, "c0001.spec.json"},
+		{"unknown field", map[string]string{
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "bogus_knob": 1}`}, "c0001.spec.json"},
+		{"truncated spec", map[string]string{
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "ali`}, "c0001.spec.json"},
+		{"missing spec", map[string]string{"c0001.state.json": queued}, "c0001.spec.json"},
+		{"truncated state", map[string]string{
+			"c0001.state.json": `{"id": "c00`, "c0001.spec.json": good}, "c0001.state.json"},
+		{"v1 checkpoint", map[string]string{
+			"c0001.state.json": interrupted, "c0001.spec.json": good,
+			"c0001.checkpoint.json": `{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"]}`}, "c0001.checkpoint.json"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sp := spool{dir: dir}
+			for name, body := range tc.files {
+				if err := sp.writeFile(name, []byte(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, err := New(Config{Spool: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = d.Start()
+			if !errors.Is(err, ErrCorruptSpool) || !strings.Contains(err.Error(), tc.bad) {
+				t.Fatalf("Start = %v, want ErrCorruptSpool naming %s", err, tc.bad)
+			}
+		})
 	}
 }

@@ -13,11 +13,10 @@ type queueEntry struct {
 	// ineligible until the daemon clock reaches it (0 = ready immediately).
 	// Re-scan generations are deferred this way.
 	notBefore uint64
-	// resume and rows carry an interrupted campaign's journaled progress
-	// back into its resumed run: the collect checkpoint seeds the cache's
-	// frozen tier, the rows restore the resume-invariant report's detail.
+	// resume carries an interrupted campaign's checkpoint back into its
+	// resumed run: its subnets seed the cache's frozen tier, its rows
+	// restore the completed targets' outcomes.
 	resume *collect.Checkpoint
-	rows   []TargetRow
 	// rescan is the re-scan generation (0 = the original submission).
 	rescan int
 }

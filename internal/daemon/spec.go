@@ -19,17 +19,24 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"tracenet/internal/cli"
+	"tracenet/internal/collect"
+	"tracenet/internal/core"
 	"tracenet/internal/ipv4"
+	"tracenet/internal/netsim"
+	"tracenet/internal/probe"
 )
 
 // Spec is one campaign submission: the JSON body of POST /api/v1/campaigns,
-// also written to the spool as the accepted campaign's journal entry and
-// readable by cmd/tracenet -spec, so the CLI and the daemon share one
-// campaign encoding.
+// also written to the spool as the accepted campaign's journal entry. It is
+// tracenet's one campaign config surface: cmd/tracenet builds a Spec from
+// its flags (or reads one with -spec), and both tools run it through
+// Resolve. A zero field takes the default its comment names, which is also
+// the CLI flag's default.
 type Spec struct {
 	// Tenant is the submitting tenant's identity (required). Budgets, rate
 	// limits, and concurrency caps are enforced per tenant; see TenantConfig.
@@ -48,8 +55,8 @@ type Spec struct {
 	// Proto is the probe protocol: icmp (default), udp, tcp.
 	Proto string `json:"proto,omitempty"`
 	// Targets are the destinations to trace; empty selects the topology's
-	// suggested targets. Duplicates are rejected (the resume-invariant
-	// report rendering merges rows by destination).
+	// suggested targets. Duplicates are rejected (a resumed campaign
+	// restores its checkpoint's rows by destination).
 	Targets []string `json:"targets,omitempty"`
 
 	// MaxTTL bounds each trace (default 30). Parallel is the campaign's
@@ -124,10 +131,8 @@ func (sp *Spec) Validate() error {
 		return fmt.Errorf("daemon: spec: topology %q is not a built-in generator (%v)",
 			sp.Topology, cli.BuiltinNames())
 	}
-	switch sp.Proto {
-	case "", "icmp", "udp", "tcp":
-	default:
-		return fmt.Errorf("daemon: spec: unknown protocol %q", sp.Proto)
+	if _, err := parseProto(sp.Proto); err != nil {
+		return err
 	}
 	if sp.MaxTTL < 0 || sp.Parallel < 0 || sp.MaxRescans < 0 {
 		return fmt.Errorf("daemon: spec: max_ttl, parallel, and max_rescans must be non-negative")
@@ -198,4 +203,99 @@ func (sp *Spec) maxTTL() int {
 		return 30
 	}
 	return sp.MaxTTL
+}
+
+// parseProto maps a spec's protocol name onto the probe protocol.
+func parseProto(name string) (probe.Protocol, error) {
+	switch name {
+	case "", "icmp":
+		return probe.ICMP, nil
+	case "udp":
+		return probe.UDP, nil
+	case "tcp":
+		return probe.TCP, nil
+	}
+	return 0, fmt.Errorf("daemon: spec: unknown protocol %q", name)
+}
+
+// Campaign is a resolved Spec: its scenario, a freshly seeded substrate
+// with the spec's chaos plan installed, the vantage port, and the
+// collect.Config carrying every spec-derived knob. Callers add their own
+// wiring (telemetry, progress, resume, budget parent, pacer) to Config
+// before collect.Run.
+type Campaign struct {
+	Scenario *cli.Scenario
+	Net      *netsim.Network
+	Port     *netsim.Port
+	Config   collect.Config
+}
+
+// Resolve turns the spec into a runnable campaign identified as id ("" for
+// an anonymous run). It does not Validate: the daemon validates every spec
+// it admits or replays, while the CLI also resolves flag-built specs that
+// name a topology file.
+func (sp *Spec) Resolve(id string) (*Campaign, error) {
+	proto, err := parseProto(sp.Proto)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := cli.Load(sp.topology(), sp.seed())
+	if err != nil {
+		return nil, err
+	}
+	vantage := sp.Vantage
+	if vantage == "" {
+		vantage = sc.Vantage
+	}
+	targets := sc.Destinations
+	if len(sp.Targets) > 0 {
+		targets = make([]ipv4.Addr, 0, len(sp.Targets))
+		for _, t := range sp.Targets {
+			a, err := ipv4.ParseAddr(t)
+			if err != nil {
+				return nil, err
+			}
+			targets = append(targets, a)
+		}
+	}
+	if len(targets) == 0 {
+		return nil, errors.New("daemon: spec resolves to no targets")
+	}
+
+	net := netsim.New(sc.Topo, netsim.Config{Seed: sp.seed()})
+	if sp.Chaos != 0 {
+		if err := net.InstallFaults(netsim.RandomFaultPlan(sc.Topo, sp.Chaos)); err != nil {
+			return nil, err
+		}
+	}
+	port, err := net.PortFor(vantage)
+	if err != nil {
+		return nil, err
+	}
+
+	popts := probe.Options{Protocol: proto, Cache: true}
+	if sp.Backoff {
+		popts.Retry = &probe.RetryPolicy{MaxRetries: 2, BackoffBase: 4, BackoffMax: 64, Jitter: 0.25}
+	}
+	if sp.Breaker {
+		popts.Breaker = &probe.BreakerConfig{}
+	}
+	return &Campaign{
+		Scenario: sc,
+		Net:      net,
+		Port:     port,
+		Config: collect.Config{
+			ID:           id,
+			Targets:      targets,
+			Parallel:     sp.Parallel,
+			Budget:       sp.Budget,
+			DisableCache: sp.DisableCache,
+			Greedy:       sp.Greedy,
+			Session:      core.Config{MaxTTL: sp.maxTTL(), Defend: sp.Defend},
+			Probe:        popts,
+			Dial: func(opts probe.Options) (*probe.Prober, error) {
+				return probe.New(port, port.LocalAddr(), opts), nil
+			},
+		},
+	}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tracenet/internal/probe"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -59,5 +61,48 @@ func TestSpecRoundTrip(t *testing.T) {
 
 	if _, err := ReadSpec(strings.NewReader(`{"tenant": "a", "bogus_knob": true}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+}
+
+// TestSpecResolve: the shared resolver applies the Spec defaults, maps every
+// campaign knob onto the collect config, and refuses what it cannot run —
+// including an unknown protocol that skipped Validate.
+func TestSpecResolve(t *testing.T) {
+	c, err := (&Spec{Tenant: "alice"}).Resolve("c0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Scenario.Description == "" || c.Port.Host().Name != "vantage" || c.Config.ID != "c0001" ||
+		len(c.Config.Targets) != 1 || c.Config.Session.MaxTTL != 30 || c.Config.Probe.Protocol != probe.ICMP ||
+		c.Config.Probe.Retry != nil || c.Config.Probe.Breaker != nil {
+		t.Fatalf("defaults resolved to %+v", c)
+	}
+
+	c, err = (&Spec{Tenant: "alice", Topology: "chain", Proto: "tcp", MaxTTL: 12, Parallel: 3,
+		Budget: 99, Defend: true, Chaos: 5, Backoff: true, Breaker: true, Greedy: true,
+		DisableCache: true, Targets: []string{"10.9.255.2"}}).Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.Config
+	if cfg.Probe.Protocol != probe.TCP || cfg.Session.MaxTTL != 12 || !cfg.Session.Defend ||
+		cfg.Parallel != 3 || cfg.Budget != 99 || !cfg.Greedy || !cfg.DisableCache ||
+		cfg.Probe.Retry == nil || cfg.Probe.Breaker == nil || !cfg.Probe.Cache ||
+		len(cfg.Targets) != 1 || cfg.Targets[0].String() != "10.9.255.2" {
+		t.Fatalf("knobs resolved to %+v", cfg)
+	}
+	if _, err := cfg.Dial(cfg.Probe); err != nil {
+		t.Fatalf("resolved Dial: %v", err)
+	}
+
+	for name, sp := range map[string]*Spec{
+		"unknown protocol": {Tenant: "a", Proto: "xyz"},
+		"unknown topology": {Tenant: "a", Topology: "no-such-topology"},
+		"unknown vantage":  {Tenant: "a", Vantage: "nobody"},
+		"bad target":       {Tenant: "a", Targets: []string{"nope"}},
+	} {
+		if _, err := sp.Resolve(""); err == nil {
+			t.Errorf("%s: resolved", name)
+		}
 	}
 }

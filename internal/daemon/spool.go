@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"tracenet/internal/collect"
 )
 
 // The spool directory is the daemon's journal: every accepted campaign
@@ -16,14 +18,19 @@ import (
 // daemon-generated campaign IDs, never from client input.
 //
 //	<id>.spec.json        the accepted submission, canonical encoding
-//	<id>.state.json       lifecycle state + journaled per-target rows
-//	<id>.checkpoint.json  collect checkpoint v1 (interrupted and final)
+//	<id>.state.json       lifecycle state only (queue position, status)
+//	<id>.checkpoint.json  collect checkpoint v2 (interrupted and final): the
+//	                      campaign's one resume journal, completed-target
+//	                      rows included
 //	<id>.report.txt       the byte-stable final report
 //	<id>.eval.json        ground-truth evaluation (when the spec asks)
 //	tracenetd.json        daemon-level state: scheduler clock, next sequence
 //
 // Writes are atomic (temp file + rename) so a SIGTERM racing a write never
-// leaves a half-journaled campaign for the next start to trip over.
+// leaves a half-journaled campaign for the next start to trip over. Replay
+// trusts nothing it reads back: a spec is decoded and validated as strictly
+// as a submission, every other file must decode, and a file that fails
+// fails Start with ErrCorruptSpool naming it.
 
 // Campaign lifecycle states as persisted and served by the API.
 const (
@@ -34,19 +41,6 @@ const (
 	stateCancelled   = "cancelled"
 	stateInterrupted = "interrupted"
 )
-
-// TargetRow is one target's journaled, schedule-independent outcome: the
-// resume-invariant report is rendered from these rows, so a row completed
-// before a SIGTERM carries identical bytes into the resumed run's report.
-type TargetRow struct {
-	Dst         string `json:"dst"`
-	Status      string `json:"status"`
-	Reached     bool   `json:"reached,omitempty"`
-	Hops        int    `json:"hops,omitempty"`
-	Subnets     int    `json:"subnets,omitempty"`
-	TraceProbes uint64 `json:"trace_probes,omitempty"`
-	Note        string `json:"note,omitempty"`
-}
 
 // State is one campaign's persisted lifecycle record.
 type State struct {
@@ -60,9 +54,6 @@ type State struct {
 	Rescan    int    `json:"rescan,omitempty"`
 	NotBefore uint64 `json:"not_before,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// Rows journals completed targets (status done) so an interrupted
-	// campaign's finished work survives into the resumed report.
-	Rows []TargetRow `json:"rows,omitempty"`
 }
 
 // daemonState is the spool's daemon-level record, persisted so the
@@ -120,9 +111,42 @@ func (s spool) readJSON(name string, v any) error {
 		return err
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("daemon: spool %s: %w", name, err)
+		return fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
 	}
 	return nil
+}
+
+// readSpec decodes and validates a journaled spec exactly as a submission
+// is: a spool file edited or corrupted into something POST would refuse
+// (an unknown protocol, a file-path topology) is never run.
+func (s spool) readSpec(name string) (*Spec, error) {
+	f, err := os.Open(s.path(name))
+	if err != nil {
+		return nil, fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
+	}
+	defer f.Close()
+	sp, err := ReadSpec(f)
+	if err == nil {
+		err = sp.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
+	}
+	return sp, nil
+}
+
+// readCheckpoint decodes a journaled campaign checkpoint.
+func (s spool) readCheckpoint(name string) (*collect.Checkpoint, error) {
+	f, err := os.Open(s.path(name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cp, err := collect.ReadCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
+	}
+	return cp, nil
 }
 
 // exists reports whether name is present in the spool.
@@ -148,7 +172,7 @@ func (s spool) loadStates() ([]*State, error) {
 			return nil, err
 		}
 		if st.ID == "" || st.ID+".state.json" != name {
-			return nil, fmt.Errorf("daemon: spool %s: state names campaign %q", name, st.ID)
+			return nil, fmt.Errorf("%w %s: state names campaign %q", ErrCorruptSpool, name, st.ID)
 		}
 		states = append(states, &st)
 	}

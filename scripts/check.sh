@@ -21,6 +21,13 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# perfbench is its own Go module (replace tracenet => ../), so the root
+# "./..." patterns above never compile it. Vet and unit-test it here so an
+# API change in collect, core or daemon that breaks the benchmark harness
+# fails this gate instead of the next benchmark run.
+echo "== perfbench module: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go run ./cmd/tracenetlint ./..."
 go run ./cmd/tracenetlint ./...
 
