@@ -12,8 +12,8 @@ import (
 	"log"
 
 	"tracenet/internal/core"
+	"tracenet/internal/experiments"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/metrics"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
 	"tracenet/internal/topo"
@@ -50,7 +50,7 @@ func main() {
 			vantage, len(collected[i]), pr.Stats().Sent)
 	}
 
-	v := metrics.VennOf(collected[0], collected[1], collected[2])
+	v := experiments.VennOf(collected[0], collected[1], collected[2])
 	fmt.Printf("\nVenn regions (paper Figure 6):\n")
 	fmt.Printf("  only %-8s %4d\n", topo.VantageNames[0], v.OnlyA)
 	fmt.Printf("  only %-8s %4d\n", topo.VantageNames[1], v.OnlyB)

@@ -58,7 +58,11 @@ type errorDoc struct {
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sp, err := ReadSpec(r.Body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrSpecTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorDoc{Error: err.Error()})
 		return
 	}
 	id, err := d.Submit(sp)

@@ -53,6 +53,8 @@ var (
 	ErrUnknownCampaign = errors.New("daemon: unknown campaign")
 	// ErrCampaignFinal: the campaign already reached a final state.
 	ErrCampaignFinal = errors.New("daemon: campaign already final")
+	// ErrSpecTooLarge: a spec body exceeds maxSpecBytes (1 MiB).
+	ErrSpecTooLarge = errors.New("daemon: spec exceeds 1 MiB")
 	// ErrCorruptSpool: Start found a spool file it cannot trust — one that
 	// does not decode, or a spec that fails Validate. The wrapped error
 	// names the file; the daemon refuses to start rather than guess.

@@ -293,13 +293,23 @@ func TestAPIErrors(t *testing.T) {
 	if code, _ := h.do(t, "POST", "/api/v1/campaigns", &Spec{}); code != http.StatusBadRequest {
 		t.Errorf("invalid spec: status %d, want 400", code)
 	}
-	resp, err := http.Post(h.url+"/api/v1/campaigns", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"malformed body", "{not json", http.StatusBadRequest},
+		{"trailing data", `{"tenant":"a","topology":"figure3"} {"tenant":"evil"} garbage`, http.StatusBadRequest},
+		{"oversized body", `{"tenant":"a","targets":[` + strings.Repeat(`"10.0.5.2",`, 2<<20/11) + `"10.0.5.2"]}`,
+			http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(h.url+"/api/v1/campaigns", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 	if code, _ := h.do(t, "GET", "/api/v1/campaigns/c9999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown campaign: status %d, want 404", code)
@@ -330,7 +340,7 @@ func TestAPIErrors(t *testing.T) {
 	if err := WriteSpec(&buf, &Spec{Tenant: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(ts.URL+"/api/v1/campaigns", "application/json", &buf)
+	resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,6 +423,8 @@ func TestReplayRejectsCorruptSpool(t *testing.T) {
 			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "topology": "/etc/passwd"}`}, "c0001.spec.json"},
 		{"unknown field", map[string]string{
 			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "bogus_knob": 1}`}, "c0001.spec.json"},
+		{"trailing data", map[string]string{
+			"c0001.state.json": queued, "c0001.spec.json": good + "\n" + `{"tenant": "evil"}`}, "c0001.spec.json"},
 		{"truncated spec", map[string]string{
 			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "ali`}, "c0001.spec.json"},
 		{"missing spec", map[string]string{"c0001.state.json": queued}, "c0001.spec.json"},

@@ -100,12 +100,24 @@ const maxSpecBytes = 1 << 20
 
 // ReadSpec decodes a JSON campaign spec, rejecting unknown fields (a
 // misspelled knob silently ignored would make the daemon lie about what it
-// ran) and bodies over maxSpecBytes.
+// ran), anything but whitespace after the spec (a second document must not
+// ride along unread), and bodies over maxSpecBytes with ErrSpecTooLarge.
 func ReadSpec(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxSpecBytes))
+	// One byte past the bound tells an oversized body from a truncated one.
+	lr := &io.LimitedReader{R: r, N: maxSpecBytes + 1}
+	dec := json.NewDecoder(lr)
 	dec.DisallowUnknownFields()
 	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
+	err := dec.Decode(&sp)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the spec")
+		}
+	}
+	if lr.N == 0 {
+		return nil, ErrSpecTooLarge
+	}
+	if err != nil {
 		return nil, fmt.Errorf("daemon: spec: %w", err)
 	}
 	return &sp, nil

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"sort"
+
 	"tracenet/internal/alias"
 	"tracenet/internal/core"
+	"tracenet/internal/groundtruth"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/metrics"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
 	"tracenet/internal/subnetinfer"
@@ -18,7 +20,7 @@ import (
 type OnlineVsOfflineResult struct {
 	// OfflineDist / OnlineDist are the Table-1-style classifications of the
 	// two approaches against the same ground truth.
-	OfflineDist, OnlineDist   metrics.Distribution
+	OfflineDist, OnlineDist   groundtruth.Distribution
 	OfflineExact, OnlineExact float64
 	// OfflineAddrs is how many addresses traceroute gave the offline
 	// inference to work with; OnlineAddrs is tracenet's haul.
@@ -28,15 +30,8 @@ type OnlineVsOfflineResult struct {
 // OnlineVsOffline runs both pipelines over the Internet2-like network.
 func OnlineVsOffline(seed int64) (*OnlineVsOfflineResult, error) {
 	r := topo.Internet2()
+	truth := ResearchTruth(r)
 	out := &OnlineVsOfflineResult{}
-	originals := make([]metrics.Original, len(r.Originals))
-	for i, o := range r.Originals {
-		originals[i] = metrics.Original{
-			Prefix:                o.Prefix,
-			TotallyUnresponsive:   o.TotallyUnresponsive,
-			PartiallyUnresponsive: o.PartiallyUnresponsive,
-		}
-	}
 
 	// Offline: traceroute everything, then infer subnets from the hops.
 	{
@@ -60,18 +55,17 @@ func OnlineVsOffline(seed int64) (*OnlineVsOfflineResult, error) {
 				}
 			}
 		}
-		var obs []subnetinfer.Observation
+		obs := make([]subnetinfer.Observation, 0, len(byAddr))
 		for a, d := range byAddr {
 			obs = append(obs, subnetinfer.Observation{Addr: a, Dist: d})
 		}
-		inferred := subnetinfer.Infer(obs, subnetinfer.Options{})
-		var prefixes []ipv4.Prefix
-		for _, s := range inferred {
-			prefixes = append(prefixes, s.Prefix)
+		sort.Slice(obs, func(i, j int) bool { return obs[i].Addr < obs[j].Addr })
+		var inferred []groundtruth.CollectedSubnet
+		for _, s := range subnetinfer.Infer(obs, subnetinfer.Options{}) {
+			inferred = append(inferred, groundtruth.CollectedSubnet{Prefix: s.Prefix, Addrs: s.Addrs})
 		}
-		outcomes := metrics.Classify(originals, prefixes)
-		out.OfflineDist = metrics.Distribute(originals, outcomes)
-		out.OfflineExact = out.OfflineDist.ExactRate()
+		eval := truth.Paper(truth.Score(inferred))
+		out.OfflineDist, out.OfflineExact = eval.Dist, eval.ExactRate
 		out.OfflineAddrs = len(byAddr)
 	}
 
@@ -101,9 +95,8 @@ func OnlineVsOffline(seed int64) (*OnlineVsOfflineResult, error) {
 				addrs[a] = true
 			}
 		}
-		outcomes := metrics.Classify(originals, CollectedPrefixes(sess.Subnets()))
-		out.OnlineDist = metrics.Distribute(originals, outcomes)
-		out.OnlineExact = out.OnlineDist.ExactRate()
+		eval := truth.Paper(truth.Score(CollectedSubnets(sess.Subnets())))
+		out.OnlineDist, out.OnlineExact = eval.Dist, eval.ExactRate
 		out.OnlineAddrs = len(addrs)
 	}
 	return out, nil

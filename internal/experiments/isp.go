@@ -7,7 +7,6 @@ import (
 
 	"tracenet/internal/core"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/metrics"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
 	"tracenet/internal/topo"
@@ -104,8 +103,90 @@ func runVantage(sc *topo.ISPScape, vantage string, seed int64, opts probe.Option
 
 // Figure6 computes the Venn distribution of exactly matching subnets among
 // the three vantage points.
-func (r *ISPResult) Figure6() metrics.Venn3 {
-	return metrics.VennOf(r.Runs[0].Prefixes, r.Runs[1].Prefixes, r.Runs[2].Prefixes)
+func (r *ISPResult) Figure6() Venn3 {
+	return VennOf(r.Runs[0].Prefixes, r.Runs[1].Prefixes, r.Runs[2].Prefixes)
+}
+
+// Venn3 holds the seven-region distribution of subnets observed by three
+// vantage points (the paper's Figure 6).
+type Venn3 struct {
+	OnlyA, OnlyB, OnlyC int
+	AB, AC, BC          int // pairwise-only regions
+	ABC                 int
+}
+
+// VennOf computes the three-way distribution of exactly-matching collected
+// subnet prefixes.
+func VennOf(a, b, c map[ipv4.Prefix]bool) Venn3 {
+	union := map[ipv4.Prefix]bool{}
+	for p := range a {
+		union[p] = true
+	}
+	for p := range b {
+		union[p] = true
+	}
+	for p := range c {
+		union[p] = true
+	}
+	var v Venn3
+	for p := range union {
+		switch {
+		case a[p] && b[p] && c[p]:
+			v.ABC++
+		case a[p] && b[p]:
+			v.AB++
+		case a[p] && c[p]:
+			v.AC++
+		case b[p] && c[p]:
+			v.BC++
+		case a[p]:
+			v.OnlyA++
+		case b[p]:
+			v.OnlyB++
+		default:
+			v.OnlyC++
+		}
+	}
+	return v
+}
+
+// TotalA returns the number of subnets vantage A observed.
+func (v Venn3) TotalA() int { return v.OnlyA + v.AB + v.AC + v.ABC }
+
+// TotalB returns the number of subnets vantage B observed.
+func (v Venn3) TotalB() int { return v.OnlyB + v.AB + v.BC + v.ABC }
+
+// TotalC returns the number of subnets vantage C observed.
+func (v Venn3) TotalC() int { return v.OnlyC + v.AC + v.BC + v.ABC }
+
+// AgreementAll returns, for each vantage, the fraction of its subnets also
+// observed by both other vantages (the paper's "around 60%" number).
+func (v Venn3) AgreementAll() (fa, fb, fc float64) {
+	if t := v.TotalA(); t > 0 {
+		fa = float64(v.ABC) / float64(t)
+	}
+	if t := v.TotalB(); t > 0 {
+		fb = float64(v.ABC) / float64(t)
+	}
+	if t := v.TotalC(); t > 0 {
+		fc = float64(v.ABC) / float64(t)
+	}
+	return fa, fb, fc
+}
+
+// AgreementAny returns, for each vantage, the fraction of its subnets also
+// observed by at least one other vantage (the paper's "roughly 80%" number).
+func (v Venn3) AgreementAny() (fa, fb, fc float64) {
+	if t := v.TotalA(); t > 0 {
+		fa = float64(v.AB+v.AC+v.ABC) / float64(t)
+	}
+	if t := v.TotalB(); t > 0 {
+		fb = float64(v.AB+v.BC+v.ABC) / float64(t)
+	}
+	if t := v.TotalC(); t > 0 {
+		fc = float64(v.AC+v.BC+v.ABC) / float64(t)
+	}
+	return fa, fb, fc
 }
 
 // IPDistribution is one panel row of Figure 7: per ISP, how many target

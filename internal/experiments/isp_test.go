@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"sync"
 	"testing"
+
+	"tracenet/internal/ipv4"
 )
 
 // The multi-vantage run is the most expensive fixture; share it across the
@@ -51,6 +54,34 @@ func TestFigure6Venn(t *testing.T) {
 		if u < 20 {
 			t.Errorf("unique region too small: %+v", v)
 		}
+	}
+}
+
+func TestVenn(t *testing.T) {
+	mk := func(ps ...string) map[ipv4.Prefix]bool {
+		m := map[ipv4.Prefix]bool{}
+		for _, p := range ps {
+			m[ipv4.MustParsePrefix(p)] = true
+		}
+		return m
+	}
+	a := mk("10.0.0.0/30", "10.0.0.4/30", "10.0.1.0/30", "10.0.3.0/30")
+	b := mk("10.0.0.0/30", "10.0.0.4/30", "10.0.2.0/30")
+	c := mk("10.0.0.0/30", "10.0.1.0/30", "10.0.2.0/30")
+	v := VennOf(a, b, c)
+	if v.ABC != 1 || v.AB != 1 || v.AC != 1 || v.BC != 1 || v.OnlyA != 1 || v.OnlyB != 0 || v.OnlyC != 0 {
+		t.Fatalf("venn = %+v", v)
+	}
+	if v.TotalA() != 4 || v.TotalB() != 3 || v.TotalC() != 3 {
+		t.Fatalf("totals = %d %d %d", v.TotalA(), v.TotalB(), v.TotalC())
+	}
+	fa, fb, fc := v.AgreementAll()
+	if math.Abs(fa-0.25) > 1e-9 || math.Abs(fb-1.0/3) > 1e-9 || math.Abs(fc-1.0/3) > 1e-9 {
+		t.Fatalf("agreement all = %v %v %v", fa, fb, fc)
+	}
+	fa, fb, fc = v.AgreementAny()
+	if math.Abs(fa-0.75) > 1e-9 || math.Abs(fb-1) > 1e-9 || math.Abs(fc-1) > 1e-9 {
+		t.Fatalf("agreement any = %v %v %v", fa, fb, fc)
 	}
 }
 

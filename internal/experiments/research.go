@@ -9,8 +9,8 @@ import (
 	"fmt"
 
 	"tracenet/internal/core"
+	"tracenet/internal/groundtruth"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/metrics"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
 	"tracenet/internal/topo"
@@ -21,25 +21,11 @@ import (
 // original topology.
 type ResearchResult struct {
 	Name string
-	// Dist is the Table 1/2 cross-tabulation.
-	Dist metrics.Distribution
-	// Originals and Outcomes back the similarity computations.
-	Originals []metrics.Original
-	Outcomes  []metrics.Outcome
-	// Headline numbers (§4.1).
-	ExactRate           float64 // including unresponsive subnets
-	ExactRateResponsive float64 // excluding unresponsive subnets
-	PrefixSimilarity    float64 // equation (3)
-	SizeSimilarity      float64 // equation (5)
-	// The *Responsive similarity variants exclude totally unresponsive
-	// subnets; the paper's GEANT headline (0.900/0.907) is only consistent
-	// with equations (3)/(5) under this exclusion.
-	PrefixSimilarityResponsive float64
-	SizeSimilarityResponsive   float64
+	// PaperEval holds the Table 1/2 cross-tabulation (Dist), the §4.1
+	// headline rates, and the similarities of equations (3) and (5).
+	groundtruth.PaperEval
 	// Probes is the total packet count of the collection run.
 	Probes uint64
-	// Collected are the distinct observed subnet prefixes.
-	Collected []ipv4.Prefix
 }
 
 // RunResearch traces every target of the research network from its vantage
@@ -58,31 +44,28 @@ func RunResearch(r *topo.Research, seed int64) (*ResearchResult, error) {
 		}
 	}
 
-	collected := CollectedPrefixes(sess.Subnets())
-	originals := make([]metrics.Original, len(r.Originals))
+	truth := ResearchTruth(r)
+	return &ResearchResult{
+		Name:      r.Name,
+		PaperEval: truth.Paper(truth.Score(CollectedSubnets(sess.Subnets()))),
+		Probes:    pr.Stats().Sent,
+	}, nil
+}
+
+// ResearchTruth is the scoring universe of a Table 1/2 run: exactly the
+// research network's original subnets, with their members and the
+// responsiveness annotations that attribute misses and underestimations.
+func ResearchTruth(r *topo.Research) *groundtruth.Truth {
+	subs := make([]groundtruth.TrueSubnet, len(r.Originals))
 	for i, o := range r.Originals {
-		originals[i] = metrics.Original{
+		subs[i] = groundtruth.TrueSubnet{
 			Prefix:                o.Prefix,
-			TotallyUnresponsive:   o.TotallyUnresponsive,
+			Addrs:                 r.Topo.SubnetByPrefix(o.Prefix).MemberAddrs(),
+			Unresponsive:          o.TotallyUnresponsive,
 			PartiallyUnresponsive: o.PartiallyUnresponsive,
 		}
 	}
-	outcomes := metrics.Classify(originals, collected)
-	dist := metrics.Distribute(originals, outcomes)
-	return &ResearchResult{
-		Name:                       r.Name,
-		Dist:                       dist,
-		Originals:                  originals,
-		Outcomes:                   outcomes,
-		ExactRate:                  dist.ExactRate(),
-		ExactRateResponsive:        dist.ExactRateResponsive(),
-		PrefixSimilarity:           metrics.PrefixSimilarity(originals, outcomes),
-		SizeSimilarity:             metrics.SizeSimilarity(originals, outcomes),
-		PrefixSimilarityResponsive: metrics.PrefixSimilarityResponsive(originals, outcomes),
-		SizeSimilarityResponsive:   metrics.SizeSimilarityResponsive(originals, outcomes),
-		Probes:                     pr.Stats().Sent,
-		Collected:                  collected,
-	}, nil
+	return groundtruth.FromSubnets(subs)
 }
 
 // Table1Internet2 reproduces Table 1: tracenet over the Internet2-like
@@ -96,18 +79,18 @@ func Table2GEANT(seed int64) (*ResearchResult, error) {
 	return RunResearch(topo.GEANT(), seed)
 }
 
-// CollectedPrefixes extracts the distinct observed subnet prefixes from a
-// session's subnets. Subnets of a single address (/32) are the paper's
-// "un-subnetized" class and are not subnets.
-func CollectedPrefixes(subnets []*core.Subnet) []ipv4.Prefix {
+// CollectedSubnets extracts the distinct observed subnets from a session's
+// subnets, first observation first. Subnets of a single address (/32) are
+// the paper's "un-subnetized" class and are not subnets.
+func CollectedSubnets(subnets []*core.Subnet) []groundtruth.CollectedSubnet {
 	seen := map[ipv4.Prefix]bool{}
-	var out []ipv4.Prefix
+	var out []groundtruth.CollectedSubnet
 	for _, s := range subnets {
 		if s.Prefix.Bits() >= 32 || seen[s.Prefix] {
 			continue
 		}
 		seen[s.Prefix] = true
-		out = append(out, s.Prefix)
+		out = append(out, groundtruth.CollectedSubnet{Prefix: s.Prefix, Addrs: s.Addrs})
 	}
 	return out
 }

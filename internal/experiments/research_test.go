@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"tracenet/internal/metrics"
+	"tracenet/internal/groundtruth"
 )
 
 // TestTable1Internet2 validates the Table 1 reproduction: the collected
@@ -24,13 +24,13 @@ func TestTable1Internet2(t *testing.T) {
 	checkRate(t, "prefix similarity", res.PrefixSimilarity, 0.83, 0.08)
 	checkRate(t, "size similarity", res.SizeSimilarity, 0.86, 0.08)
 
-	if got := res.Dist.Count(metrics.MissingUnresponsive); got != 21 {
+	if got := res.Dist.Count(groundtruth.ClassMissUnresponsive); got != 21 {
 		t.Errorf("miss\\unrs = %d, want 21", got)
 	}
-	if got := res.Dist.Count(metrics.UnderUnresponsive); got != 19 {
+	if got := res.Dist.Count(groundtruth.ClassUnderUnresponsive); got != 19 {
 		t.Errorf("undes\\unrs = %d, want 19", got)
 	}
-	if got := res.Dist.Count(metrics.Exact); got < 125 || got > 139 {
+	if got := res.Dist.Count(groundtruth.ClassExact); got < 125 || got > 139 {
 		t.Errorf("exact = %d, want ~132", got)
 	}
 }
@@ -49,7 +49,7 @@ func TestTable2GEANT(t *testing.T) {
 	checkRate(t, "responsive exact rate", res.ExactRateResponsive, 0.973, 0.05)
 	// The paper reports 0.900/0.907 for GEANT; those values are only
 	// consistent with equations (3)/(5) once totally unresponsive subnets
-	// are excluded (see metrics.PrefixSimilarityResponsive). The plain
+	// are excluded (see groundtruth.PaperEval). The plain
 	// formula applied to the paper's own Table 2 yields ≈0.60.
 	checkRate(t, "responsive prefix similarity", res.PrefixSimilarityResponsive, 0.900, 0.08)
 	checkRate(t, "responsive size similarity", res.SizeSimilarityResponsive, 0.907, 0.08)
@@ -57,7 +57,7 @@ func TestTable2GEANT(t *testing.T) {
 		t.Errorf("plain prefix similarity = %.3f; expected the low (≈0.6) value the formula actually yields", res.PrefixSimilarity)
 	}
 
-	if got := res.Dist.Count(metrics.MissingUnresponsive); got != 97 {
+	if got := res.Dist.Count(groundtruth.ClassMissUnresponsive); got != 97 {
 		t.Errorf("miss\\unrs = %d, want 97", got)
 	}
 }

@@ -79,7 +79,8 @@ func perturb(collected []CollectedSubnet, ops []byte) []CollectedSubnet {
 // FuzzScoreInvariants perturbs a perfect collection and checks the scoring
 // invariants that must hold for ANY input: verdict accounting sums to the
 // universe sizes, ratios stay in [0,1] and agree with their definitions,
-// prefix-error signs match verdicts, and both renderings are deterministic.
+// prefix-error signs match verdicts, the paper's Table 1/2 classes agree
+// with the verdicts, and both renderings are deterministic.
 func FuzzScoreInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4})
@@ -169,6 +170,29 @@ func FuzzScoreInvariants(f *testing.F) {
 			if row.MemberHits > row.MemberTotal {
 				t.Fatalf("member hits %d > total %d: %+v", row.MemberHits, row.MemberTotal, row)
 			}
+		}
+
+		// The paper's Table 1/2 classes are a projection of the same rows:
+		// one class per true subnet, agreeing with the verdict accounting.
+		outcomes := truth.Classify(score)
+		if len(outcomes) != score.TruthSubnets {
+			t.Fatalf("%d outcomes for %d true subnets", len(outcomes), score.TruthSubnets)
+		}
+		classes := map[Class]int{}
+		for i, o := range outcomes {
+			if o.Truth != truth.Subnets[i].Prefix || int(o.Class) >= len(Classes) {
+				t.Fatalf("outcome %d = %+v for true subnet %v", i, o, truth.Subnets[i].Prefix)
+			}
+			classes[o.Class]++
+		}
+		if classes[ClassExact] != score.ExactTruth {
+			t.Fatalf("exmt %d != ExactTruth %d", classes[ClassExact], score.ExactTruth)
+		}
+		if n := classes[ClassMiss] + classes[ClassMissUnresponsive]; n != score.Count(VerdictMissed) {
+			t.Fatalf("miss + miss\\unrs = %d, missed rows %d", n, score.Count(VerdictMissed))
+		}
+		if classes[ClassMissUnresponsive] != score.MissedUnresponsive {
+			t.Fatalf("miss\\unrs %d != MissedUnresponsive %d", classes[ClassMissUnresponsive], score.MissedUnresponsive)
 		}
 
 		// Rendering is deterministic and the JSON artifact is valid.

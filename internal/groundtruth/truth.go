@@ -35,6 +35,10 @@ type TrueSubnet struct {
 	// Unresponsive marks subnets firewalled in the simulation — subnets no
 	// collector can observe, which recall accounting may want to discount.
 	Unresponsive bool `json:"unresponsive,omitempty"`
+	// PartiallyUnresponsive marks subnets with a mix of responsive and
+	// silent members, which any collector sees smaller than they are (the
+	// paper's "undes\unrs" attribution). FromTopology leaves it unset.
+	PartiallyUnresponsive bool `json:"partially_unresponsive,omitempty"`
 }
 
 // Options tunes truth extraction.

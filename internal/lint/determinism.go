@@ -5,13 +5,13 @@ import (
 	"go/types"
 )
 
-// DeterminismAnalyzer forbids ambient sources of non-determinism in the
-// measurement-critical packages. The paper's subnet-inference results (§3)
+// DeterminismAnalyzer forbids ambient sources of non-determinism (lint.All
+// applies it module-wide). The paper's subnet-inference results (§3)
 // are validated by replaying seeded campaigns; PR 1's chaos harness asserts
 // bit-identical reruns. Both guarantees die the moment a probe observation
-// depends on the wall clock or the shared global random stream, so those
-// packages must use the simulator's virtual clock and an injected seeded
-// *rand.Rand exclusively.
+// depends on the wall clock or the shared global random stream, so the code
+// must use the simulator's virtual clock and an injected seeded *rand.Rand
+// exclusively.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock time and global math/rand in measurement code; " +

@@ -20,7 +20,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant check.
@@ -186,65 +185,19 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // All returns the full tracenetlint suite with its per-package scoping
-// configured. The determinism and map-order analyzers apply only to the
-// measurement-critical packages (netsim, core, probe, telemetry, collect,
-// obs, daemon): elsewhere wall-clock time and iteration order are legitimate
-// (e.g. CLI progress output). Telemetry counts as measurement-critical by
-// design: byte-identical same-seed output is part of its contract, so it
-// gets the same policing — collect promises byte-identical reports
-// regardless of worker scheduling, which only holds if nothing in it leaks
-// map order or wall-clock time, and obs serves those artifacts live, so a
-// wall-clock or map-order leak there would break the /metrics and /campaigns
-// golden contract the same way. The daemon joins the set because its
-// scheduler clock, freshness deadlines, and resume-invariant reports are all
-// derived from the seeds: one time.Now() or ranged map in it would make a
-// drained-and-restarted run diverge from its control.
+// configured. The determinism, clocksource and map-order analyzers apply to
+// every package of the module: the simulator, collector, daemon and
+// observability plane promise byte-identical same-seed output, and so do the
+// artifacts built on them — ground-truth evals, topology maps, experiment
+// tables and reports — so a wall-clock read or a leaked map order anywhere
+// would break one of those contracts. Lockcheck stays scoped to netsim, the
+// one package whose shared state it models.
 func All() []*Analyzer {
-	measurement := matchPaths(
-		"tracenet/internal/netsim",
-		"tracenet/internal/core",
-		"tracenet/internal/probe",
-		"tracenet/internal/telemetry",
-		"tracenet/internal/collect",
-		"tracenet/internal/obs",
-		"tracenet/internal/daemon",
-	)
-	examples := matchPrefix("tracenet/examples/")
-	commands := matchPrefix("tracenet/cmd/")
-	det := *DeterminismAnalyzer
-	det.Match = orMatch(measurement, examples)
-	cs := *ClockSourceAnalyzer
-	cs.Match = orMatch(measurement, examples)
-	mr := *MapRangeAnalyzer
-	mr.Match = orMatch(measurement, commands, examples)
 	lc := *LockCheckAnalyzer
-	lc.Match = matchPaths("tracenet/internal/netsim")
+	lc.Match = func(p string) bool { return p == "tracenet/internal/netsim" }
 	return []*Analyzer{
-		&det, &cs, &mr, &lc,
+		DeterminismAnalyzer, ClockSourceAnalyzer, MapRangeAnalyzer, &lc,
 		WireErrAnalyzer, IPAliasAnalyzer,
 		AtomicMixAnalyzer, HotHandleAnalyzer,
-	}
-}
-
-func matchPaths(paths ...string) func(string) bool {
-	set := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		set[p] = true
-	}
-	return func(p string) bool { return set[p] }
-}
-
-func matchPrefix(prefix string) func(string) bool {
-	return func(p string) bool { return strings.HasPrefix(p, prefix) }
-}
-
-func orMatch(ms ...func(string) bool) func(string) bool {
-	return func(p string) bool {
-		for _, m := range ms {
-			if m(p) {
-				return true
-			}
-		}
-		return false
 	}
 }

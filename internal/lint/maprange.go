@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// MapRangeAnalyzer flags map iterations whose order can leak into output in
-// the measurement-critical packages. Go randomizes map iteration order per
+// MapRangeAnalyzer flags map iterations whose order can leak into output
+// (lint.All applies it module-wide). Go randomizes map iteration order per
 // run, so a `for range m` that appends to an outer slice or writes to a
 // stream produces run-dependent results — exactly the silent drift that made
 // "misleading stars"-style topology artifacts so hard to attribute. A loop is

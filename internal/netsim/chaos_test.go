@@ -1,6 +1,6 @@
 // Chaos harness: tracenet sessions over an Internet2-like topology under
 // randomized fault plans. Lives in package netsim_test so it can drive the
-// full stack (topo → netsim → probe → core → metrics) against the fault
+// full stack (topo → netsim → probe → core → groundtruth) against the fault
 // injector without an import cycle.
 package netsim_test
 
@@ -9,8 +9,8 @@ import (
 
 	"tracenet/internal/core"
 	"tracenet/internal/experiments"
+	"tracenet/internal/groundtruth"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/metrics"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
 	"tracenet/internal/topo"
@@ -48,30 +48,22 @@ func chaosRun(t *testing.T, r *topo.Research, plan *netsim.FaultPlan, opts probe
 	return sess, pr, n
 }
 
-// classifyRun classifies the session's collection against the originals and
-// returns the per-original class, keyed by original prefix.
-func classifyRun(r *topo.Research, sess *core.Session) map[ipv4.Prefix]metrics.Class {
-	collected := experiments.CollectedPrefixes(sess.Subnets())
-	originals := make([]metrics.Original, len(r.Originals))
-	for i, o := range r.Originals {
-		originals[i] = metrics.Original{
-			Prefix:                o.Prefix,
-			TotallyUnresponsive:   o.TotallyUnresponsive,
-			PartiallyUnresponsive: o.PartiallyUnresponsive,
-		}
-	}
-	out := map[ipv4.Prefix]metrics.Class{}
-	for i, oc := range metrics.Classify(originals, collected) {
-		out[originals[i].Prefix] = oc.Class
+// classifyRun scores the session's collection against the originals and
+// returns each original's Table 1/2 class, keyed by original prefix.
+func classifyRun(r *topo.Research, sess *core.Session) map[ipv4.Prefix]groundtruth.Class {
+	truth := experiments.ResearchTruth(r)
+	out := map[ipv4.Prefix]groundtruth.Class{}
+	for _, o := range truth.Classify(truth.Score(experiments.CollectedSubnets(sess.Subnets()))) {
+		out[o.Truth] = o.Class
 	}
 	return out
 }
 
 // exactMatches filters classifyRun down to the exactly-collected originals.
-func exactMatches(classes map[ipv4.Prefix]metrics.Class) map[ipv4.Prefix]bool {
+func exactMatches(classes map[ipv4.Prefix]groundtruth.Class) map[ipv4.Prefix]bool {
 	out := map[ipv4.Prefix]bool{}
 	for p, c := range classes {
-		if c == metrics.Exact {
+		if c == groundtruth.ClassExact {
 			out[p] = true
 		}
 	}
@@ -79,8 +71,8 @@ func exactMatches(classes map[ipv4.Prefix]metrics.Class) map[ipv4.Prefix]bool {
 }
 
 // missing reports whether class c means the original went entirely unseen.
-func missing(c metrics.Class) bool {
-	return c == metrics.Missing || c == metrics.MissingUnresponsive
+func missing(c groundtruth.Class) bool {
+	return c == groundtruth.ClassMiss || c == groundtruth.ClassMissUnresponsive
 }
 
 // TestChaosResilience is the headline robustness property: across 20 seeded

@@ -11,20 +11,8 @@ import (
 
 	"tracenet/internal/core"
 	"tracenet/internal/experiments"
-	"tracenet/internal/metrics"
+	"tracenet/internal/groundtruth"
 )
-
-// classRows is the row order of Tables 1 and 2.
-var classRows = []metrics.Class{
-	metrics.Exact,
-	metrics.Missing,
-	metrics.MissingUnresponsive,
-	metrics.Under,
-	metrics.UnderUnresponsive,
-	metrics.Over,
-	metrics.SplitClass,
-	metrics.Merged,
-}
 
 // ResearchTable writes a Table 1/2-style distribution for a research-network
 // run, followed by the §4.1 headline rates.
@@ -53,7 +41,7 @@ func ResearchTable(w io.Writer, res *experiments.ResearchResult) {
 		fmt.Fprintf(w, "%8d\n", total)
 	}
 	row("orgl", res.Dist.Original)
-	for _, cls := range classRows {
+	for _, cls := range groundtruth.Classes {
 		row(cls.String(), res.Dist.PerClass[cls])
 	}
 
@@ -216,10 +204,10 @@ func OnlineVsOffline(w io.Writer, r *experiments.OnlineVsOfflineResult) {
 	fmt.Fprintf(w, "  %-26s %10s %10s\n", "", "offline[7]", "tracenet")
 	fmt.Fprintf(w, "  %-26s %10d %10d\n", "input/collected addresses", r.OfflineAddrs, r.OnlineAddrs)
 	fmt.Fprintf(w, "  %-26s %9.1f%% %9.1f%%\n", "exact match rate", 100*r.OfflineExact, 100*r.OnlineExact)
-	fmt.Fprintf(w, "  %-26s %10d %10d\n", "exact subnets", r.OfflineDist.Count(metrics.Exact), r.OnlineDist.Count(metrics.Exact))
+	fmt.Fprintf(w, "  %-26s %10d %10d\n", "exact subnets", r.OfflineDist.Count(groundtruth.ClassExact), r.OnlineDist.Count(groundtruth.ClassExact))
 	fmt.Fprintf(w, "  %-26s %10d %10d\n", "missed subnets",
-		r.OfflineDist.Count(metrics.Missing)+r.OfflineDist.Count(metrics.MissingUnresponsive),
-		r.OnlineDist.Count(metrics.Missing)+r.OnlineDist.Count(metrics.MissingUnresponsive))
+		r.OfflineDist.Count(groundtruth.ClassMiss)+r.OfflineDist.Count(groundtruth.ClassMissUnresponsive),
+		r.OnlineDist.Count(groundtruth.ClassMiss)+r.OnlineDist.Count(groundtruth.ClassMissUnresponsive))
 }
 
 // RouterMap writes the tracenet + alias-resolution pipeline evaluation.
