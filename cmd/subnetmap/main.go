@@ -1,8 +1,9 @@
 // Command subnetmap runs the full mapping pipeline over a simulated network:
-// tracenet sessions toward a target set, assembly of the collected subnets
-// into a subnet-level topology map, and (optionally) Ally-style alias
-// resolution to group the interfaces into routers — the router-level map the
-// paper positions tracenet as the collector for.
+// a tracenet campaign toward a target set (resolved from a daemon.Spec and
+// run by collect.Run, as tracenet and tracenetd do), whose merged subnet-level
+// topology map it prints, and (optionally) Ally-style alias resolution to
+// group the interfaces into routers — the router-level map the paper
+// positions tracenet as the collector for.
 //
 // Usage:
 //
@@ -18,18 +19,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"tracenet/internal/alias"
-	"tracenet/internal/cli"
-	"tracenet/internal/core"
+	"tracenet/internal/collect"
+	"tracenet/internal/daemon"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/netsim"
-	"tracenet/internal/probe"
-	"tracenet/internal/topomap"
 )
 
 func main() {
@@ -48,44 +47,17 @@ func main() {
 }
 
 func run(w io.Writer, topoName, vantage string, seed int64, routers, adj bool, args []string) error {
-	sc, err := cli.Load(topoName, seed)
+	sp := &daemon.Spec{Topology: topoName, Seed: seed, Vantage: vantage, Targets: args}
+	c, err := sp.Resolve("")
 	if err != nil {
 		return err
 	}
-	if vantage == "" {
-		vantage = sc.Vantage
-	}
-	dests := sc.Destinations
-	if len(args) > 0 {
-		dests = dests[:0]
-		for _, a := range args {
-			d, err := ipv4.ParseAddr(a)
-			if err != nil {
-				return err
-			}
-			dests = append(dests, d)
-		}
-	}
-	if len(dests) == 0 {
-		return fmt.Errorf("no destinations: pass one or more addresses")
-	}
-
-	net := netsim.New(sc.Topo, netsim.Config{Seed: seed})
-	port, err := net.PortFor(vantage)
+	rep, err := collect.Run(context.Background(), c.Config)
 	if err != nil {
 		return err
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := core.NewSession(pr, core.Config{})
-	m := topomap.New()
-	for _, dst := range dests {
-		res, err := sess.Trace(dst)
-		if err != nil {
-			return err
-		}
-		m.AddSession(res)
-	}
-	fmt.Fprintf(w, "mapped %s from %s with %d probes\n\n", sc.Description, vantage, pr.Stats().Sent)
+	m := rep.Map
+	fmt.Fprintf(w, "mapped %s from %s with %d probes\n\n", c.Scenario.Description, c.Port.Host().Name, rep.Stats.WireProbes)
 	fmt.Fprint(w, m)
 
 	if adj {
@@ -108,7 +80,7 @@ func run(w io.Writer, topoName, vantage string, seed int64, routers, adj bool, a
 				}
 			}
 		}
-		rv := alias.NewResolver(port, port.LocalAddr())
+		rv := alias.NewResolver(c.Port, c.Port.LocalAddr())
 		groups, err := rv.Resolve(addrs, alias.SameSubnetConstraint(subnets))
 		if err != nil {
 			return err

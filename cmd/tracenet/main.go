@@ -1,6 +1,6 @@
-// Command tracenet runs a tracenet session against a simulated network: a
-// path trace that collects, at every hop, the complete subnet accommodating
-// the responding interface (Tozal & Sarac, IMC 2010).
+// Command tracenet runs tracenet against a simulated network: path traces
+// that collect, at every hop, the complete subnet accommodating the
+// responding interface (Tozal & Sarac, IMC 2010).
 //
 // Usage:
 //
@@ -13,7 +13,8 @@
 //	-maxttl n         maximum trace length (default 30)
 //	-seed n           simulation seed (default 1; 0 also selects 1, as an
 //	                  unset Spec seed does)
-//	-subnets          print the collected subnet inventory after the trace
+//	-subnets          print the collected subnet inventory, with the hop,
+//	                  pivot and contra-pivot marks the merged map omits
 //	-debug            log every probe exchange to stderr as structured
 //	                  JSON-lines records (see DESIGN.md §13)
 //
@@ -30,9 +31,6 @@
 //
 // Campaigns (parallel multi-destination collection, see DESIGN.md §9):
 //
-//	-campaign            force campaign mode (implied by the flags below
-//	                     and by -parallel > 1); useful for a single-worker
-//	                     campaign, e.g. to compare against -parallel 8
 //	-targets file        read destinations from a file, one address per line
 //	                     ('#' starts a comment); combined with positional args
 //	-parallel n          trace up to n destinations concurrently (default 1)
@@ -48,23 +46,28 @@
 //	                     probes; probe totals become schedule-dependent)
 //	-campaign-no-cache   disable the shared subnet cache (for comparisons)
 //	-spec file           run a tracenetd campaign spec (JSON, DESIGN.md §14)
-//	                     locally in campaign mode. The spec supplies the whole
-//	                     campaign: a field it leaves unset takes the Spec
-//	                     default, which equals the flag default. Campaign
-//	                     flags given beside it (-topo, -seed, -vantage,
-//	                     -proto, -maxttl, -targets and destinations,
-//	                     -parallel, -campaign-budget, -defend, -chaos,
-//	                     -backoff, -breaker, -campaign-greedy,
-//	                     -campaign-no-cache, -eval) are ignored, not overlaid
-//	                     field by field. Daemon-only fields (tenant,
-//	                     priority, rescans) have no local meaning.
+//	                     locally. The spec supplies the whole campaign: a
+//	                     field it leaves unset takes the Spec default,
+//	                     which equals the flag default. Campaign flags
+//	                     given beside it (-topo, -seed, -vantage, -proto,
+//	                     -maxttl, -targets and destinations, -parallel,
+//	                     -campaign-budget, -defend, -chaos, -backoff,
+//	                     -breaker, -campaign-greedy, -campaign-no-cache,
+//	                     -eval) are ignored, not overlaid field by field.
+//	                     Daemon-only fields (tenant, priority, rescans)
+//	                     have no local meaning.
 //
-// Any of these flags (or -parallel > 1) selects campaign mode: every
-// destination is traced by its own session/prober pair against a shared
-// subnet cache, and the observations merge into one subnet-level topology.
-// The merged report is byte-identical whatever -parallel is. Without them,
-// one session traces the destinations in turn. Either way the campaign
-// flags become a daemon.Spec, resolved exactly as tracenetd resolves one.
+// Every run is a campaign: the campaign flags become a daemon.Spec, resolved
+// exactly as tracenetd resolves one, and collect.Run traces every
+// destination with its own session/prober pair. With more than one
+// destination (or a resume) the sessions share a subnet cache, so each hop
+// context is explored once; a lone destination runs without it and costs
+// what one trace costs. The output is, in order: the banner, any resume and
+// progress lines, the hop listing of every traced destination in input
+// order, the merged campaign report, the -subnets inventory, the probe and
+// resilience totals summed over every prober the campaign dialed, the fault
+// and defense lines, and the evaluation. All of it is byte-identical
+// whatever -parallel is.
 //
 // Ground-truth evaluation (see DESIGN.md §10):
 //
@@ -77,8 +80,9 @@
 //	-eval-core        score against router-to-router core subnets only,
 //	                  excluding host access subnets from the truth
 //
-// Works in both single-session and campaign mode; with telemetry enabled the
-// scores also land in the registry as the tracenet_eval_* metric families.
+// The campaign's distinct collected subnets are scored, the same input
+// tracenetd scores; with telemetry enabled the scores also land in the
+// registry as the tracenet_eval_* metric families.
 //
 // Telemetry and profiling (see DESIGN.md §8):
 //
@@ -105,7 +109,7 @@
 //	                  drains the server and writes the telemetry artifacts —
 //	                  the same ones a clean exit writes.
 //	-progress         print a deterministic "progress: i/n targets" line as
-//	                  each campaign target completes (implies campaign mode)
+//	                  each campaign target completes
 //	-stall-window n   campaign stall watchdog window in virtual ticks for
 //	                  the /readyz staleness check (default 4096)
 //	-log-level l      minimum structured log level: debug, info, warn, error
@@ -123,12 +127,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 
 	"tracenet/internal/collect"
-	"tracenet/internal/core"
 	"tracenet/internal/daemon"
 	"tracenet/internal/groundtruth"
 	"tracenet/internal/ipv4"
@@ -153,10 +157,9 @@ type options struct {
 	breaker bool
 	defend  bool
 
-	spec            string // tracenetd campaign spec file; implies campaign mode
-	campaign        bool   // force campaign mode even at parallel 1
+	spec            string // tracenetd campaign spec file; replaces the campaign flags
 	targets         string // destinations file, one address per line
-	parallel        int    // concurrent traces in campaign mode
+	parallel        int    // concurrent traces
 	campaignBudget  uint64 // shared wire-probe budget, 0 = unlimited
 	campaignOut     string // write a campaign checkpoint here
 	campaignResume  string // resume a campaign from this checkpoint
@@ -191,20 +194,6 @@ type options struct {
 // telemetry layer to be attached.
 func (o options) telemetryEnabled() bool {
 	return o.metricsOut != "" || o.traceOut != "" || o.flightOut != "" || o.serve != ""
-}
-
-// evalMode reports whether a ground-truth evaluation was requested: by the
-// campaign (-eval or the spec's eval field) or by an evaluation output flag.
-func (o options) evalMode(sp *daemon.Spec) bool {
-	return sp.Eval || o.evalOut != "" || o.evalCore
-}
-
-// campaignMode reports whether any campaign flag selects the parallel
-// multi-destination collection engine over the single-session path.
-func (o options) campaignMode() bool {
-	return o.campaign || o.spec != "" || o.targets != "" || o.parallel > 1 || o.campaignBudget > 0 ||
-		o.campaignOut != "" || o.campaignResume != "" || o.campaignGreedy || o.campaignNoCache ||
-		o.progress
 }
 
 // campaignSpec returns the campaign to collect: the -spec file whole, or a
@@ -264,9 +253,8 @@ func main() {
 	flag.BoolVar(&o.breaker, "breaker", false, "circuit-break probing into persistently silent zones")
 	flag.BoolVar(&o.defend, "defend", false, "cross-validate suspicious replies and quarantine inconsistent responders")
 	flag.StringVar(&o.spec, "spec", "", "run a tracenetd campaign spec (JSON) locally; it replaces the campaign flags")
-	flag.BoolVar(&o.campaign, "campaign", false, "force campaign mode even with -parallel 1")
 	flag.StringVar(&o.targets, "targets", "", "read destinations from this file, one address per line")
-	flag.IntVar(&o.parallel, "parallel", 1, "trace up to n destinations concurrently (campaign mode)")
+	flag.IntVar(&o.parallel, "parallel", 1, "trace up to n destinations concurrently")
 	flag.Uint64Var(&o.campaignBudget, "campaign-budget", 0, "shared wire-probe budget across all campaign workers")
 	flag.StringVar(&o.campaignOut, "campaign-out", "", "write a campaign checkpoint to this file")
 	flag.StringVar(&o.campaignResume, "campaign-resume", "", "resume a campaign from this checkpoint file")
@@ -321,7 +309,6 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	net := c.Net
-	faulted := sp.Chaos != 0
 	if o.faults != "" {
 		f, err := os.Open(o.faults)
 		if err != nil {
@@ -335,7 +322,6 @@ func run(w io.Writer, o options) error {
 		if err := net.InstallFaults(plan); err != nil {
 			return err
 		}
-		faulted = true
 	}
 
 	// The telemetry layer rides on the simulator's virtual clock, so every
@@ -416,14 +402,12 @@ func run(w io.Writer, o options) error {
 	var prog *collect.Progress
 	if o.serve != "" {
 		srv = obs.NewServer(tel, lg)
-		if o.campaignMode() {
-			prog = collect.NewProgress()
-			wd := collect.NewWatchdog(prog, tel, o.stallWindow)
-			srv.AddCampaign("campaign", prog)
-			srv.AddCheck(obs.BudgetCheck(prog))
-			srv.AddCheck(obs.BreakerStormCheck(prog, 0))
-			srv.AddCheck(obs.StallCheck(wd, net))
-		}
+		prog = collect.NewProgress()
+		wd := collect.NewWatchdog(prog, tel, o.stallWindow)
+		srv.AddCampaign("campaign", prog)
+		srv.AddCheck(obs.BudgetCheck(prog))
+		srv.AddCheck(obs.BreakerStormCheck(prog, 0))
+		srv.AddCheck(obs.StallCheck(wd, net))
 		addr, err := srv.Start(o.serve)
 		if err != nil {
 			return err
@@ -435,115 +419,32 @@ func run(w io.Writer, o options) error {
 	}
 
 	ccfg := c.Config
-	if o.debug {
-		ccfg.Dial = func(opts probe.Options) (*probe.Prober, error) {
-			tr := probe.LoggingTransport{Inner: c.Port, Clock: net, Sink: obs.ProbeSink(lg)}
-			return probe.New(tr, c.Port.LocalAddr(), opts), nil
-		}
-	}
-	banner := "tracenet"
-	if o.campaignMode() {
-		banner = "tracenet campaign"
-	}
-	fmt.Fprintf(w, "%s over %s, vantage %s (%v), %s probes\n",
-		banner, c.Scenario.Description, c.Port.Host().Name, c.Port.LocalAddr(), ccfg.Probe.Protocol)
-	if o.campaignMode() {
-		ccfg.Telemetry = tel
-		ccfg.Progress = prog
-		if err := runCampaign(ctx, w, o, sp, c.Scenario.Topo, ccfg, lg); err != nil {
-			return err
-		}
-		if err := awaitDrain(ctx, w, srv); err != nil {
-			return err
-		}
-		return writeArtifacts(w, o, tel, traceFile, flightFile)
-	}
-
-	popts := ccfg.Probe
-	popts.Telemetry = tel
-	pr, err := ccfg.Dial(popts)
-	if err != nil {
+	ccfg.Telemetry = tel
+	ccfg.Progress = prog
+	fmt.Fprintf(w, "tracenet over %s, vantage %s (%v), %s probes\n",
+		c.Scenario.Description, c.Port.Host().Name, c.Port.LocalAddr(), ccfg.Probe.Protocol)
+	if err := runCampaign(ctx, w, o, sp, c, ccfg, lg); err != nil {
 		return err
 	}
-	sess := core.NewSession(pr, ccfg.Session)
-	var recovered, defenseProbes uint64
-	for _, dst := range ccfg.Targets {
-		res, err := sess.Trace(dst)
-		if err != nil {
+	if srv != nil {
+		// Keep serving until SIGINT/SIGTERM (or the test hook) cancels the
+		// context, then shut down gracefully, so the artifacts are written
+		// after the last request drains.
+		fmt.Fprintln(w, "observability plane serving; SIGINT/SIGTERM drains and writes artifacts")
+		<-ctx.Done()
+		if err := srv.Shutdown(context.Background()); err != nil {
 			return err
 		}
-		recovered += res.Recovered
-		defenseProbes += res.DefenseProbes
-		fmt.Fprint(w, res)
-	}
-	if o.subnets {
-		fmt.Fprintf(w, "\ncollected subnets (%d):\n", len(sess.Subnets()))
-		for _, s := range sess.Subnets() {
-			fmt.Fprintln(w, " ", s)
-		}
-	}
-	if deg := sess.DegradedSubnets(); len(deg) > 0 {
-		fmt.Fprintf(w, "\ndegraded subnets (%d):\n", len(deg))
-		for _, s := range deg {
-			fmt.Fprintln(w, " ", s)
-		}
-	}
-
-	st := pr.Stats()
-	fmt.Fprintf(w, "\nprobes sent %d, answered %d, retried %d, served from cache %d\n",
-		st.Sent, st.Answered, st.Retries, st.Cached)
-	if faulted || st.FaultEvents() > 0 || st.Timeouts > 0 || recovered > 0 {
-		fmt.Fprintf(w, "resilience: timeouts %d, corrupt %d, breaker opens %d, breaker skips %d, backoff ticks %d, recovered errors %d\n",
-			st.Timeouts, st.Corrupt, st.BreakerOpens, st.BreakerSkips, st.BackoffTicks, recovered)
-	}
-	if faulted {
-		fs := net.FaultStats()
-		fmt.Fprintf(w, "faults injected: flap drops %d, blackhole drops %d, corrupted %d, truncated %d, delayed %d, duplicated %d, storm drops %d\n",
-			fs.FlapDrops, fs.BlackholeDrops, fs.Corrupted, fs.Truncated, fs.Delayed, fs.Duplicated, fs.StormDrops)
-		if fs.Byzantine() > 0 {
-			fmt.Fprintf(w, "byzantine replies: liar spoofs %d, alias shares %d, hidden drops %d, echo mirrors %d\n",
-				fs.LiarSpoofs, fs.AliasShares, fs.HiddenDrops, fs.EchoMirrors)
-		}
-	}
-	if sp.Defend {
-		q := sess.Quarantined()
-		fmt.Fprintf(w, "defense: cross-check probes %d, quarantined %d", defenseProbes, len(q))
-		if len(q) > 0 {
-			fmt.Fprintf(w, " %v", q)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if o.evalMode(sp) {
-		if err := runEval(w, o, c.Scenario.Topo, groundtruth.FromCoreSubnets(sess.Subnets()), tel); err != nil {
-			return err
-		}
-	}
-
-	if err := awaitDrain(ctx, w, srv); err != nil {
-		return err
 	}
 	return writeArtifacts(w, o, tel, traceFile, flightFile)
 }
 
-// awaitDrain keeps the observability plane serving after the run's work is
-// done, until SIGINT/SIGTERM (or the test hook) cancels the context; the
-// server then shuts down gracefully so artifact writing happens after the
-// last request drains. A signal that already fired returns immediately.
-func awaitDrain(ctx context.Context, w io.Writer, srv *obs.Server) error {
-	if srv == nil {
-		return nil
-	}
-	fmt.Fprintln(w, "observability plane serving; SIGINT/SIGTERM drains and writes artifacts")
-	<-ctx.Done()
-	return srv.Shutdown(context.Background())
-}
-
 // runCampaign drives the collect engine over the resolved campaign config:
-// every destination gets its own session/prober pair, the shared subnet
-// cache spans them, and the merged report lands on w. -progress prints a
-// deterministic per-target line.
-func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, top *netsim.Topology, ccfg collect.Config, lg *obs.Logger) error {
+// every destination gets its own session/prober pair, and the hop listings,
+// the merged report and the totals summed over every prober land on w.
+// -progress prints a deterministic per-target line.
+func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c *daemon.Campaign,
+	ccfg collect.Config, lg *obs.Logger) error {
 	if o.progress || lg != nil {
 		// The completion count is tracked locally under the mutex so the
 		// printed sequence 1/n..n/n is identical at any -parallel; which
@@ -577,16 +478,90 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, t
 			o.campaignResume, len(cp.Rows), len(ccfg.Targets), len(cp.Subnets))
 	}
 
+	// Keep every prober the campaign dials: their summed stats are the run's
+	// probe totals, whichever worker spent them.
+	var mu sync.Mutex
+	var probers []*probe.Prober
+	ccfg.Dial = func(opts probe.Options) (*probe.Prober, error) {
+		var tr probe.Transport = c.Port
+		if o.debug {
+			tr = probe.LoggingTransport{Inner: c.Port, Clock: c.Net, Sink: obs.ProbeSink(lg)}
+		}
+		pr := probe.New(tr, c.Port.LocalAddr(), opts)
+		mu.Lock()
+		probers = append(probers, pr)
+		mu.Unlock()
+		return pr, nil
+	}
+
 	rep, err := collect.Run(ctx, ccfg)
 	if err != nil {
 		return err
 	}
+	var recovered, defenseProbes uint64
+	var quarantined []ipv4.Addr
+	for _, t := range rep.Targets {
+		res := t.Result
+		if res == nil {
+			continue // resumed or skipped
+		}
+		fmt.Fprint(w, res)
+		recovered += res.Recovered
+		defenseProbes += res.DefenseProbes
+		quarantined = append(quarantined, res.Quarantined...)
+	}
+	fmt.Fprintln(w)
 	if _, err := rep.WriteTo(w); err != nil {
 		return err
 	}
+	if o.subnets {
+		fmt.Fprintf(w, "\ncollected subnets (%d):\n", len(rep.Subnets()))
+		for _, s := range rep.Subnets() {
+			fmt.Fprintln(w, " ", s)
+		}
+	}
 
-	if o.evalMode(sp) {
-		if err := runEval(w, o, top, groundtruth.FromTopomap(rep.Map), ccfg.Telemetry); err != nil {
+	var st probe.Stats
+	for _, pr := range probers {
+		ps := pr.Stats()
+		st.Sent += ps.Sent
+		st.Answered += ps.Answered
+		st.Retries += ps.Retries
+		st.Cached += ps.Cached
+		st.Timeouts += ps.Timeouts
+		st.Corrupt += ps.Corrupt
+		st.BreakerOpens += ps.BreakerOpens
+		st.BreakerSkips += ps.BreakerSkips
+		st.BackoffTicks += ps.BackoffTicks
+	}
+	fmt.Fprintf(w, "\nprobes sent %d, answered %d, retried %d, served from cache %d\n",
+		st.Sent, st.Answered, st.Retries, st.Cached)
+	faulted := sp.Chaos != 0 || o.faults != ""
+	if faulted || st.FaultEvents() > 0 || st.Timeouts > 0 || recovered > 0 {
+		fmt.Fprintf(w, "resilience: timeouts %d, corrupt %d, breaker opens %d, breaker skips %d, backoff ticks %d, recovered errors %d\n",
+			st.Timeouts, st.Corrupt, st.BreakerOpens, st.BreakerSkips, st.BackoffTicks, recovered)
+	}
+	if faulted {
+		fs := c.Net.FaultStats()
+		fmt.Fprintf(w, "faults injected: flap drops %d, blackhole drops %d, corrupted %d, truncated %d, delayed %d, duplicated %d, storm drops %d\n",
+			fs.FlapDrops, fs.BlackholeDrops, fs.Corrupted, fs.Truncated, fs.Delayed, fs.Duplicated, fs.StormDrops)
+		if fs.Byzantine() > 0 {
+			fmt.Fprintf(w, "byzantine replies: liar spoofs %d, alias shares %d, hidden drops %d, echo mirrors %d\n",
+				fs.LiarSpoofs, fs.AliasShares, fs.HiddenDrops, fs.EchoMirrors)
+		}
+	}
+	if sp.Defend {
+		slices.Sort(quarantined)
+		quarantined = slices.Compact(quarantined)
+		fmt.Fprintf(w, "defense: cross-check probes %d, quarantined %d", defenseProbes, len(quarantined))
+		if len(quarantined) > 0 {
+			fmt.Fprintf(w, " %v", quarantined)
+		}
+		fmt.Fprintln(w)
+	}
+
+	if sp.Eval || o.evalOut != "" || o.evalCore {
+		if err := runEval(w, o, c.Scenario.Topo, groundtruth.FromCoreSubnets(rep.Subnets()), ccfg.Telemetry); err != nil {
 			return err
 		}
 	}
@@ -610,8 +585,7 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, t
 
 // runEval scores the collected subnets against the simulator's ground truth,
 // prints the deterministic text report, mirrors the scores onto the telemetry
-// registry, and optionally writes the JSON artifact. Shared by the
-// single-session and campaign paths.
+// registry, and optionally writes the JSON artifact.
 func runEval(w io.Writer, o options, top *netsim.Topology, collected []groundtruth.CollectedSubnet, tel *telemetry.Telemetry) error {
 	truth := groundtruth.FromTopology(top, groundtruth.Options{ExcludeHostSubnets: o.evalCore})
 	score := truth.Score(collected)
@@ -663,7 +637,7 @@ func readTargets(path string) ([]string, error) {
 }
 
 // writeArtifacts flushes the telemetry artifacts and heap profile the flags
-// asked for; shared by the single-session and campaign paths.
+// asked for.
 func writeArtifacts(w io.Writer, o options, tel *telemetry.Telemetry, traceFile, flightFile *os.File) error {
 	if tel != nil {
 		if tel.Tracer != nil {

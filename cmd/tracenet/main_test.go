@@ -2,11 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"tracenet/internal/collect"
+	"tracenet/internal/daemon"
+	"tracenet/internal/obs"
 )
 
 func TestRunDefaultScenario(t *testing.T) {
@@ -308,7 +314,7 @@ func TestRunCampaignMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"tracenet campaign over random topology",
+	for _, want := range []string{"tracenet over random topology",
 		"campaign:", "merged subnet map", "wire probes", "cache hits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("campaign output lacks %q:\n%s", want, out)
@@ -320,7 +326,7 @@ func TestRunCampaignDeterministicAcrossParallel(t *testing.T) {
 	campaign := func(parallel int) string {
 		t.Helper()
 		var b strings.Builder
-		o := options{topo: "random", proto: "icmp", maxTTL: 30, seed: 3, campaign: true, parallel: parallel}
+		o := options{topo: "random", proto: "icmp", maxTTL: 30, seed: 3, parallel: parallel}
 		if err := run(&b, o); err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +462,7 @@ func TestRunEvalCleanChainPerfect(t *testing.T) {
 func TestRunEvalCampaign(t *testing.T) {
 	var b strings.Builder
 	o := options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1,
-		campaign: true, parallel: 2, eval: true,
+		parallel: 2, eval: true,
 		dests: []string{"10.0.3.1", "10.0.4.1", "10.0.5.2"}}
 	if err := run(&b, o); err != nil {
 		t.Fatal(err)
@@ -525,7 +531,7 @@ func TestRunSpecFile(t *testing.T) {
 	}
 	var fromFlags strings.Builder
 	if err := run(&fromFlags, options{topo: "random", proto: "icmp", maxTTL: 30, seed: 42,
-		campaign: true, parallel: 2, eval: true}); err != nil {
+		parallel: 2, eval: true}); err != nil {
 		t.Fatal(err)
 	}
 	if fromSpec.String() != fromFlags.String() {
@@ -567,11 +573,99 @@ func TestRunSpecFileReplacesCampaignFlags(t *testing.T) {
 			alone.String(), beside.String())
 	}
 	var defaults strings.Builder
-	if err := run(&defaults, options{topo: "random", proto: "icmp", maxTTL: 30, seed: 42, campaign: true, parallel: 1}); err != nil {
+	if err := run(&defaults, options{topo: "random", proto: "icmp", maxTTL: 30, seed: 42, parallel: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if defaults.String() != alone.String() {
 		t.Errorf("unset spec fields do not take the flag defaults:\n--- spec\n%s\n--- flags\n%s",
 			alone.String(), defaults.String())
+	}
+}
+
+// finishSignal is a log writer that closes done at the first record of a
+// finished campaign.
+type finishSignal struct {
+	once sync.Once
+	done chan struct{}
+}
+
+func (f *finishSignal) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"campaign finished"`)) {
+		f.once.Do(func() { close(f.done) })
+	}
+	return len(p), nil
+}
+
+// TestRunSpecMatchesDaemon: one spec run by the CLI (-spec) and by an
+// in-process tracenetd lands the same artifacts — byte-identical eval JSON,
+// and the same checkpoint once the daemon's campaign_id is cleared. The
+// figure3 spec has one target, so both sides run it without a shared cache.
+func TestRunSpecMatchesDaemon(t *testing.T) {
+	for _, body := range []string{
+		`{"tenant": "alice", "topology": "random", "seed": 42, "parallel": 2, "eval": true}`,
+		`{"tenant": "alice", "topology": "figure3", "eval": true}`,
+		`{"tenant": "alice", "topology": "internet2", "parallel": 4, "eval": true}`,
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := options{spec: path, evalOut: filepath.Join(dir, "eval.json"), campaignOut: filepath.Join(dir, "checkpoint.json")}
+		var b strings.Builder
+		if err := run(&b, o); err != nil {
+			t.Fatal(err)
+		}
+
+		spool := filepath.Join(dir, "spool")
+		d, err := daemon.New(daemon.Config{Spool: spool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := &finishSignal{done: make(chan struct{})}
+		d.SetLogger(obs.NewLogger(d.Clock(), sig, obs.LevelInfo, 0))
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := daemon.ReadSpec(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := d.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-sig.done
+		if err := d.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+
+		read := func(path string) []byte {
+			t.Helper()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		if cliEval, daemonEval := read(o.evalOut), read(filepath.Join(spool, id+".eval.json")); !bytes.Equal(cliEval, daemonEval) {
+			t.Errorf("%s: eval JSON differs:\n--- CLI\n%s--- tracenetd\n%s", body, cliEval, daemonEval)
+		}
+		checkpoint := func(path string) string {
+			t.Helper()
+			cp, err := collect.ReadCheckpoint(bytes.NewReader(read(path)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.CampaignID = ""
+			var buf bytes.Buffer
+			if err := collect.WriteCheckpoint(&buf, cp); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
+		}
+		if cliCk, daemonCk := checkpoint(o.campaignOut), checkpoint(filepath.Join(spool, id+".checkpoint.json")); cliCk != daemonCk {
+			t.Errorf("%s: checkpoints differ:\n--- CLI\n%s--- tracenetd\n%s", body, cliCk, daemonCk)
+		}
 	}
 }

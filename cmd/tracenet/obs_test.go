@@ -70,7 +70,7 @@ func serveRun(t *testing.T, b *strings.Builder, o options) (base string, shutdow
 func TestRunServeCampaignLiveEndpoints(t *testing.T) {
 	var b strings.Builder
 	base, shutdown, done := serveRun(t, &b, options{
-		topo: "random", proto: "icmp", maxTTL: 30, seed: 3, campaign: true, parallel: 4,
+		topo: "random", proto: "icmp", maxTTL: 30, seed: 3, parallel: 4,
 	})
 	waitCampaignFinished(t, base)
 
@@ -114,8 +114,9 @@ func TestRunServeSingleSession(t *testing.T) {
 	if code, body := httpGet(t, base, "/healthz"); code != http.StatusOK || !strings.Contains(body, "ok tick=") {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-	if _, body := httpGet(t, base, "/campaigns"); !strings.Contains(body, `"campaigns": []`) {
-		t.Errorf("single-session run should publish no campaigns:\n%s", body)
+	waitCampaignFinished(t, base)
+	if _, body := httpGet(t, base, "/campaigns"); strings.Count(body, `"name"`) != 1 || !strings.Contains(body, `"targets": 1,`) {
+		t.Errorf("single-destination run should publish one finished one-target campaign:\n%s", body)
 	}
 	close(shutdown)
 	if err := <-done; err != nil {
@@ -132,7 +133,7 @@ func TestRunServeDrainMatchesCleanExitArtifacts(t *testing.T) {
 	artifacts := func(serve bool) map[string]string {
 		t.Helper()
 		dir := t.TempDir()
-		o := options{topo: "random", proto: "icmp", maxTTL: 30, seed: 3, campaign: true, parallel: 1,
+		o := options{topo: "random", proto: "icmp", maxTTL: 30, seed: 3, parallel: 1,
 			metricsOut: filepath.Join(dir, "metrics.txt"),
 			traceOut:   filepath.Join(dir, "trace.json"),
 			flightOut:  filepath.Join(dir, "flight.txt")}

@@ -1,6 +1,7 @@
 // Command traceroute runs the classic baseline over the same simulated
-// substrate as cmd/tracenet: one responding IP address per hop, nothing
-// more — exactly what the paper improves on.
+// substrate as cmd/tracenet, resolved through the same daemon.Spec: one
+// responding IP address per hop, nothing more — exactly what the paper
+// improves on.
 //
 // Usage:
 //
@@ -21,11 +22,8 @@ import (
 	"io"
 	"os"
 
-	"tracenet/internal/cli"
+	"tracenet/internal/daemon"
 	"tracenet/internal/discarte"
-	"tracenet/internal/ipv4"
-	"tracenet/internal/netsim"
-	"tracenet/internal/probe"
 	"tracenet/internal/trace"
 )
 
@@ -47,47 +45,19 @@ func main() {
 }
 
 func run(w io.Writer, topoName, vantage, protoStr string, maxTTL int, classic, rr bool, seed int64, args []string) error {
-	sc, err := cli.Load(topoName, seed)
+	sp := &daemon.Spec{Topology: topoName, Seed: seed, Vantage: vantage, Proto: protoStr, Targets: args}
+	c, err := sp.Resolve("")
 	if err != nil {
 		return err
 	}
-	if vantage == "" {
-		vantage = sc.Vantage
-	}
-	var proto probe.Protocol
-	switch protoStr {
-	case "icmp":
-		proto = probe.ICMP
-	case "udp":
-		proto = probe.UDP
-	case "tcp":
-		proto = probe.TCP
-	default:
-		return fmt.Errorf("unknown protocol %q", protoStr)
-	}
-
-	dests := sc.Destinations
-	if len(args) > 0 {
-		dests = dests[:0]
-		for _, a := range args {
-			d, err := ipv4.ParseAddr(a)
-			if err != nil {
-				return err
-			}
-			dests = append(dests, d)
-		}
-	}
-	if len(dests) == 0 {
-		return fmt.Errorf("no destinations: pass one or more addresses")
-	}
-
-	net := netsim.New(sc.Topo, netsim.Config{Seed: seed})
-	port, err := net.PortFor(vantage)
+	opts := c.Config.Probe
+	opts.VaryFlow = classic
+	opts.RecordRoute = rr
+	pr, err := c.Config.Dial(opts)
 	if err != nil {
 		return err
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Protocol: proto, VaryFlow: classic, Cache: true, RecordRoute: rr})
-	for _, dst := range dests {
+	for _, dst := range c.Config.Targets {
 		if rr {
 			route, err := discarte.Run(pr, dst, discarte.Options{MaxTTL: maxTTL})
 			if err != nil {

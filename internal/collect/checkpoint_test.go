@@ -119,6 +119,31 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResumeOneTarget: a campaign of one that resumes a checkpoint still
+// builds the shared cache. A journaled target is restored without probing;
+// an unjournaled one is served from the checkpoint's subnets.
+func TestResumeOneTarget(t *testing.T) {
+	cp := roundTrip(t, runOrFatal(t, context.Background(), figure3Campaign("10.0.5.2")).Checkpoint())
+
+	cfg := figure3Campaign("10.0.5.2")
+	cfg.Resume = cp
+	restored := runOrFatal(t, context.Background(), cfg)
+	if restored.Stats.Resumed != 1 || restored.Stats.WireProbes != 0 {
+		t.Errorf("journaled target: stats %+v, want it resumed with no wire probes", restored.Stats)
+	}
+
+	// Drop the row, as for a target the journal never recorded done.
+	cp.Rows = nil
+	cfg = figure3Campaign("10.0.3.1")
+	cfg.Resume = cp
+	served := runOrFatal(t, context.Background(), cfg)
+	fresh := runOrFatal(t, context.Background(), figure3Campaign("10.0.3.1"))
+	if served.Stats.Done != 1 || served.Stats.ProbesSaved == 0 || served.Stats.WireProbes >= fresh.Stats.WireProbes {
+		t.Errorf("unjournaled target: stats %+v, want it traced with checkpoint subnets saving probes (fresh run spent %d)",
+			served.Stats, fresh.Stats.WireProbes)
+	}
+}
+
 // TestCheckpointMidCampaignResume splits a two-destination campaign across a
 // checkpoint boundary — cancelled after its first target — and verifies the
 // resumed run collects the same subnets as an uninterrupted one.

@@ -69,7 +69,8 @@ type Config struct {
 	MaxBreakerTrips uint64
 	// DisableCache runs the campaign without the shared subnet cache —
 	// every target re-explores its whole path (the ablation baseline the
-	// probes-saved accounting is measured against).
+	// probes-saved accounting is measured against). A campaign of one
+	// target that resumes no checkpoint never builds the cache.
 	DisableCache bool
 	// Greedy enables the cache's live member-address tier: pivots that are
 	// members of any subnet grown so far are served without a context match.
@@ -186,7 +187,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		budget: probe.NewChildBudget(cfg.Budget, cfg.BudgetParent),
 		prog:   cfg.Progress,
 	}
-	if !cfg.DisableCache {
+	// A stop set only saves probes across traces: one trace never repeats a
+	// hop context, so for a lone target the cache would only add the
+	// re-probes ClearCache forces before each owned growth. A resume still
+	// builds it, to serve the checkpoint's subnets.
+	if !cfg.DisableCache && (len(cfg.Targets) > 1 || cfg.Resume != nil) {
 		c.cache = NewCache(cfg.Greedy)
 	}
 	var journaled map[ipv4.Addr]*CheckpointRow

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracenet/internal/cli"
 	"tracenet/internal/collect"
 	"tracenet/internal/core"
 	"tracenet/internal/groundtruth"
@@ -286,42 +287,131 @@ func TestCampaignGreedyTier(t *testing.T) {
 
 // TestCampaignMergedEqualsSequentialSession: the campaign's merged topology
 // must equal what one long-lived session tracing every target accumulates —
-// parallel collection is an optimization, not a different measurement.
+// parallel collection is an optimization, not a different measurement. The
+// session reuses subnets across targets via SkipKnown, the campaign via the
+// shared cache; both observe every subnet once per trace that crosses it, so
+// the renderings match, observation counts included.
 func TestCampaignMergedEqualsSequentialSession(t *testing.T) {
-	rep, _, _ := runCampaign(t, 8, nil)
-
+	type scenario struct {
+		name    string
+		topo    *netsim.Topology
+		vantage string
+		targets []ipv4.Addr
+		seed    int64
+	}
 	tp, targets := topo.Random(campaignSpec)
-	n := netsim.New(tp, netsim.Config{Seed: 7})
-	port, err := n.PortFor("vantage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := core.NewSession(pr, core.Config{})
-	m := topomap.New()
-	for _, dst := range targets {
-		res, err := sess.Trace(dst)
+	cases := []scenario{{"random-backbone", tp, "vantage", targets, 7}}
+	load := func(name string, seed int64) {
+		sc, err := cli.Load(name, seed)
 		if err != nil {
-			t.Fatalf("trace %v: %v", dst, err)
+			t.Fatal(err)
 		}
-		m.AddSession(res)
+		cases = append(cases, scenario{fmt.Sprintf("%s-seed%d", name, seed), sc.Topo, sc.Vantage, sc.Destinations, seed})
+	}
+	for _, name := range []string{"internet2", "geant", "isps", "figure3", "figure2", "chain"} {
+		load(name, 1)
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		load("random", seed)
 	}
 
-	// The single session reuses subnets across targets via SkipKnown, the
-	// campaign via the shared cache: both must observe the same subnets.
-	// (Observation counts differ — SkipKnown dedups within the session — so
-	// compare membership, not the full rendering.)
-	campaignSubs := rep.Map.Subnets()
-	sessionSubs := m.Subnets()
-	if len(campaignSubs) != len(sessionSubs) {
-		t.Fatalf("campaign merged %d subnets, sequential session %d:\n--- campaign\n%s--- session\n%s",
-			len(campaignSubs), len(sessionSubs), rep.Map.String(), m.String())
+	for _, sc := range cases {
+		t.Run(sc.name, func(t *testing.T) {
+			n := netsim.New(sc.topo, netsim.Config{Seed: sc.seed})
+			rep, err := collect.Run(context.Background(), collect.Config{
+				Targets:  sc.targets,
+				Parallel: 8,
+				Probe:    probe.Options{Cache: true},
+				Dial: func(opts probe.Options) (*probe.Prober, error) {
+					port, err := n.PortFor(sc.vantage)
+					if err != nil {
+						return nil, err
+					}
+					return probe.New(port, port.LocalAddr(), opts), nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			port, err := netsim.New(sc.topo, netsim.Config{Seed: sc.seed}).PortFor(sc.vantage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := core.NewSession(probe.New(port, port.LocalAddr(), probe.Options{Cache: true}), core.Config{})
+			m := topomap.New()
+			for _, dst := range sc.targets {
+				res, err := sess.Trace(dst)
+				if err != nil {
+					t.Fatalf("trace %v: %v", dst, err)
+				}
+				m.AddSession(res)
+			}
+			if got, want := rep.Map.String(), m.String(); got != want {
+				t.Errorf("campaign merged a different topology than one session:\n--- campaign\n%s--- session\n%s", got, want)
+			}
+		})
 	}
-	for i := range campaignSubs {
-		a, b := campaignSubs[i], sessionSubs[i]
-		if a.Prefix != b.Prefix || len(a.Addrs) != len(b.Addrs) {
-			t.Errorf("subnet %d differs: campaign %v %v, session %v %v",
-				i, a.Prefix, a.Addrs, b.Prefix, b.Addrs)
+}
+
+// TestCampaignOfOneIsATrace: a campaign of one target builds no shared cache,
+// so it collects exactly what core.Trace collects on a fresh network, with
+// the same probe accounting. (With the cache, the re-probes ClearCache
+// forces before each owned growth cost figure3 65 probes instead of 63.)
+func TestCampaignOfOneIsATrace(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int // destinations taken from the scenario
+	}{{"figure3", 1}, {"figure2", 1}, {"chain", 1}, {"internet2", 3}, {"geant", 3}, {"random", 3}} {
+		sc, err := cli.Load(c.name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dst := range sc.Destinations[:c.n] {
+			t.Run(fmt.Sprintf("%s/%v", c.name, dst), func(t *testing.T) {
+				n := netsim.New(sc.Topo, netsim.Config{Seed: 1})
+				var campaignPr *probe.Prober
+				rep, err := collect.Run(context.Background(), collect.Config{
+					Targets: []ipv4.Addr{dst},
+					Probe:   probe.Options{Cache: true},
+					Dial: func(opts probe.Options) (*probe.Prober, error) {
+						port, err := n.PortFor(sc.Vantage)
+						if err != nil {
+							return nil, err
+						}
+						campaignPr = probe.New(port, port.LocalAddr(), opts)
+						return campaignPr, nil
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := rep.Targets[0].Result
+				if got == nil {
+					t.Fatalf("target not traced: %+v", rep.Targets[0])
+				}
+
+				port, err := netsim.New(sc.Topo, netsim.Config{Seed: 1}).PortFor(sc.Vantage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tracePr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
+				want, err := core.Trace(tracePr, dst, core.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if got.String() != want.String() || fmt.Sprint(got.Subnets) != fmt.Sprint(want.Subnets) {
+					t.Errorf("campaign of one collected:\n%s%v\ncore.Trace collected:\n%s%v",
+						got, got.Subnets, want, want.Subnets)
+				}
+				if gs, ws := campaignPr.Stats(), tracePr.Stats(); gs != ws {
+					t.Errorf("campaign of one prober stats %+v, core.Trace %+v", gs, ws)
+				}
+				if rep.Stats.CacheHits+rep.Stats.CacheMisses != 0 {
+					t.Errorf("campaign of one used a shared cache: %+v", rep.Stats)
+				}
+			})
 		}
 	}
 }

@@ -345,10 +345,11 @@ func TestResultStringRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := res.String()
-	for _, want := range []string{"tracenet to 10.0.5.2", "reached=true", "subnet 10.0.2.0/29", "probes="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendering lacks %q:\n%s", want, out)
-		}
+	if header := "tracenet to 10.0.5.2 (4 hops, reached=true)\n"; !strings.HasPrefix(out, header) {
+		t.Errorf("rendering does not start with %q:\n%s", header, out)
+	}
+	if !strings.Contains(out, "subnet 10.0.2.0/29") {
+		t.Errorf("rendering lacks the LAN subnet:\n%s", out)
 	}
 	// Anonymous hop rendering.
 	top := topo.Figure3()

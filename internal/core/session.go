@@ -159,6 +159,9 @@ func (s *Session) Trace(dst ipv4.Addr) (*Result, error) {
 	if err == nil && !res.Reached && scope.Delta().BreakerSkips > 0 {
 		res.BreakerLimited = true
 	}
+	if len(s.quarantined) > 0 {
+		res.Quarantined = s.Quarantined()
+	}
 	return res, err
 }
 

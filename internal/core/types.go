@@ -203,6 +203,9 @@ type Result struct {
 	// campaign does not journal such a target in its checkpoint, so a resume
 	// (with a fresh breaker) retries it instead of silently skipping.
 	BreakerLimited bool
+	// Quarantined lists, ascending, the addresses the session had
+	// quarantined (Config.Defend) when this trace ended; nil when none.
+	Quarantined []ipv4.Addr
 }
 
 // DegradedSubnets returns the subnets of this result flagged as degraded.
@@ -238,11 +241,12 @@ func (r *Result) AddrCount() int {
 	return len(set)
 }
 
-// String renders the session, one hop per line with its subnet.
+// String renders the session, one hop per line with its subnet. The header
+// carries no probe total: in a campaign that total depends on which worker
+// grew a shared subnet.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "tracenet to %v (%d hops, reached=%v, probes=%d)\n",
-		r.Dst, len(r.Hops), r.Reached, r.TotalProbes())
+	fmt.Fprintf(&b, "tracenet to %v (%d hops, reached=%v)\n", r.Dst, len(r.Hops), r.Reached)
 	for _, h := range r.Hops {
 		if h.Anonymous() {
 			fmt.Fprintf(&b, "%3d  *\n", h.TTL)

@@ -34,9 +34,9 @@ import (
 // Spec is one campaign submission: the JSON body of POST /api/v1/campaigns,
 // also written to the spool as the accepted campaign's journal entry. It is
 // tracenet's one campaign config surface: cmd/tracenet builds a Spec from
-// its flags (or reads one with -spec), and both tools run it through
-// Resolve. A zero field takes the default its comment names, which is also
-// the CLI flag's default.
+// its flags (or reads one with -spec), cmd/subnetmap and cmd/traceroute
+// from theirs, and every tool runs it through Resolve. A zero field takes
+// the default its comment names, which is also the CLI flag's default.
 type Spec struct {
 	// Tenant is the submitting tenant's identity (required). Budgets, rate
 	// limits, and concurrency caps are enforced per tenant; see TenantConfig.
@@ -244,8 +244,8 @@ type Campaign struct {
 
 // Resolve turns the spec into a runnable campaign identified as id ("" for
 // an anonymous run). It does not Validate: the daemon validates every spec
-// it admits or replays, while the CLI also resolves flag-built specs that
-// name a topology file.
+// it admits or replays, while the command-line tools also resolve
+// flag-built specs that name a topology file.
 func (sp *Spec) Resolve(id string) (*Campaign, error) {
 	proto, err := parseProto(sp.Proto)
 	if err != nil {

@@ -31,10 +31,19 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"time"
 
 	"tracenet/internal/collect"
 	"tracenet/internal/telemetry"
 )
+
+// Connection timeouts: a client that never finishes its request headers, or
+// idles between keep-alive requests, must not hold a connection forever.
+// There is no write timeout: /debug/pprof/profile?seconds=N streams for N
+// seconds. readHeaderTimeout is a variable only so a test can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+const idleTimeout = 2 * time.Minute
 
 // Check is one readiness probe: Probe returns nil when healthy, or an error
 // describing why the process should not be considered ready.
@@ -90,7 +99,7 @@ func NewServer(tel *telemetry.Telemetry, lg *Logger) *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.hs = &http.Server{Handler: s.mux}
+	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s
 }
 

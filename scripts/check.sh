@@ -44,13 +44,14 @@ go test -race -tags invariants ./...
 
 # The campaign engine's determinism contract (identical merged topology and
 # metrics at -parallel 1 and 8) is its core guarantee, the observability
-# plane reads live Progress state while campaign workers mutate it, and the
-# daemon's tenant registry and scheduler are hammered from concurrent HTTP
-# submissions (the tenant-budget invariant test); exercise all of them
-# explicitly under the race detector even when the full suite above is
-# trimmed.
-echo "== go test -race ./internal/collect/ ./internal/obs/ ./internal/daemon/ ./cmd/tracenetd/ (campaign engine + observability plane + daemon)"
-go test -race -count=1 ./internal/collect/ ./internal/obs/ ./internal/daemon/ ./cmd/tracenetd/
+# plane reads live Progress state while campaign workers mutate it, every
+# tracenet CLI run goes through the worker pool while its -serve handlers
+# read that state, and the daemon's tenant registry and scheduler are
+# hammered from concurrent HTTP submissions (the tenant-budget invariant
+# test); exercise all of them explicitly under the race detector even when
+# the full suite above is trimmed.
+echo "== go test -race ./internal/collect/ ./internal/obs/ ./internal/daemon/ ./cmd/tracenetd/ ./cmd/tracenet/ (campaign engine + observability plane + daemon + CLI)"
+go test -race -count=1 ./internal/collect/ ./internal/obs/ ./internal/daemon/ ./cmd/tracenetd/ ./cmd/tracenet/
 
 # The ground-truth accuracy floors (internal/experiments/accuracy.go) are the
 # regression gate for collector accuracy: the seeded ensemble must stay at or
@@ -70,6 +71,13 @@ go test -count=1 -run '^TestAdversarialFloors$' ./internal/experiments/
 # End-to-end eval smoke: a clean deterministic topology must score perfectly.
 echo "== tracenet -eval smoke (chain topology, must be exact)"
 go run ./cmd/tracenet -topo chain -eval | grep "subnet precision 1.000"
+
+# No test runs the examples, and several print library renderings (such as
+# core.Result.String) that change with the library; each must still run.
+echo "== examples smoke"
+for d in examples/*/; do
+    go run "./$d" >/dev/null
+done
 
 echo "== bench smoke (1 iteration per benchmark) + warn-only baseline diff"
 bench_tmp="$(mktemp)"
