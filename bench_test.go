@@ -272,7 +272,7 @@ func BenchmarkProbeExchange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{NoRetry: true})
+	pr := probe.New(port, port.LocalAddr(), probe.Options{Retry: &probe.RetryPolicy{}})
 	dst := ipv4.MustParseAddr("10.0.5.2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -324,7 +324,7 @@ func BenchmarkProbeExchangeTelemetry(b *testing.B) {
 	}
 	tel := fullTelemetry(n)
 	n.SetTelemetry(tel)
-	pr := probe.New(port, port.LocalAddr(), probe.Options{NoRetry: true, Telemetry: tel})
+	pr := probe.New(port, port.LocalAddr(), probe.Options{Retry: &probe.RetryPolicy{}, Telemetry: tel})
 	dst := ipv4.MustParseAddr("10.0.5.2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,8 +42,6 @@
 //	                     targets keep their journaled rows instead of being
 //	                     re-traced, and its subnets are never re-explored; a
 //	                     checkpoint naming other targets is refused
-//	-campaign-greedy     also share subnets by member address (saves more
-//	                     probes; probe totals become schedule-dependent)
 //	-campaign-no-cache   disable the shared subnet cache (for comparisons)
 //	-spec file           run a tracenetd campaign spec (JSON, DESIGN.md §14)
 //	                     locally. The spec supplies the whole campaign: a
@@ -52,8 +50,8 @@
 //	                     given beside it (-topo, -seed, -vantage, -proto,
 //	                     -maxttl, -targets and destinations, -parallel,
 //	                     -campaign-budget, -defend, -chaos, -backoff,
-//	                     -breaker, -campaign-greedy, -campaign-no-cache,
-//	                     -eval) are ignored, not overlaid field by field.
+//	                     -breaker, -campaign-no-cache, -eval) are
+//	                     ignored, not overlaid field by field.
 //	                     Daemon-only fields (tenant, priority, rescans)
 //	                     have no local meaning.
 //
@@ -163,7 +161,6 @@ type options struct {
 	campaignBudget  uint64 // shared wire-probe budget, 0 = unlimited
 	campaignOut     string // write a campaign checkpoint here
 	campaignResume  string // resume a campaign from this checkpoint
-	campaignGreedy  bool   // enable the cache's live member tier
 	campaignNoCache bool   // disable the shared subnet cache
 
 	eval     bool   // score collected subnets against the simulated truth
@@ -223,7 +220,6 @@ func (o options) campaignSpec() (*daemon.Spec, error) {
 		Chaos:        o.chaos,
 		Backoff:      o.backoff,
 		Breaker:      o.breaker,
-		Greedy:       o.campaignGreedy,
 		DisableCache: o.campaignNoCache,
 		Eval:         o.eval,
 	}
@@ -258,7 +254,6 @@ func main() {
 	flag.Uint64Var(&o.campaignBudget, "campaign-budget", 0, "shared wire-probe budget across all campaign workers")
 	flag.StringVar(&o.campaignOut, "campaign-out", "", "write a campaign checkpoint to this file")
 	flag.StringVar(&o.campaignResume, "campaign-resume", "", "resume a campaign from this checkpoint file")
-	flag.BoolVar(&o.campaignGreedy, "campaign-greedy", false, "share cached subnets by member address (non-deterministic probe totals)")
 	flag.BoolVar(&o.campaignNoCache, "campaign-no-cache", false, "disable the campaign's shared subnet cache")
 	flag.BoolVar(&o.eval, "eval", false, "score the collected subnets against the simulated ground truth")
 	flag.StringVar(&o.evalOut, "eval-out", "", "write the ground-truth evaluation as JSON to this file (implies -eval)")

@@ -565,7 +565,7 @@ func TestRunSpecFileReplacesCampaignFlags(t *testing.T) {
 	var beside strings.Builder
 	if err := run(&beside, options{spec: path, topo: "chain", seed: 9, vantage: "nobody", proto: "udp",
 		maxTTL: 3, parallel: 4, campaignBudget: 5, defend: true, chaos: 7, backoff: true, breaker: true,
-		campaignGreedy: true, campaignNoCache: true, eval: true, dests: []string{"10.9.255.2"}}); err != nil {
+		campaignNoCache: true, eval: true, dests: []string{"10.9.255.2"}}); err != nil {
 		t.Fatal(err)
 	}
 	if beside.String() != alone.String() {

@@ -140,20 +140,6 @@ func SameSubnetConstraint(subnets [][]ipv4.Addr) Constraint {
 	}
 }
 
-// QuarantineConstraint builds a Constraint from a session's quarantined
-// addresses (core.Session.Quarantined): an address whose responses were
-// internally inconsistent must not be merged into any alias set — a shared
-// anycast-style source would otherwise collapse distinct routers into one.
-func QuarantineConstraint(quarantined []ipv4.Addr) Constraint {
-	bad := make(map[ipv4.Addr]bool, len(quarantined))
-	for _, a := range quarantined {
-		bad[a] = true
-	}
-	return func(a, b ipv4.Addr) bool {
-		return !bad[a] && !bad[b]
-	}
-}
-
 // Resolve groups addrs into alias sets (routers) by pairwise testing with
 // union-find, skipping pairs rejected by any constraint. The result is a
 // partition of addrs; singletons are routers with one known interface.

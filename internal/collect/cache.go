@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,50 +31,32 @@ type cacheEntry struct {
 
 // Cache is the campaign's shared subnet cache: a concurrency-safe,
 // single-flight memo of subnet explorations keyed by hop context, plus an
-// immutable member-address tier seeded from a resumed checkpoint and an
-// optional live ("greedy") member tier.
+// immutable member-address tier seeded from a resumed checkpoint.
 //
-// Determinism: with the greedy tier off, every cache decision is a pure
-// function of the hop context — the frozen tier never changes during the run,
-// and the context memo runs each distinct context's growth exactly once —
-// so campaign-wide probe totals and the merged topology are independent of
-// worker count and scheduling. The greedy tier trades that guarantee for
-// extra savings: whether a pivot address is already indexed when a worker
-// looks it up depends on timing, so it is opt-in and documented as
-// non-deterministic under parallelism.
+// Determinism: every cache decision is a pure function of the hop context —
+// the frozen tier never changes during the run, and the context memo runs
+// each distinct context's growth exactly once — so campaign-wide probe
+// totals and the merged topology are independent of worker count and
+// scheduling.
 type Cache struct {
-	greedy bool
-
 	// frozen maps member addresses of checkpoint-restored subnets to their
 	// subnet. Built once before workers start; never mutated afterwards.
 	frozen map[ipv4.Addr]*core.Subnet
-	// frozenSubs keeps the restored subnets in checkpoint order so a
-	// follow-up checkpoint carries them forward.
-	frozenSubs []*core.Subnet
 
 	mu      sync.Mutex
 	entries map[hopContext]*cacheEntry
-	// members is the greedy tier: live member-address index over grown
-	// subnets. Nil unless greedy.
-	members map[ipv4.Addr]core.Growth
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	saved  atomic.Uint64
 }
 
-// NewCache creates an empty shared subnet cache. greedy enables the live
-// member-address tier (non-deterministic under parallelism, see Cache).
-func NewCache(greedy bool) *Cache {
-	c := &Cache{
-		greedy:  greedy,
+// NewCache creates an empty shared subnet cache.
+func NewCache() *Cache {
+	return &Cache{
 		frozen:  make(map[ipv4.Addr]*core.Subnet),
 		entries: make(map[hopContext]*cacheEntry),
 	}
-	if greedy {
-		c.members = make(map[ipv4.Addr]core.Growth)
-	}
-	return c
 }
 
 // Freeze seeds the immutable member tier with checkpoint-restored subnets.
@@ -83,7 +64,6 @@ func NewCache(greedy bool) *Cache {
 // address wins, so seeding order is the caller's (deterministic) order.
 func (c *Cache) Freeze(subs []*core.Subnet) {
 	for _, sub := range subs {
-		c.frozenSubs = append(c.frozenSubs, sub)
 		for _, a := range sub.Addrs {
 			if _, dup := c.frozen[a]; !dup {
 				c.frozen[a] = sub
@@ -93,22 +73,13 @@ func (c *Cache) Freeze(subs []*core.Subnet) {
 }
 
 // ExploreHop implements core.SharedSubnetCache: serve the hop context from
-// the frozen tier, the greedy member tier, or the context memo — running grow
-// exactly once per distinct context across all concurrent callers.
+// the frozen tier or the context memo — running grow exactly once per
+// distinct context across all concurrent callers.
 func (c *Cache) ExploreHop(v, u ipv4.Addr, d int, grow func() (core.Growth, error)) (core.Growth, bool, error) {
 	if sub, ok := c.frozen[v]; ok {
 		g := core.Growth{Subnet: sub, Cost: sub.Probes}
 		c.recordHit(g)
 		return g, true, nil
-	}
-	if c.greedy {
-		c.mu.Lock()
-		g, ok := c.members[v]
-		c.mu.Unlock()
-		if ok {
-			c.recordHit(g)
-			return g, true, nil
-		}
 	}
 
 	key := hopContext{v: v, u: u, d: d}
@@ -140,15 +111,6 @@ func (c *Cache) ExploreHop(v, u ipv4.Addr, d int, grow func() (core.Growth, erro
 	}
 	e.g = g
 	c.misses.Add(1)
-	if c.greedy && g.Subnet != nil {
-		c.mu.Lock()
-		for _, a := range g.Subnet.Addrs {
-			if _, dup := c.members[a]; !dup {
-				c.members[a] = g
-			}
-		}
-		c.mu.Unlock()
-	}
 	close(e.ready)
 	return g, false, nil
 }
@@ -168,51 +130,3 @@ func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
 // ProbesSaved returns the wire packets the cache's hits avoided re-spending.
 func (c *Cache) ProbesSaved() uint64 { return c.saved.Load() }
-
-// Subnets returns every distinct subnet the cache knows — checkpoint-restored
-// first, then grown — deduplicated and sorted by prefix then pivot, so a
-// campaign checkpoint is byte-stable regardless of worker interleaving.
-// Call only after all workers have finished.
-func (c *Cache) Subnets() []*core.Subnet {
-	seen := make(map[*core.Subnet]bool)
-	var out []*core.Subnet
-	add := func(sub *core.Subnet) {
-		if sub != nil && !seen[sub] {
-			seen[sub] = true
-			out = append(out, sub)
-		}
-	}
-	for _, sub := range c.frozenSubs {
-		add(sub)
-	}
-	c.mu.Lock()
-	for _, e := range c.entries {
-		select {
-		case <-e.ready:
-			add(e.g.Subnet)
-		default:
-			// Unfinished entry (campaign aborted mid-growth): skip.
-		}
-	}
-	c.mu.Unlock()
-	sortSubnets(out)
-	return out
-}
-
-// sortSubnets orders subnets by prefix base, prefix length, then pivot —
-// a total order over distinct collected subnets.
-func sortSubnets(subs []*core.Subnet) {
-	sort.Slice(subs, func(i, j int) bool {
-		a, b := subs[i], subs[j]
-		if a.Prefix.Base() != b.Prefix.Base() {
-			return a.Prefix.Base() < b.Prefix.Base()
-		}
-		if a.Prefix.Bits() != b.Prefix.Bits() {
-			return a.Prefix.Bits() < b.Prefix.Bits()
-		}
-		if a.Pivot != b.Pivot {
-			return a.Pivot < b.Pivot
-		}
-		return a.PivotDist < b.PivotDist
-	})
-}

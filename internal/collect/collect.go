@@ -13,11 +13,11 @@
 //
 // Determinism contract: on a clean deterministic substrate (netsim without
 // loss, faults, rate limits, or per-packet ECMP; no retries with jitter; no
-// breaker; the greedy cache tier off), a campaign's merged topology, report
-// rendering, and metrics exposition are byte-identical at any Parallel
-// value. Only scheduling-dependent artifacts — span timestamps in the trace
-// output, per-target position/explore probe attribution — vary; everything
-// the campaign renders is derived from schedule-independent quantities.
+// breaker), a campaign's merged topology, report rendering, and metrics
+// exposition are byte-identical at any Parallel value. Only
+// scheduling-dependent artifacts — span timestamps in the trace output,
+// per-target position/explore probe attribution — vary; everything the
+// campaign renders is derived from schedule-independent quantities.
 package collect
 
 import (
@@ -59,31 +59,19 @@ type Config struct {
 	// runs out. The daemon points this at the submitting tenant's aggregate
 	// budget so no set of campaigns can overspend the tenant's allowance.
 	BudgetParent *probe.SharedBudget
-	// Pacer, when set, rate-limits every worker's wire sends (see
-	// probe.Options.Pacer). The daemon passes the tenant's shared token
-	// bucket. A pacer set on Probe directly wins over this field.
-	Pacer probe.Pacer
-	// MaxBreakerTrips stops dispatching new targets once the campaign has
-	// observed this many circuit-breaker opens across all workers (0 =
-	// disabled). Only meaningful when Probe.Breaker is set.
-	MaxBreakerTrips uint64
 	// DisableCache runs the campaign without the shared subnet cache —
 	// every target re-explores its whole path (the ablation baseline the
 	// probes-saved accounting is measured against). A campaign of one
 	// target that resumes no checkpoint never builds the cache.
 	DisableCache bool
-	// Greedy enables the cache's live member-address tier: pivots that are
-	// members of any subnet grown so far are served without a context match.
-	// Saves more probes, but which lookups hit depends on worker timing, so
-	// output is no longer parallelism-independent. Off by default.
-	Greedy bool
 
 	// Session configures each per-target session. Its Shared field is
 	// overwritten by the campaign.
 	Session core.Config
-	// Probe configures each per-target prober. Its SharedBudget field is
-	// overwritten by the campaign; leave retries/breaker unset for
-	// deterministic campaigns.
+	// Probe configures each per-target prober. Its SharedBudget, Activity
+	// and Telemetry fields are overwritten by the campaign (with the
+	// campaign budget, Progress.Activity and Telemetry below); leave
+	// retries/breaker unset for deterministic campaigns.
 	Probe probe.Options
 	// Dial builds the prober a worker uses for one target, from the options
 	// the campaign finished assembling — typically netsim's PortFor plus
@@ -99,8 +87,8 @@ type Config struct {
 	// Progress, when set, receives a live lock-free view of the campaign:
 	// per-status target counts, in-flight and per-worker state, probes spent
 	// vs the shared budget, cache effectiveness. The campaign also wires
-	// Progress.Activity into every worker's prober (unless the caller set
-	// Probe.Activity itself) so completed exchanges feed stall detection.
+	// Progress.Activity into every worker's prober so completed exchanges
+	// feed stall detection.
 	Progress *Progress
 
 	// OnTargetDone, when set, is invoked once per target row as it completes
@@ -163,9 +151,9 @@ type TargetResult struct {
 
 // Run executes a campaign: dispatch every target to the worker pool, collect
 // per-target results, and assemble the deterministic merged report. Workers
-// stop picking up new targets when ctx is cancelled, the budget is exhausted,
-// or the breaker-trip limit is reached; targets already being traced finish
-// (a cancelled campaign still returns a well-formed partial report).
+// stop picking up new targets when ctx is cancelled or the budget is
+// exhausted; targets already being traced finish (a cancelled campaign still
+// returns a well-formed partial report).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Dial == nil {
 		return nil, errors.New("collect: Config.Dial is required")
@@ -192,7 +180,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// re-probes ClearCache forces before each owned growth. A resume still
 	// builds it, to serve the checkpoint's subnets.
 	if !cfg.DisableCache && (len(cfg.Targets) > 1 || cfg.Resume != nil) {
-		c.cache = NewCache(cfg.Greedy)
+		c.cache = NewCache()
 	}
 	var journaled map[ipv4.Addr]*CheckpointRow
 	if cfg.Resume != nil {
@@ -272,8 +260,7 @@ type campaign struct {
 	// and the next checkpoint.
 	frozen []*core.Subnet
 
-	wireProbes   atomic.Uint64
-	breakerTrips atomic.Uint64
+	wireProbes atomic.Uint64
 
 	cTargets  map[TargetStatus]*telemetry.Counter
 	cHits     *telemetry.Counter
@@ -321,9 +308,6 @@ func (c *campaign) backpressure(ctx context.Context) string {
 	if c.budget.Exhausted() {
 		return "campaign budget exhausted"
 	}
-	if limit := c.cfg.MaxBreakerTrips; limit > 0 && c.breakerTrips.Load() >= limit {
-		return "breaker-trip limit reached"
-	}
 	return ""
 }
 
@@ -348,15 +332,8 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 
 	opts := c.cfg.Probe
 	opts.SharedBudget = c.budget
-	if opts.Pacer == nil {
-		opts.Pacer = c.cfg.Pacer
-	}
-	if opts.Activity == nil {
-		opts.Activity = c.prog.Activity()
-	}
-	if opts.Telemetry == nil {
-		opts.Telemetry = c.tel
-	}
+	opts.Activity = c.prog.Activity()
+	opts.Telemetry = c.tel
 	pr, err := c.cfg.Dial(opts)
 	if err != nil {
 		out.Status = StatusFailed
@@ -377,7 +354,6 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 
 	st := pr.Stats()
 	c.wireProbes.Add(st.Sent)
-	c.breakerTrips.Add(st.BreakerOpens)
 	c.prog.addBreakerTrips(st.BreakerOpens)
 
 	out.Result = res

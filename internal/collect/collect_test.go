@@ -267,24 +267,6 @@ func assertSameSubnets(t *testing.T, got, want *topomap.Map) {
 	}
 }
 
-// TestCampaignGreedyTier: the opt-in member tier is at least as effective as
-// the context memo and still merges the same topology (its determinism
-// caveat is about probe attribution, not collected values) when sequential.
-func TestCampaignGreedyTier(t *testing.T) {
-	plain, _, _ := runCampaign(t, 1, nil)
-	greedy, _, _ := runCampaign(t, 1, func(cfg *collect.Config) {
-		cfg.Greedy = true
-	})
-	if greedy.Stats.WireProbes > plain.Stats.WireProbes {
-		t.Errorf("greedy tier spent more probes (%d) than context memo alone (%d)",
-			greedy.Stats.WireProbes, plain.Stats.WireProbes)
-	}
-	if greedy.Map.String() != plain.Map.String() {
-		t.Errorf("greedy campaign merged a different topology:\n--- greedy\n%s--- plain\n%s",
-			greedy.Map.String(), plain.Map.String())
-	}
-}
-
 // TestCampaignMergedEqualsSequentialSession: the campaign's merged topology
 // must equal what one long-lived session tracing every target accumulates —
 // parallel collection is an optimization, not a different measurement. The
@@ -431,7 +413,7 @@ func TestCampaignBreakerTruncatedNotDone(t *testing.T) {
 		Targets: []ipv4.Addr{reachable, unroutable},
 		Probe: probe.Options{
 			Cache:   true,
-			NoRetry: true,
+			Retry:   &probe.RetryPolicy{},
 			Breaker: &probe.BreakerConfig{Threshold: 2, Cooldown: 64, KeyBits: 24},
 		},
 		Dial: func(opts probe.Options) (*probe.Prober, error) {

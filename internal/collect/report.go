@@ -3,6 +3,7 @@ package collect
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"tracenet/internal/core"
@@ -83,6 +84,24 @@ func (r *Report) merge(frozen []*core.Subnet) {
 	sortSubnets(subs)
 	r.Map = m
 	r.subnets = subs
+}
+
+// sortSubnets orders subnets by prefix base, prefix length, then pivot —
+// a total order over distinct collected subnets.
+func sortSubnets(subs []*core.Subnet) {
+	sort.Slice(subs, func(i, j int) bool {
+		a, b := subs[i], subs[j]
+		if a.Prefix.Base() != b.Prefix.Base() {
+			return a.Prefix.Base() < b.Prefix.Base()
+		}
+		if a.Prefix.Bits() != b.Prefix.Bits() {
+			return a.Prefix.Bits() < b.Prefix.Bits()
+		}
+		if a.Pivot != b.Pivot {
+			return a.Pivot < b.Pivot
+		}
+		return a.PivotDist < b.PivotDist
+	})
 }
 
 // Subnets returns the campaign's distinct collected subnets in deterministic

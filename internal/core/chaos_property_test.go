@@ -62,7 +62,7 @@ func TestSessionNeverAbortsOnTransportErrors(t *testing.T) {
 // TestSessionAbortsOnBudget: budget exhaustion is NOT absorbed — it must
 // still propagate, or a runaway session would spin forever.
 func TestSessionAbortsOnBudget(t *testing.T) {
-	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{Budget: 5})
+	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{SharedBudget: probe.NewSharedBudget(5)})
 	if _, err := NewSession(pr, Config{}).Trace(addr("10.0.5.2")); !errors.Is(err, probe.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exhaustion", err)
 	}
@@ -199,7 +199,7 @@ func TestBreakerTruncatedTraceNotDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := probe.New(port, port.LocalAddr(), probe.Options{
-		NoRetry: true,
+		Retry:   &probe.RetryPolicy{},
 		Breaker: &probe.BreakerConfig{Threshold: 2, Cooldown: 64, KeyBits: 24},
 	})
 	sess := NewSession(pr, Config{})

@@ -1,8 +1,10 @@
 package core
 
 // Config tunes a tracenet session. The zero value selects the paper's
-// behaviour; the ablation switches disable individual design choices for the
-// benchmarks called out in DESIGN.md.
+// behaviour, including §3.5's reuse of a subnet the session has already
+// collected (always on). The ablation switches — DisableHalfFillStop,
+// SingleIngress, TopDown, and MinPrefixBits — disable or bound individual
+// design choices for the four ablations of DESIGN.md §4.
 type Config struct {
 	// MaxTTL bounds the trace length. Default 30.
 	MaxTTL int
@@ -13,14 +15,6 @@ type Config struct {
 	// prefix length (Algorithm 1's loop would run m down to 0; operationally
 	// /20 is the largest subnet the paper observes). Default 20.
 	MinPrefixBits int
-
-	// SkipKnown reuses a subnet already collected earlier in the session when
-	// the trace-collection address is one of its members, instead of
-	// re-exploring (the optimization the paper alludes to in §3.5:
-	// "our tracenet implementation is optimized to collect the subnets with
-	// the least number of probes"). Default true; set DisableSkipKnown for
-	// the ablation.
-	DisableSkipKnown bool
 
 	// DisableHalfFillStop removes Algorithm 1's lines 19–21 stopping rule
 	// (ablation: sparse subnets then overgrow until a heuristic fires).

@@ -173,26 +173,6 @@ func TestSessionReusesKnownSubnets(t *testing.T) {
 	}
 }
 
-func TestDisableSkipKnownReexplores(t *testing.T) {
-	top := topo.Figure3()
-	n := netsim.New(top, netsim.Config{})
-	port, _ := n.PortFor("vantage")
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := NewSession(pr, Config{DisableSkipKnown: true})
-	if _, err := sess.Trace(addr("10.0.5.2")); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := sess.Trace(addr("10.0.4.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range res2.Hops {
-		if h.Revisited {
-			t.Fatalf("revisited hop with SkipKnown disabled:\n%v", res2)
-		}
-	}
-}
-
 func TestAnonymousHopNoSubnet(t *testing.T) {
 	top := topo.Figure3()
 	for _, r := range top.Routers {
@@ -200,7 +180,7 @@ func TestAnonymousHopNoSubnet(t *testing.T) {
 			r.IndirectPolicy = netsim.PolicyNil
 		}
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.0.5.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +207,7 @@ func TestUnpositionableHop(t *testing.T) {
 			r.DirectPolicy = netsim.PolicyNil
 		}
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.0.5.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +221,7 @@ func TestUnpositionableHop(t *testing.T) {
 }
 
 func TestUnroutableDestinationGivesUp(t *testing.T) {
-	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("172.16.0.1"), Config{MaxConsecutiveGaps: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +235,7 @@ func TestUnroutableDestinationGivesUp(t *testing.T) {
 }
 
 func TestBudgetErrorPropagates(t *testing.T) {
-	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{Budget: 5, NoRetry: true})
+	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{SharedBudget: probe.NewSharedBudget(5), Retry: &probe.RetryPolicy{}})
 	if _, err := Trace(pr, addr("10.0.5.2"), Config{}); err == nil {
 		t.Fatal("budget exhaustion must surface as an error")
 	}
@@ -298,7 +278,7 @@ func (l loopTransport) Exchange(raw []byte) ([]byte, error) {
 func TestRoutingLoopGuard(t *testing.T) {
 	src := addr("10.0.0.1")
 	router := addr("10.0.9.9")
-	pr := probe.New(loopTransport{src: src, router: router}, src, probe.Options{NoRetry: true})
+	pr := probe.New(loopTransport{src: src, router: router}, src, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.0.5.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +338,7 @@ func TestResultStringRendering(t *testing.T) {
 			r.IndirectPolicy = netsim.PolicyNil
 		}
 	}
-	pr2 := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr2 := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res2, err := Trace(pr2, addr("10.0.5.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +480,7 @@ func TestHostUnreachableEndsTrace(t *testing.T) {
 	for _, r := range top.Routers {
 		r.EmitUnreachable = true
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	// 10.0.2.200 is covered by S but unassigned: the ingress router reports
 	// host-unreachable and the trace ends there.
 	res, err := Trace(pr, addr("10.0.2.200"), Config{})

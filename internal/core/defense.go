@@ -51,9 +51,6 @@ func (s *Session) Quarantined() []ipv4.Addr {
 	return out
 }
 
-// QuarantineReason returns why addr was quarantined ("" when it was not).
-func (s *Session) QuarantineReason(a ipv4.Addr) string { return s.quarantined[a] }
-
 // quarantineAddr quarantines a: records the reason, strips a from every
 // subnet collected so far, and bars it from future membership (explore skips
 // quarantined candidates, exploreHop skips quarantined pivots).

@@ -69,7 +69,7 @@ func runScene(t *testing.T, sc *fringeScene) *Subnet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.255.2.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestH4CatchesTwoHopsCloser(t *testing.T) {
 		t.Fatal(err)
 	}
 	top.IfaceByAddr(addr("10.7.0.1")).Responsive = false
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.255.2.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestH9BoundaryReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.255.2.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestSingleIngressAblationShrinksEarly(t *testing.T) {
 	}
 
 	collect := func(cfg Config, flowID uint16) *Subnet {
-		pr := prober(t, build(), netsim.Config{Mode: netsim.PerFlow}, probe.Options{NoRetry: true, FlowID: flowID})
+		pr := prober(t, build(), netsim.Config{Mode: netsim.PerFlow}, probe.Options{Retry: &probe.RetryPolicy{}, FlowID: flowID})
 		res, err := Trace(pr, addr("10.255.2.2"), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -382,7 +382,7 @@ func examineIn(t *testing.T, sc *fringeScene, candidate string) (examineVerdict,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	pos, err := findPosition(pr, addr("10.255.1.1"), addr("10.7.0.2"), 3, Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // (the paper's model says four; our accounting includes the distance search,
 // so we allow a small constant).
 func TestOverheadPointToPoint(t *testing.T) {
-	pr := prober(t, topo.Chain(5), netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, topo.Chain(5), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	res, err := Trace(pr, addr("10.9.255.2"), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestOverheadMultiAccessLinear(t *testing.T) {
 		ds := b.Subnet("10.255.2.0/30")
 		b.Attach(first, ds, "10.255.2.1")
 		b.Attach(d, ds, "10.255.2.2")
-		pr := prober(t, b.MustBuild(), netsim.Config{}, probe.Options{NoRetry: true})
+		pr := prober(t, b.MustBuild(), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 		res, err := Trace(pr, addr("10.255.2.2"), Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestOverheadMultiAccessLinear(t *testing.T) {
 // small subnets.
 func TestTopDownAblationCostsMore(t *testing.T) {
 	run := func(cfg Config) uint64 {
-		pr := prober(t, topo.Chain(4), netsim.Config{}, probe.Options{NoRetry: true})
+		pr := prober(t, topo.Chain(4), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 		res, err := Trace(pr, addr("10.9.255.2"), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestTopDownAblationCostsMore(t *testing.T) {
 // probes than the guarded run.
 func TestHalfFillAblation(t *testing.T) {
 	run := func(cfg Config) uint64 {
-		pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{NoRetry: true})
+		pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 		res, err := Trace(pr, addr("10.0.5.2"), cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ func TestDirectDistanceExact(t *testing.T) {
 }
 
 func TestDirectDistanceUnreachable(t *testing.T) {
-	pr := prober(t, topo.Chain(3), netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, topo.Chain(3), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	got, err := directDistance(pr, addr("172.16.0.1"), 2, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestPositionUnpositionable(t *testing.T) {
 			r.DirectPolicy = netsim.PolicyNil
 		}
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	pos, err := findPosition(pr, addr("10.0.1.1"), addr("10.0.2.3"), 3, Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestPositionAfterAnonymousPredecessor(t *testing.T) {
 			r.IndirectPolicy = netsim.PolicyNil
 		}
 	}
-	pr := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	pr := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	pos, err := findPosition(pr, addr("0.0.0.0"), addr("10.0.2.3"), 3, Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)

@@ -283,16 +283,19 @@ func (s *Session) exploreHop(hop *Hop, u, v ipv4.Addr, d int, res *Result) error
 		hop.Degraded = true
 		return nil
 	}
-	if !s.cfg.DisableSkipKnown {
-		if known, ok := s.collected[v]; ok {
-			hop.Subnet = known
-			hop.Revisited = true
-			s.cRevisits.Inc()
-			if !containsSubnet(res.Subnets, known) {
-				res.Subnets = append(res.Subnets, known)
-			}
-			return nil
+	// SkipKnown: reuse a subnet already collected earlier in the session
+	// when v is one of its members, instead of re-exploring (the
+	// optimization the paper alludes to in §3.5: "our tracenet
+	// implementation is optimized to collect the subnets with the least
+	// number of probes").
+	if known, ok := s.collected[v]; ok {
+		hop.Subnet = known
+		hop.Revisited = true
+		s.cRevisits.Inc()
+		if !containsSubnet(res.Subnets, known) {
+			res.Subnets = append(res.Subnets, known)
 		}
+		return nil
 	}
 
 	var err error

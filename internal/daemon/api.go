@@ -69,6 +69,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		code := http.StatusBadRequest
 		switch {
+		case errors.Is(err, ErrSpecTooLarge):
+			code = http.StatusRequestEntityTooLarge
 		case errors.Is(err, ErrNotAccepting):
 			code = http.StatusServiceUnavailable
 		case errors.Is(err, ErrBudgetExhausted):

@@ -38,8 +38,6 @@ type Config struct {
 	// which advances by each finished campaign's virtual-tick span — so
 	// scheduling time, like everything else, is derived from the seeds.
 	Clock telemetry.Clock
-	// Logger receives the daemon's structured log (may be nil).
-	Logger *obs.Logger
 }
 
 // Submission errors the API maps to status codes.
@@ -79,11 +77,13 @@ type campaignState struct {
 	tenant *tenantState
 	spec   *Spec
 
-	// Mutable fields below are guarded by the daemon mutex.
+	// Mutable fields below are guarded by the daemon mutex. finish keeps
+	// the final snapshot and drops prog, wd, tel, ctx and cancel.
 	status     string
 	errText    string
 	notBefore  uint64
 	prog       *collect.Progress
+	final      *collect.Snapshot
 	wd         *collect.Watchdog
 	tel        *telemetry.Telemetry // the campaign's clock domain
 	ctx        context.Context
@@ -149,7 +149,6 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{cfg: cfg, sp: spool{dir: cfg.Spool}, clock: &schedClock{}, nextSeq: 1}
 	d.cond = sync.NewCond(&d.mu)
 	d.tel = telemetry.New(d.Clock())
-	d.lg = cfg.Logger
 	d.tenants = newTenants(d.tel, cfg.TenantDefaults, cfg.Tenants)
 
 	// Register every tracenet_daemon_* family up front so the exposition
@@ -323,9 +322,14 @@ func (d *Daemon) persistDaemonState() error {
 }
 
 // Submit validates and admits a campaign spec, journals it, and queues it.
-// Returns the assigned campaign ID.
+// Returns the assigned campaign ID; a spec too large to journal fails with
+// ErrSpecTooLarge.
 func (d *Daemon) Submit(sp *Spec) (string, error) {
 	if err := sp.Validate(); err != nil {
+		return "", err
+	}
+	var spec bytes.Buffer
+	if err := WriteSpec(&spec, sp); err != nil {
 		return "", err
 	}
 	t := d.tenants.get(sp.Tenant)
@@ -352,7 +356,7 @@ func (d *Daemon) Submit(sp *Spec) (string, error) {
 	st := d.stateOf(cs)
 	d.mu.Unlock()
 
-	if err := d.sp.writeJSON(cs.id+".spec.json", sp); err != nil {
+	if err := d.sp.writeFile(cs.id+".spec.json", spec.Bytes()); err != nil {
 		return "", err
 	}
 	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
@@ -475,7 +479,7 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 	ccfg.BudgetParent = e.tenant.budget
 	ccfg.Resume = e.resume
 	if e.tenant.pacer != nil {
-		ccfg.Pacer = e.tenant.pacer
+		ccfg.Probe.Pacer = e.tenant.pacer
 	}
 
 	// The campaign's telemetry rides the fresh substrate's virtual clock but
@@ -597,6 +601,11 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, 
 	if runErr != nil {
 		cs.errText = runErr.Error()
 	}
+	if cs.prog != nil {
+		snap := cs.prog.Snapshot()
+		cs.final = &snap
+	}
+	cs.prog, cs.wd, cs.tel, cs.ctx, cs.cancel = nil, nil, nil, nil, nil
 	st := d.stateOf(cs)
 	d.mu.Unlock()
 	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
@@ -747,7 +756,7 @@ type StatusDoc struct {
 	NotBefore uint64 `json:"not_before,omitempty"`
 	Error     string `json:"error,omitempty"`
 	// Progress is the live collect snapshot, present once the campaign has
-	// started running.
+	// started running; a finished campaign serves its final snapshot.
 	Progress *collect.Snapshot `json:"progress,omitempty"`
 }
 
@@ -763,7 +772,11 @@ func docOf(cs *campaignState) StatusDoc {
 		NotBefore: cs.notBefore,
 		Error:     cs.errText,
 	}
-	if cs.prog != nil {
+	switch {
+	case cs.final != nil:
+		snap := *cs.final
+		doc.Progress = &snap
+	case cs.prog != nil:
 		snap := cs.prog.Snapshot()
 		doc.Progress = &snap
 	}

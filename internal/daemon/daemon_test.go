@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,6 +302,9 @@ func TestAPIErrors(t *testing.T) {
 		{"trailing data", `{"tenant":"a","topology":"figure3"} {"tenant":"evil"} garbage`, http.StatusBadRequest},
 		{"oversized body", `{"tenant":"a","targets":[` + strings.Repeat(`"10.0.5.2",`, 2<<20/11) + `"10.0.5.2"]}`,
 			http.StatusRequestEntityTooLarge},
+		{"retired greedy key", `{"tenant":"a","greedy":true}`, http.StatusBadRequest},
+		{"oversized spool form", `{"tenant":"a","name":"` + strings.Repeat("<", 1<<20/5) + `"}`,
+			http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(h.url+"/api/v1/campaigns", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -347,6 +351,48 @@ func TestAPIErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit before start: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestFinishedCampaignsReleaseMemory: a finished campaign keeps its status
+// document and final progress snapshot, not its network, shared cache or
+// collected subnets, so the heap grows by a small bounded amount for every
+// campaign the daemon has ever run.
+func TestFinishedCampaignsReleaseMemory(t *testing.T) {
+	const campaigns = 40
+	const maxPerCampaign = 32 << 10
+	h := startDaemon(t, t.TempDir(), Config{Concurrent: 2}, nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	ids := make([]string, campaigns)
+	for i := range ids {
+		sp := &Spec{Tenant: "alice", Topology: "random", Seed: int64(i + 1)}
+		if i%10 == 9 {
+			sp.Chaos, sp.Defend, sp.Backoff, sp.Eval = int64(i+1), true, true, true
+		}
+		ids[i] = h.submit(t, sp)
+	}
+	for id, st := range h.await(t, ids...) {
+		if st != stateDone {
+			t.Fatalf("campaign %s finished %s, want done", id, st)
+		}
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / campaigns; per >= maxPerCampaign {
+		t.Errorf("heap grew %d bytes per finished campaign, want < %d", per, maxPerCampaign)
+	}
+	for _, id := range ids {
+		doc, err := h.d.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Progress == nil || !doc.Progress.Finished {
+			t.Errorf("campaign %s status lost its final snapshot: %+v", id, doc.Progress)
+		}
 	}
 }
 

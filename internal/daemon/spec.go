@@ -18,6 +18,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,9 +78,8 @@ type Spec struct {
 	Backoff bool  `json:"backoff,omitempty"`
 	Breaker bool  `json:"breaker,omitempty"`
 
-	// Greedy and DisableCache tune the shared subnet cache exactly like the
-	// CLI's -campaign-greedy / -campaign-no-cache flags.
-	Greedy       bool `json:"greedy,omitempty"`
+	// DisableCache runs the campaign without the shared subnet cache,
+	// exactly like the CLI's -campaign-no-cache flag.
 	DisableCache bool `json:"disable_cache,omitempty"`
 
 	// Eval scores the collected subnets against the simulated ground truth
@@ -123,11 +123,21 @@ func ReadSpec(r io.Reader) (*Spec, error) {
 	return &sp, nil
 }
 
-// WriteSpec serializes a spec as indented JSON — the spool's canonical form.
+// WriteSpec serializes a spec as indented JSON — the spool's canonical form —
+// or fails with ErrSpecTooLarge when ReadSpec would refuse that form (it can
+// outgrow the body it was decoded from: indentation, '<' escaped as \u003c).
 func WriteSpec(w io.Writer, sp *Spec) error {
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	return enc.Encode(sp)
+	if err := enc.Encode(sp); err != nil {
+		return err
+	}
+	if buf.Len() > maxSpecBytes {
+		return ErrSpecTooLarge
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // Validate checks the spec's internal consistency without touching the
@@ -302,7 +312,6 @@ func (sp *Spec) Resolve(id string) (*Campaign, error) {
 			Parallel:     sp.Parallel,
 			Budget:       sp.Budget,
 			DisableCache: sp.DisableCache,
-			Greedy:       sp.Greedy,
 			Session:      core.Config{MaxTTL: sp.maxTTL(), Defend: sp.Defend},
 			Probe:        popts,
 			Dial: func(opts probe.Options) (*probe.Prober, error) {

@@ -79,14 +79,14 @@ func TestSpecResolve(t *testing.T) {
 	}
 
 	c, err = (&Spec{Tenant: "alice", Topology: "chain", Proto: "tcp", MaxTTL: 12, Parallel: 3,
-		Budget: 99, Defend: true, Chaos: 5, Backoff: true, Breaker: true, Greedy: true,
+		Budget: 99, Defend: true, Chaos: 5, Backoff: true, Breaker: true,
 		DisableCache: true, Targets: []string{"10.9.255.2"}}).Resolve("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := c.Config
 	if cfg.Probe.Protocol != probe.TCP || cfg.Session.MaxTTL != 12 || !cfg.Session.Defend ||
-		cfg.Parallel != 3 || cfg.Budget != 99 || !cfg.Greedy || !cfg.DisableCache ||
+		cfg.Parallel != 3 || cfg.Budget != 99 || !cfg.DisableCache ||
 		cfg.Probe.Retry == nil || cfg.Probe.Breaker == nil || !cfg.Probe.Cache ||
 		len(cfg.Targets) != 1 || cfg.Targets[0].String() != "10.9.255.2" {
 		t.Fatalf("knobs resolved to %+v", cfg)

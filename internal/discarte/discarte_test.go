@@ -132,7 +132,7 @@ func TestRendering(t *testing.T) {
 }
 
 func TestUnroutableGivesUp(t *testing.T) {
-	p := prober(t, topo.Figure3(), probe.Options{NoRetry: true})
+	p := prober(t, topo.Figure3(), probe.Options{Retry: &probe.RetryPolicy{}})
 	route, err := Run(p, addr("172.16.0.1"), Options{MaxConsecutiveGaps: 3})
 	if err != nil {
 		t.Fatal(err)

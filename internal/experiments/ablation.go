@@ -29,7 +29,7 @@ func AblationBottomUp() (AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true})
+		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 		res, err := core.Trace(pr, ipv4.MustParseAddr("10.9.255.2"), cfg)
 		if err != nil {
 			return 0, err
@@ -61,7 +61,7 @@ func AblationHalfFill() (AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true})
+		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 		res, err := core.Trace(pr, ipv4.MustParseAddr("10.0.5.2"), cfg)
 		if err != nil {
 			return 0, err
@@ -128,7 +128,7 @@ func AblationTwoIngress() (AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true, FlowID: flowID})
+		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}, FlowID: flowID})
 		res, err := core.Trace(pr, ipv4.MustParseAddr("10.255.2.2"), cfg)
 		if err != nil {
 			return 0, err
@@ -187,11 +187,11 @@ func AblationRetry() (AblationResult, error) {
 		}
 		return float64(collected) / 16, nil
 	}
-	base, err := run(probe.Options{Cache: true, Retries: 1})
+	base, err := run(probe.Options{Cache: true})
 	if err != nil {
 		return AblationResult{}, err
 	}
-	abl, err := run(probe.Options{Cache: true, NoRetry: true})
+	abl, err := run(probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -257,7 +257,7 @@ func EntryLimitation() (map[int]float64, error) {
 				return nil, err
 			}
 			pr := probe.New(port, port.LocalAddr(), probe.Options{
-				Cache: true, NoRetry: true, FlowID: uint16(run + 1),
+				Cache: true, Retry: &probe.RetryPolicy{}, FlowID: uint16(run + 1),
 			})
 			res, err := core.Trace(pr, ipv4.MustParseAddr("10.1.128.2"), core.Config{})
 			if err != nil {

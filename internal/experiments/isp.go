@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"tracenet/internal/core"
@@ -261,17 +260,6 @@ func (r *ISPResult) ispOf(a ipv4.Addr) string {
 		}
 	}
 	return ""
-}
-
-// PrefixBitsPresent lists the prefix lengths present in a Figure 9 result,
-// ascending.
-func PrefixBitsPresent(hist map[int]int) []int {
-	var bits []int
-	for b := range hist {
-		bits = append(bits, b)
-	}
-	sort.Ints(bits)
-	return bits
 }
 
 // Table3Row is one row of Table 3: subnets collected per probing protocol.

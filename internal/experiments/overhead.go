@@ -37,7 +37,7 @@ func Overhead() ([]OverheadPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true})
+		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 		res, err := core.Trace(pr, ipv4.MustParseAddr("10.9.255.2"), core.Config{})
 		if err != nil {
 			return nil, err
@@ -109,7 +109,7 @@ func lanCost(k int) (OverheadPoint, error) {
 	if err != nil {
 		return OverheadPoint{}, err
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true})
+	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 	res, err := core.Trace(pr, ipv4.MustParseAddr("10.255.2.2"), core.Config{})
 	if err != nil {
 		return OverheadPoint{}, err

@@ -35,8 +35,8 @@ func chaosRun(t *testing.T, r *topo.Research, plan *netsim.FaultPlan, opts probe
 		t.Fatal(err)
 	}
 	opts.Cache = true
-	if opts.Budget == 0 {
-		opts.Budget = chaosBudget
+	if opts.SharedBudget == nil {
+		opts.SharedBudget = probe.NewSharedBudget(chaosBudget)
 	}
 	pr := probe.New(port, port.LocalAddr(), opts)
 	sess := core.NewSession(pr, core.Config{})

@@ -68,7 +68,7 @@ func TestActivityMarkZeroAlloc(t *testing.T) {
 func TestProberMarksActivity(t *testing.T) {
 	var a Activity
 	tr := staticTransport{} // silent: every exchange completes with no reply
-	p := New(tr, addr("10.0.0.1"), Options{NoRetry: true, Activity: &a})
+	p := New(tr, addr("10.0.0.1"), Options{Retry: &RetryPolicy{}, Activity: &a})
 	for i := 0; i < 4; i++ {
 		if _, err := p.ProbeUncached(addr("10.0.2.3"), 3); err != nil {
 			t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 )
 
 // SharedBudget caps the number of packets a set of probers may put on the
-// wire collectively — the campaign-level analogue of Options.Budget, shared
-// across every worker of a parallel collection run. Reservation is atomic:
+// wire collectively — one prober, or every worker of a parallel collection
+// run. Reservation is atomic:
 // once the cap is reached every further spend attempt fails, no matter how
 // many probers race for the last packet, so the campaign can never overspend.
 //

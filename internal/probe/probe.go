@@ -211,10 +211,8 @@ var ErrBudgetExceeded = errors.New("probe: budget exceeded")
 // exhaustion (not recoverable).
 var ErrTransport = errors.New("probe: transport")
 
-// RetryPolicy is the consolidated retry configuration: how often a silent
-// probe is re-sent and how long the prober backs off between attempts. It
-// replaces the Options.Retries / Options.NoRetry pair, whose interplay was
-// undocumented at call sites (NoRetry silently overrode Retries).
+// RetryPolicy is the retry configuration: how often a silent probe is
+// re-sent and how long the prober backs off between attempts.
 type RetryPolicy struct {
 	// MaxRetries is how many times a silent logical probe is re-sent after
 	// its first attempt. 0 disables retrying.
@@ -273,21 +271,9 @@ func (p RetryPolicy) wait(attempt int, rng *rand.Rand) uint64 {
 type Options struct {
 	// Protocol selects ICMP (default), UDP, or TCP probes.
 	Protocol Protocol
-	// Retry is the consolidated retry policy. When nil, it is derived from
-	// the legacy Retries/NoRetry fields (default: one immediate retry, the
-	// paper's §3.8 behaviour). Setting Retry together with a non-zero
-	// legacy field is a configuration error.
+	// Retry is the retry policy. nil means one immediate retry, the paper's
+	// §3.8 behaviour; a zero RetryPolicy disables retrying.
 	Retry *RetryPolicy
-	// Retries is how many times a silent probe is re-sent. Default 1.
-	//
-	// Deprecated: use Retry. Kept for existing call sites; NoRetry wins
-	// over Retries when both are set (historical behaviour, now enforced
-	// in exactly one place: Options.retryPolicy).
-	Retries int
-	// NoRetry disables retrying entirely (Retries is ignored).
-	//
-	// Deprecated: use Retry (a zero RetryPolicy disables retrying).
-	NoRetry bool
 	// FlowID seeds the ICMP identifier / source port. Probes with the same
 	// FlowID hash to the same equal-cost path (Paris-style stability); a
 	// prober holds it constant for its lifetime.
@@ -295,11 +281,9 @@ type Options struct {
 	// VaryFlow makes every probe use a fresh flow identifier, reproducing
 	// classic (non-Paris) traceroute behaviour under load balancing.
 	VaryFlow bool
-	// Budget caps the number of packets sent (0 = unlimited).
-	Budget uint64
-	// SharedBudget caps packets across a set of probers (a campaign's
-	// workers); nil disables it. Checked before every wire send in addition
-	// to the per-prober Budget — whichever trips first stops the prober with
+	// SharedBudget caps the packets one prober, or a set of probers (a
+	// campaign's workers), may send; nil disables it. It is checked before
+	// every wire send, and once it is spent the prober stops with
 	// ErrBudgetExceeded. The budget is reserved atomically, so concurrent
 	// probers can never collectively overspend it.
 	SharedBudget *SharedBudget
@@ -332,29 +316,6 @@ type Options struct {
 	// opening raises an incident. nil disables instrumentation; the prober
 	// then pays only nil checks (see package telemetry).
 	Telemetry *telemetry.Telemetry
-}
-
-// retryPolicy resolves the consolidated retry policy from the new Retry
-// field and the two legacy knobs, validating the combination.
-func (o Options) retryPolicy() (RetryPolicy, error) {
-	if o.Retry != nil {
-		if o.NoRetry || o.Retries != 0 {
-			return RetryPolicy{}, errors.New(
-				"probe: Options.Retry conflicts with legacy Retries/NoRetry; set only one")
-		}
-		return *o.Retry, o.Retry.Validate()
-	}
-	if o.NoRetry {
-		return RetryPolicy{}, nil
-	}
-	r := o.Retries
-	if r == 0 {
-		r = 1
-	}
-	if r < 0 {
-		return RetryPolicy{}, fmt.Errorf("probe: Options.Retries %d < 0", o.Retries)
-	}
-	return RetryPolicy{MaxRetries: r}, nil
 }
 
 // Prober issues direct and indirect probes through a Transport.
@@ -430,13 +391,16 @@ type cacheKey struct {
 // probes.
 const DirectTTL = 64
 
-// New creates a prober sourcing probes from src. It panics on inconsistent
-// Options (conflicting retry knobs, out-of-range retry or breaker policy) —
-// these are programming errors at the call site, not runtime conditions.
+// New creates a prober sourcing probes from src. It panics on an
+// out-of-range retry or breaker policy — a programming error at the call
+// site, not a runtime condition.
 func New(tr Transport, src ipv4.Addr, opts Options) *Prober {
-	retry, err := opts.retryPolicy()
-	if err != nil {
-		panic(err)
+	retry := RetryPolicy{MaxRetries: 1}
+	if opts.Retry != nil {
+		if err := opts.Retry.Validate(); err != nil {
+			panic(err)
+		}
+		retry = *opts.Retry
 	}
 	if opts.FlowID == 0 {
 		opts.FlowID = 0x7a7a
@@ -583,9 +547,6 @@ func (p *Prober) probe(dst ipv4.Addr, ttl int, useCache bool) (Result, error) {
 	}
 	var res Result
 	for attempt := 0; ; attempt++ {
-		if p.opts.Budget > 0 && p.stats.Sent >= p.opts.Budget {
-			return Result{}, ErrBudgetExceeded
-		}
 		if !p.opts.SharedBudget.TrySpend(1) {
 			return Result{}, ErrBudgetExceeded
 		}

@@ -98,7 +98,7 @@ func TestTCPProbing(t *testing.T) {
 func TestRetryOnSilence(t *testing.T) {
 	// A 70%-loss network: a single-shot prober misses often, a retrying
 	// prober much less. With seed 1 we just verify retry accounting.
-	p, _ := newProber(t, netsim.Config{LossRate: 0.7, Seed: 1}, Options{Retries: 3})
+	p, _ := newProber(t, netsim.Config{LossRate: 0.7, Seed: 1}, Options{Retry: &RetryPolicy{MaxRetries: 3}})
 	var alive int
 	for i := 0; i < 50; i++ {
 		res, err := p.Direct(addr("10.0.2.3"))
@@ -121,7 +121,7 @@ func TestRetryOnSilence(t *testing.T) {
 }
 
 func TestNoRetry(t *testing.T) {
-	p, _ := newProber(t, netsim.Config{LossRate: 1, Seed: 1}, Options{NoRetry: true})
+	p, _ := newProber(t, netsim.Config{LossRate: 1, Seed: 1}, Options{Retry: &RetryPolicy{}})
 	if _, err := p.Direct(addr("10.0.2.3")); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestNoRetry(t *testing.T) {
 }
 
 func TestBudgetEnforced(t *testing.T) {
-	p, _ := newProber(t, netsim.Config{}, Options{Budget: 3, NoRetry: true})
+	p, _ := newProber(t, netsim.Config{}, Options{SharedBudget: NewSharedBudget(3), Retry: &RetryPolicy{}})
 	for i := 0; i < 3; i++ {
 		if _, err := p.Direct(addr("10.0.2.3")); err != nil {
 			t.Fatal(err)
@@ -172,7 +172,7 @@ func TestCacheDistinguishesTTL(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	p, _ := newProber(t, netsim.Config{}, Options{NoRetry: true})
+	p, _ := newProber(t, netsim.Config{}, Options{Retry: &RetryPolicy{}})
 	_, _ = p.Direct(addr("10.0.2.3"))   // answered
 	_, _ = p.Direct(addr("10.0.2.200")) // silent
 	st := p.Stats()
@@ -226,7 +226,7 @@ func TestSeqSurvivesUint16Wrap(t *testing.T) {
 		return pkt.ICMP.ID, pkt.ICMP.Seq
 	}
 
-	p, _ := newProber(t, netsim.Config{}, Options{Protocol: ICMP, VaryFlow: true, NoRetry: true})
+	p, _ := newProber(t, netsim.Config{}, Options{Protocol: ICMP, VaryFlow: true, Retry: &RetryPolicy{}})
 	const base = 1<<16 - 2
 	flowA, seqA := capture(p, base)
 	if got := p.seq; got != base+1 {
@@ -266,7 +266,7 @@ func TestClassifierRejectsForeignEcho(t *testing.T) {
 		out, _ := rep.Encode()
 		return out
 	}}
-	p := New(tr, src, Options{NoRetry: true})
+	p := New(tr, src, Options{Retry: &RetryPolicy{}})
 	res, err := p.Direct(dst)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestClassifierRejectsForeignQuote(t *testing.T) {
 		out, _ := rep.Encode()
 		return out
 	}}
-	p := New(tr, src, Options{NoRetry: true})
+	p := New(tr, src, Options{Retry: &RetryPolicy{}})
 	res, err := p.Probe(dst, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestClassifierRejectsForeignQuote(t *testing.T) {
 
 func TestClassifierToleratesGarbageReply(t *testing.T) {
 	tr := staticTransport{reply: func([]byte) []byte { return []byte{1, 2, 3} }}
-	p := New(tr, addr("10.0.0.1"), Options{NoRetry: true})
+	p := New(tr, addr("10.0.0.1"), Options{Retry: &RetryPolicy{}})
 	res, err := p.Direct(addr("10.0.2.3"))
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestLoggingTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	p := New(LoggingTransport{Inner: port, W: &buf}, port.LocalAddr(), Options{NoRetry: true})
+	p := New(LoggingTransport{Inner: port, W: &buf}, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	if _, err := p.Direct(addr("10.0.2.3")); err != nil {
 		t.Fatal(err)
 	}

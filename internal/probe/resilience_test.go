@@ -56,9 +56,7 @@ func TestRetryPolicyWaitJitterBounds(t *testing.T) {
 
 func TestOptionsRetryConflictPanics(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"retry+retries":    {Retry: &RetryPolicy{MaxRetries: 2}, Retries: 3},
-		"retry+noretry":    {Retry: &RetryPolicy{}, NoRetry: true},
-		"negative retries": {Retries: -2},
+		"negative retries": {Retry: &RetryPolicy{MaxRetries: -2}},
 		"bad breaker":      {Breaker: &BreakerConfig{Threshold: -1}},
 	} {
 		func() {
@@ -79,9 +77,7 @@ func TestOptionsLegacyRetryEquivalence(t *testing.T) {
 		want RetryPolicy
 	}{
 		{"default", Options{}, RetryPolicy{MaxRetries: 1}},
-		{"noretry", Options{NoRetry: true}, RetryPolicy{}},
-		{"legacy retries", Options{Retries: 3}, RetryPolicy{MaxRetries: 3}},
-		{"noretry wins", Options{NoRetry: true, Retries: 3}, RetryPolicy{}},
+		{"noretry", Options{Retry: &RetryPolicy{}}, RetryPolicy{}},
 		{"new policy", Options{Retry: &RetryPolicy{MaxRetries: 2, BackoffBase: 8}},
 			RetryPolicy{MaxRetries: 2, BackoffBase: 8}},
 	}
@@ -135,7 +131,7 @@ func TestBackoffDrivesTransportWait(t *testing.T) {
 func TestTransportErrorWrapped(t *testing.T) {
 	boom := errors.New("cable cut")
 	tr := errTransport{err: boom}
-	p := New(tr, addr("10.0.0.1"), Options{NoRetry: true})
+	p := New(tr, addr("10.0.0.1"), Options{Retry: &RetryPolicy{}})
 	_, err := p.Probe(addr("10.0.9.9"), 8)
 	if !errors.Is(err, ErrTransport) {
 		t.Errorf("error %v does not wrap ErrTransport", err)
@@ -153,7 +149,7 @@ func TestCorruptReplyCountedAsFault(t *testing.T) {
 	tr := staticTransport{reply: func(raw []byte) []byte {
 		return []byte{0xde, 0xad, 0xbe, 0xef}
 	}}
-	p := New(tr, addr("10.0.0.1"), Options{NoRetry: true})
+	p := New(tr, addr("10.0.0.1"), Options{Retry: &RetryPolicy{}})
 	res, err := p.Probe(addr("10.0.9.9"), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +190,7 @@ func (f *flakyZoneTransport) Exchange(raw []byte) ([]byte, error) {
 func TestBreakerOpensSkipsAndHalfOpens(t *testing.T) {
 	tr := &flakyZoneTransport{silentPrefix: 9}
 	p := New(tr, addr("10.0.0.1"), Options{
-		NoRetry: true,
+		Retry:   &RetryPolicy{},
 		Breaker: &BreakerConfig{Threshold: 3, Cooldown: 4, KeyBits: 24},
 	})
 	dst := addr("10.0.9.5")
@@ -240,7 +236,7 @@ func TestBreakerOpensSkipsAndHalfOpens(t *testing.T) {
 func TestBreakerClosesOnAnswerAndScopesZones(t *testing.T) {
 	tr := &flakyZoneTransport{silentPrefix: 9, reviveAfter: 3}
 	p := New(tr, addr("10.0.0.1"), Options{
-		NoRetry: true,
+		Retry:   &RetryPolicy{},
 		Breaker: &BreakerConfig{Threshold: 3, Cooldown: 2, KeyBits: 24},
 	})
 	// Trip the 10.0.9.0/24 zone.

@@ -63,7 +63,7 @@ func TestProberTelemetryMirrorsStats(t *testing.T) {
 }
 
 func TestProberFlightRecorderAndTrace(t *testing.T) {
-	p, tel, trace := newTelemetryProber(t, Options{NoRetry: true})
+	p, tel, trace := newTelemetryProber(t, Options{Retry: &RetryPolicy{}})
 	if _, err := p.Probe(addr("10.0.5.2"), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestProberFlightRecorderAndTrace(t *testing.T) {
 
 func TestBreakerOpenRaisesIncident(t *testing.T) {
 	p, tel, _ := newTelemetryProber(t, Options{
-		NoRetry: true,
+		Retry:   &RetryPolicy{},
 		Breaker: &BreakerConfig{Threshold: 2},
 	})
 	var dump strings.Builder
@@ -134,7 +134,7 @@ func TestLoggingTransportClassifiesOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A real echo reply, captured through the simulator.
-	p := New(port, port.LocalAddr(), Options{NoRetry: true})
+	p := New(port, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	if _, err := p.Direct(addr("10.0.2.3")); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLoggingTransportClassifiesOutcomes(t *testing.T) {
 	}
 	var buf strings.Builder
 	lt := LoggingTransport{Inner: script, W: &buf, Clock: n}
-	lp := New(lt, port.LocalAddr(), Options{NoRetry: true})
+	lp := New(lt, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	for i := 0; i < 3; i++ {
 		lp.Probe(addr("10.0.9.9"), 3)
 	}
@@ -172,7 +172,7 @@ func TestLoggingTransportLogsReplyTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	p := New(LoggingTransport{Inner: port, W: &buf}, port.LocalAddr(), Options{NoRetry: true})
+	p := New(LoggingTransport{Inner: port, W: &buf}, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	if _, err := p.Probe(addr("10.0.5.2"), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDisabledTelemetryOverheadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(port, port.LocalAddr(), Options{NoRetry: true})
+	p := New(port, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	probeBench := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Probe(addr("10.0.2.3"), 64); err != nil {

@@ -109,47 +109,6 @@ func Infer(obs []Observation, opts Options) []Subnet {
 	return out
 }
 
-// InferDefended is Infer hardened against lying responders: addresses
-// observed at inconsistent hop distances — the liar / alias-confuse symptom
-// in traceroute output, where one source is claimed at positions more than a
-// hop apart — are quarantined out of the input before inference and returned
-// (ascending) so the caller can report them. Honest multi-path observations
-// of one interface legitimately differ by one hop; a wider spread cannot be
-// one interface at one place in the topology.
-func InferDefended(obs []Observation, opts Options) ([]Subnet, []ipv4.Addr) {
-	minD := map[ipv4.Addr]int{}
-	maxD := map[ipv4.Addr]int{}
-	for _, o := range obs {
-		if lo, ok := minD[o.Addr]; !ok || o.Dist < lo {
-			minD[o.Addr] = o.Dist
-		}
-		if hi, ok := maxD[o.Addr]; !ok || o.Dist > hi {
-			maxD[o.Addr] = o.Dist
-		}
-	}
-	var quarantined []ipv4.Addr
-	for a := range minD {
-		if maxD[a]-minD[a] > 1 {
-			quarantined = append(quarantined, a)
-		}
-	}
-	if len(quarantined) == 0 {
-		return Infer(obs, opts), nil
-	}
-	sort.Slice(quarantined, func(i, j int) bool { return quarantined[i] < quarantined[j] })
-	bad := make(map[ipv4.Addr]bool, len(quarantined))
-	for _, a := range quarantined {
-		bad[a] = true
-	}
-	kept := make([]Observation, 0, len(obs))
-	for _, o := range obs {
-		if !bad[o.Addr] {
-			kept = append(kept, o)
-		}
-	}
-	return Infer(kept, opts), quarantined
-}
-
 // bestPrefix evaluates every candidate level around a and returns the
 // largest acceptable prefix (/32 when none is). Levels are independent: a
 // /31 that fails for lack of a mate does not preclude the /30 or /29 whose

@@ -235,7 +235,7 @@ func TestAnonymousHopBreaksAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true})
+	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 	res, err := core.Trace(pr, addr("10.0.5.2"), core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestAnonymousRouterResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, NoRetry: true})
+	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Retry: &probe.RetryPolicy{}})
 	// Two traces through the same anonymous router must merge into one
 	// placeholder per neighbour pair.
 	for _, dst := range []string{"10.0.5.2", "10.0.5.2"} {

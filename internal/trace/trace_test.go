@@ -72,7 +72,7 @@ func TestTracerouteAnonymousHop(t *testing.T) {
 			r.IndirectPolicy = netsim.PolicyNil
 		}
 	}
-	p := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	p := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	route, err := Run(p, addr("10.0.5.2"), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestTracerouteAnonymousHop(t *testing.T) {
 }
 
 func TestTracerouteGivesUpAfterGaps(t *testing.T) {
-	p := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{NoRetry: true})
+	p := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	// 172.16.0.1 has no route: every hop beyond the first is silent.
 	route, err := Run(p, addr("172.16.0.1"), Options{MaxConsecutiveGaps: 3})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestTracerouteMaxTTL(t *testing.T) {
 			h.DirectPolicy = netsim.PolicyNil
 		}
 	}
-	p := prober(t, top, netsim.Config{}, probe.Options{NoRetry: true})
+	p := prober(t, top, netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
 	route, err := Run(p, addr("10.9.255.2"), Options{MaxTTL: 5})
 	if err != nil {
 		t.Fatal(err)
