@@ -38,9 +38,12 @@
 //	                     still queued when it runs out are skipped
 //	-campaign-out file   write the campaign checkpoint (JSON) after the run:
 //	                     the resume journal, one row per completed target
+//	                     with its hop path
 //	-campaign-resume f   resume the campaign from its checkpoint: completed
-//	                     targets keep their journaled rows instead of being
-//	                     re-traced, and its subnets are never re-explored; a
+//	                     targets are rebuilt from their journaled paths
+//	                     instead of being re-traced, and the hop contexts
+//	                     those paths grew subnets at are not explored again,
+//	                     so the report equals an uninterrupted run's; a
 //	                     checkpoint naming other targets is refused
 //	-campaign-no-cache   disable the shared subnet cache (for comparisons)
 //	-spec file           run a tracenetd campaign spec (JSON, DESIGN.md §14)
@@ -58,14 +61,14 @@
 // Every run is a campaign: the campaign flags become a daemon.Spec, resolved
 // exactly as tracenetd resolves one, and collect.Run traces every
 // destination with its own session/prober pair. With more than one
-// destination (or a resume) the sessions share a subnet cache, so each hop
-// context is explored once; a lone destination runs without it and costs
-// what one trace costs. The output is, in order: the banner, any resume and
-// progress lines, the hop listing of every traced destination in input
-// order, the merged campaign report, the -subnets inventory, the probe and
-// resilience totals summed over every prober the campaign dialed, the fault
-// and defense lines, and the evaluation. All of it is byte-identical
-// whatever -parallel is.
+// destination the sessions share a subnet cache, so each hop context is
+// explored once; a lone destination runs without it and costs what one
+// trace costs. The output is, in order: the banner, any resume and progress
+// lines, the hop listing of every traced or resumed destination in input
+// order, the merged campaign report, the run's wire-probe and cache line,
+// the -subnets inventory, the probe and resilience totals summed over every
+// prober the campaign dialed, the fault and defense lines, and the
+// evaluation. All of it is byte-identical whatever -parallel is.
 //
 // Ground-truth evaluation (see DESIGN.md §10):
 //
@@ -90,8 +93,7 @@
 //	                     (load in chrome://tracing or Perfetto)
 //	-flight-recorder f   arm automatic flight-recorder dumps into f: every
 //	                     incident (breaker open, degraded subnet) appends the
-//	                     recent probe history
-//	-flight-size n       flight recorder capacity in events (default 256)
+//	                     recent probe history (the last 256 events)
 //	-cpuprofile file     write a pprof CPU profile of the run
 //	-memprofile file     write a pprof heap profile at exit
 //
@@ -170,7 +172,6 @@ type options struct {
 	metricsOut string // metric registry exposition file (.json selects JSON)
 	traceOut   string // Chrome trace-event JSON file
 	flightOut  string // incident dump file; arms the flight recorder
-	flightSize int    // flight recorder capacity in events
 	cpuProfile string // pprof CPU profile file
 	memProfile string // pprof heap profile file
 
@@ -261,7 +262,6 @@ func main() {
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write metrics here at exit (Prometheus text, or JSON for .json paths)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of the run's spans")
 	flag.StringVar(&o.flightOut, "flight-recorder", "", "dump the flight recorder into this file on every incident")
-	flag.IntVar(&o.flightSize, "flight-size", telemetry.DefaultFlightRecorderSize, "flight recorder capacity in events")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this file")
 	flag.StringVar(&o.serve, "serve", "", "serve the observability plane over HTTP on this address (\":0\" picks a port)")
@@ -325,11 +325,7 @@ func run(w io.Writer, o options) error {
 	var traceFile, flightFile *os.File
 	if o.telemetryEnabled() {
 		tel = telemetry.New(net)
-		size := o.flightSize
-		if size <= 0 {
-			size = telemetry.DefaultFlightRecorderSize
-		}
-		tel.Recorder = telemetry.NewFlightRecorder(size)
+		tel.Recorder = telemetry.NewFlightRecorder(telemetry.DefaultFlightRecorderSize)
 		if o.traceOut != "" {
 			traceFile, err = os.Create(o.traceOut)
 			if err != nil {
@@ -398,11 +394,14 @@ func run(w io.Writer, o options) error {
 	if o.serve != "" {
 		srv = obs.NewServer(tel, lg)
 		prog = collect.NewProgress()
-		wd := collect.NewWatchdog(prog, tel, o.stallWindow)
-		srv.AddCampaign("campaign", prog)
-		srv.AddCheck(obs.BudgetCheck(prog))
-		srv.AddCheck(obs.BreakerStormCheck(prog, 0))
-		srv.AddCheck(obs.StallCheck(wd, net))
+		campaigns := []obs.CampaignEntry{{Name: "campaign", Prog: prog}}
+		checks := []obs.Check{
+			obs.BudgetCheck(prog),
+			obs.BreakerStormCheck(prog, 0),
+			obs.StallCheck(collect.NewWatchdog(prog, tel, o.stallWindow, ""), net),
+		}
+		srv.AddCampaignSource(func() []obs.CampaignEntry { return campaigns })
+		srv.AddCheckSource(func() []obs.Check { return checks })
 		addr, err := srv.Start(o.serve)
 		if err != nil {
 			return err
@@ -498,7 +497,7 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 	for _, t := range rep.Targets {
 		res := t.Result
 		if res == nil {
-			continue // resumed or skipped
+			continue // skipped
 		}
 		fmt.Fprint(w, res)
 		recovered += res.Recovered
@@ -509,6 +508,14 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 	if _, err := rep.WriteTo(w); err != nil {
 		return err
 	}
+	// Run accounting: what this run put on the wire, which a resume does not
+	// repeat for the targets its checkpoint journaled.
+	fmt.Fprintf(w, "\nwire probes %d", rep.Stats.WireProbes)
+	if rep.Stats.CacheMisses > 0 || rep.Stats.CacheHits > 0 {
+		fmt.Fprintf(w, ", cache hits %d, misses %d, probes saved %d",
+			rep.Stats.CacheHits, rep.Stats.CacheMisses, rep.Stats.ProbesSaved)
+	}
+	fmt.Fprintln(w)
 	if o.subnets {
 		fmt.Fprintf(w, "\ncollected subnets (%d):\n", len(rep.Subnets()))
 		for _, s := range rep.Subnets() {

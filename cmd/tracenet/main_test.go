@@ -371,6 +371,7 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	if !strings.Contains(b.String(), "campaign checkpoint written to") {
 		t.Fatalf("no checkpoint confirmation:\n%s", b.String())
 	}
+	traced := b.String()
 
 	b.Reset()
 	o = options{topo: "figure3", proto: "icmp", maxTTL: 30, seed: 1, parallel: 2, campaignResume: cp}
@@ -383,6 +384,15 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	}
 	if !strings.Contains(out, "wire probes 0") {
 		t.Errorf("fully-resumed campaign probed anyway:\n%s", out)
+	}
+	// The hop listing and the report render from the journaled path exactly
+	// as from the trace; only the run accounting after them differs.
+	collected := func(s string) string {
+		s = s[strings.Index(s, "tracenet to "):]
+		return s[:strings.Index(s, "\nwire probes")]
+	}
+	if got, want := collected(out), collected(traced); got != want {
+		t.Errorf("resumed run renders:\n%s\ntraced run rendered:\n%s", got, want)
 	}
 }
 

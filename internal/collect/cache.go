@@ -30,19 +30,14 @@ type cacheEntry struct {
 }
 
 // Cache is the campaign's shared subnet cache: a concurrency-safe,
-// single-flight memo of subnet explorations keyed by hop context, plus an
-// immutable member-address tier seeded from a resumed checkpoint.
+// single-flight memo of subnet explorations keyed by hop context. A resumed
+// campaign seeds it with the contexts its checkpoint's rows grew subnets at.
 //
 // Determinism: every cache decision is a pure function of the hop context —
-// the frozen tier never changes during the run, and the context memo runs
-// each distinct context's growth exactly once — so campaign-wide probe
-// totals and the merged topology are independent of worker count and
-// scheduling.
+// the memo runs each distinct context's growth exactly once, or serves the
+// journaled growth of that context — so campaign-wide probe totals and the
+// merged topology are independent of worker count, scheduling and resume.
 type Cache struct {
-	// frozen maps member addresses of checkpoint-restored subnets to their
-	// subnet. Built once before workers start; never mutated afterwards.
-	frozen map[ipv4.Addr]*core.Subnet
-
 	mu      sync.Mutex
 	entries map[hopContext]*cacheEntry
 
@@ -53,35 +48,35 @@ type Cache struct {
 
 // NewCache creates an empty shared subnet cache.
 func NewCache() *Cache {
-	return &Cache{
-		frozen:  make(map[ipv4.Addr]*core.Subnet),
-		entries: make(map[hopContext]*cacheEntry),
-	}
+	return &Cache{entries: make(map[hopContext]*cacheEntry)}
 }
 
-// Freeze seeds the immutable member tier with checkpoint-restored subnets.
-// Must be called before any worker starts; the first subnet listing an
-// address wins, so seeding order is the caller's (deterministic) order.
-func (c *Cache) Freeze(subs []*core.Subnet) {
-	for _, sub := range subs {
-		for _, a := range sub.Addrs {
-			if _, dup := c.frozen[a]; !dup {
-				c.frozen[a] = sub
+// seed installs a finished memo entry for every hop context a journaled
+// row's trace grew or adopted a subnet at: pivot v the hop's address, u the
+// previous hop's (zero after an anonymous hop or at the first), d its TTL.
+// A revisited hop never consulted the memo, so seeding it would serve a
+// subnet the uninterrupted run grows afresh at that context; a context that
+// grew no subnet is grown again. Must be called before any worker starts;
+// the first row to journal a context wins.
+func (c *Cache) seed(res *core.Result) {
+	ready := make(chan struct{})
+	close(ready)
+	var u ipv4.Addr
+	for _, h := range res.Hops {
+		if h.Subnet != nil && !h.Revisited {
+			key := hopContext{v: h.Addr, u: u, d: h.TTL}
+			if _, dup := c.entries[key]; !dup {
+				c.entries[key] = &cacheEntry{ready: ready, g: core.Growth{Subnet: h.Subnet, Cost: h.Subnet.Probes}}
 			}
 		}
+		u = h.Addr
 	}
 }
 
 // ExploreHop implements core.SharedSubnetCache: serve the hop context from
-// the frozen tier or the context memo — running grow exactly once per
-// distinct context across all concurrent callers.
+// the memo, running grow exactly once per distinct context across all
+// concurrent callers.
 func (c *Cache) ExploreHop(v, u ipv4.Addr, d int, grow func() (core.Growth, error)) (core.Growth, bool, error) {
-	if sub, ok := c.frozen[v]; ok {
-		g := core.Growth{Subnet: sub, Cost: sub.Probes}
-		c.recordHit(g)
-		return g, true, nil
-	}
-
 	key := hopContext{v: v, u: u, d: d}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"tracenet/internal/collect"
 	"tracenet/internal/core"
+	"tracenet/internal/daemon"
+	"tracenet/internal/groundtruth"
 	"tracenet/internal/ipv4"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
@@ -83,8 +86,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got.Status != collect.StatusResumed {
 		t.Fatalf("checkpointed target status %s, want resumed", got.Status)
 	}
-	if got.Reached != done.Reached || got.Hops != done.Hops || got.Subnets != done.Subnets || got.TraceProbes != done.TraceProbes {
-		t.Errorf("restored row %+v, want the traced row %+v", got, done)
+	if got.Result.String() != done.Result.String() || got.Result.TraceProbes != done.Result.TraceProbes ||
+		fmt.Sprint(got.Result.Subnets) != fmt.Sprint(done.Result.Subnets) {
+		t.Errorf("restored row:\n%s%v\nwant the traced row:\n%s%v",
+			got.Result, got.Result.Subnets, done.Result, done.Result.Subnets)
 	}
 	if st := resumed.Targets[1].Status; st != collect.StatusDone {
 		t.Errorf("untraced target status %s, want done", st)
@@ -107,7 +112,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Resume saves probes: the restored subnets seed the frozen tier, so the
+	// Resume saves probes: the journaled hop contexts seed the cache, so the
 	// remaining target costs less than it does in a fresh campaign.
 	fresh := runOrFatal(t, context.Background(), figure3Campaign("10.0.3.1"))
 	if resumed.Stats.WireProbes >= fresh.Stats.WireProbes {
@@ -115,15 +120,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			resumed.Stats.WireProbes, fresh.Stats.WireProbes)
 	}
 	if resumed.Stats.ProbesSaved == 0 {
-		t.Error("frozen tier saved no probes for the remaining target")
+		t.Error("journaled hop contexts saved no probes for the remaining target")
 	}
 }
 
-// TestResumeOneTarget: a campaign of one that resumes a checkpoint still
-// builds the shared cache. A journaled target is restored without probing;
-// an unjournaled one is served from the checkpoint's subnets.
+// TestResumeOneTarget: a campaign of one builds no shared cache, resumed or
+// not. A journaled target is restored without probing; an unjournaled one
+// is traced as a lone trace, whatever subnets the checkpoint lists.
 func TestResumeOneTarget(t *testing.T) {
-	cp := roundTrip(t, runOrFatal(t, context.Background(), figure3Campaign("10.0.5.2")).Checkpoint())
+	first := runOrFatal(t, context.Background(), figure3Campaign("10.0.5.2"))
+	cp := roundTrip(t, first.Checkpoint())
 
 	cfg := figure3Campaign("10.0.5.2")
 	cfg.Resume = cp
@@ -131,16 +137,25 @@ func TestResumeOneTarget(t *testing.T) {
 	if restored.Stats.Resumed != 1 || restored.Stats.WireProbes != 0 {
 		t.Errorf("journaled target: stats %+v, want it resumed with no wire probes", restored.Stats)
 	}
+	var want, got bytes.Buffer
+	if _, err := first.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("restored report differs from the traced one:\n--- traced\n%s--- restored\n%s", want.String(), got.String())
+	}
 
 	// Drop the row, as for a target the journal never recorded done.
 	cp.Rows = nil
 	cfg = figure3Campaign("10.0.3.1")
 	cfg.Resume = cp
-	served := runOrFatal(t, context.Background(), cfg)
+	traced := runOrFatal(t, context.Background(), cfg)
 	fresh := runOrFatal(t, context.Background(), figure3Campaign("10.0.3.1"))
-	if served.Stats.Done != 1 || served.Stats.ProbesSaved == 0 || served.Stats.WireProbes >= fresh.Stats.WireProbes {
-		t.Errorf("unjournaled target: stats %+v, want it traced with checkpoint subnets saving probes (fresh run spent %d)",
-			served.Stats, fresh.Stats.WireProbes)
+	if traced.Stats != fresh.Stats {
+		t.Errorf("unjournaled target: stats %+v, want a fresh run's %+v", traced.Stats, fresh.Stats)
 	}
 }
 
@@ -164,7 +179,7 @@ func TestCheckpointMidCampaignResume(t *testing.T) {
 	if second.Stats.Resumed != 1 || second.Stats.Done != 1 {
 		t.Fatalf("resumed campaign stats %+v, want 1 resumed and 1 done", second.Stats)
 	}
-	assertSameSubnets(t, second.Map, full.Map)
+	assertSameMap(t, second.Map, full.Map)
 }
 
 // TestCheckpointRestoreTelemetry: resumed state is visible in telemetry —
@@ -188,59 +203,83 @@ func TestCheckpointRestoreTelemetry(t *testing.T) {
 	}
 }
 
-// TestResumeRowsEqualUninterrupted pins the composed resume property: a
-// clean campaign cancelled after k targets and resumed from its checkpoint
-// ends with the same per-target rows — and the same checkpoint bytes — as
-// an uninterrupted run, at any worker count. The daemon's report is
-// rendered from these rows.
-func TestResumeRowsEqualUninterrupted(t *testing.T) {
-	const k = 5
-	full, _, _ := runCampaign(t, 1, nil)
-	var want bytes.Buffer
-	if err := collect.WriteCheckpoint(&want, full.Checkpoint()); err != nil {
-		t.Fatal(err)
+// TestResumeEqualsUninterrupted is the exact-resume property: a clean
+// campaign cut after k finished targets and resumed from its round-tripped
+// checkpoint renders everything the uninterrupted run renders — the report,
+// the checkpoint bytes and the eval document — and the cut and resumed runs
+// together put exactly the uninterrupted run's wire probes on the wire, at
+// any worker count.
+func TestResumeEqualsUninterrupted(t *testing.T) {
+	type outcome struct {
+		rep                        *collect.Report
+		report, checkpoint, scored string
 	}
-
-	for _, parallel := range []int{1, 4} {
-		cfg := newCampaignNet(t)
-		cfg.Parallel = parallel
-		ctx, cancel := context.WithCancel(context.Background())
-		var done atomic.Int64
-		cfg.OnTargetDone = func(collect.TargetResult) {
-			if done.Add(1) == k {
-				cancel()
-			}
-		}
-		cut := runOrFatal(t, ctx, cfg)
-		cancel()
-		if cut.Stats.Done < k || cut.Stats.Done >= cut.Stats.Targets {
-			t.Fatalf("parallel=%d: interrupted campaign completed %d of %d targets, want [%d, %d)",
-				parallel, cut.Stats.Done, cut.Stats.Targets, k, cut.Stats.Targets)
-		}
-
-		resumed, _, _ := runCampaign(t, parallel, func(cfg *collect.Config) {
-			cfg.Resume = roundTrip(t, cut.Checkpoint())
-		})
-		if resumed.Stats.Resumed != cut.Stats.Done {
-			t.Errorf("parallel=%d: resumed %d targets, checkpoint journaled %d", parallel, resumed.Stats.Resumed, cut.Stats.Done)
-		}
-		for i := range full.Targets {
-			w, g := full.Targets[i], resumed.Targets[i]
-			if g.Status != collect.StatusDone && g.Status != collect.StatusResumed {
-				t.Errorf("parallel=%d: %v ended %s", parallel, g.Dst, g.Status)
-			}
-			if g.Dst != w.Dst || g.Reached != w.Reached || g.Hops != w.Hops ||
-				g.Subnets != w.Subnets || g.TraceProbes != w.TraceProbes {
-				t.Errorf("parallel=%d: row %d = %+v, uninterrupted %+v", parallel, i, g, w)
-			}
-		}
-		var got bytes.Buffer
-		if err := collect.WriteCheckpoint(&got, resumed.Checkpoint()); err != nil {
+	// run resolves a fresh campaign for seed and runs it, cancelled once
+	// cut targets have finished (0 = never) and resumed from resume.
+	run := func(t *testing.T, seed int64, parallel, cut int, resume *collect.Checkpoint) outcome {
+		t.Helper()
+		c, err := (&daemon.Spec{Topology: "random", Seed: seed, Parallel: parallel}).Resolve("")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got.String() != want.String() {
-			t.Errorf("parallel=%d: resumed checkpoint differs from the uninterrupted run's:\n--- uninterrupted\n%s--- resumed\n%s",
-				parallel, want.String(), got.String())
+		cfg := c.Config
+		cfg.Resume = resume
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if cut > 0 {
+			var done atomic.Int64
+			cfg.OnTargetDone = func(collect.TargetResult) {
+				if done.Add(1) == int64(cut) {
+					cancel()
+				}
+			}
+		}
+		rep := runOrFatal(t, ctx, cfg)
+		var report, cp, eval bytes.Buffer
+		if _, err := rep.WriteTo(&report); err != nil {
+			t.Fatal(err)
+		}
+		if err := collect.WriteCheckpoint(&cp, rep.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		truth := groundtruth.FromTopology(c.Scenario.Topo, groundtruth.Options{})
+		if err := truth.Score(groundtruth.FromCoreSubnets(rep.Subnets())).WriteJSON(&eval); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{rep, report.String(), cp.String(), eval.String()}
+	}
+
+	for seed := int64(1); seed <= 12; seed++ {
+		full := run(t, seed, 1, 0, nil)
+		for _, parallel := range []int{1, 4} {
+			for _, k := range []int{1, 5, 20} {
+				t.Run(fmt.Sprintf("seed%d/p%d/k%d", seed, parallel, k), func(t *testing.T) {
+					cut := run(t, seed, parallel, k, nil)
+					if n := cut.rep.Stats.Done; n < min(k, full.rep.Stats.Targets) {
+						t.Fatalf("cut campaign finished %d targets, want at least %d", n, k)
+					}
+					resumed := run(t, seed, parallel, 0, roundTrip(t, cut.rep.Checkpoint()))
+					if resumed.rep.Stats.Resumed != cut.rep.Stats.Done {
+						t.Errorf("resumed %d targets, the checkpoint journaled %d", resumed.rep.Stats.Resumed, cut.rep.Stats.Done)
+					}
+					if resumed.report != full.report {
+						t.Errorf("resumed report differs from the uninterrupted run's:\n--- uninterrupted\n%s--- resumed\n%s",
+							full.report, resumed.report)
+					}
+					if resumed.checkpoint != full.checkpoint {
+						t.Errorf("resumed checkpoint differs from the uninterrupted run's:\n--- uninterrupted\n%s--- resumed\n%s",
+							full.checkpoint, resumed.checkpoint)
+					}
+					if resumed.scored != full.scored {
+						t.Errorf("resumed eval differs from the uninterrupted run's:\n--- uninterrupted\n%s--- resumed\n%s",
+							full.scored, resumed.scored)
+					}
+					if got, want := cut.rep.Stats.WireProbes+resumed.rep.Stats.WireProbes, full.rep.Stats.WireProbes; got != want {
+						t.Errorf("cut + resumed runs sent %d + %d = %d wire probes, the uninterrupted run %d",
+							cut.rep.Stats.WireProbes, resumed.rep.Stats.WireProbes, got, want)
+					}
+				})
+			}
 		}
 	}
 }
@@ -281,30 +320,28 @@ func TestCheckpointMismatch(t *testing.T) {
 }
 
 // TestResumeRejectsBadCheckpoint: every malformed checkpoint fails the
-// resume — at decode time for bad JSON and the retired v1 schema, at
-// collect.Run for subnets or rows that do not validate.
+// resume — at decode time for bad JSON and the retired v1 and v2 schemas,
+// and both at decode time and at collect.Run for subnets, rows or paths
+// that do not validate.
 func TestResumeRejectsBadCheckpoint(t *testing.T) {
 	if _, err := collect.ReadCheckpoint(strings.NewReader("{not json")); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	v1 := `{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"], "subnets": []}`
-	if _, err := collect.ReadCheckpoint(strings.NewReader(v1)); err == nil ||
-		!strings.Contains(err.Error(), "checkpoint version 1, want 2") {
-		t.Errorf("v1 checkpoint: err = %v, want the version error", err)
+	for _, old := range retiredCheckpoints {
+		if _, err := collect.ReadCheckpoint(strings.NewReader(old)); err == nil ||
+			!strings.Contains(err.Error(), "want 3") {
+			t.Errorf("%s: err = %v, want the version error", old, err)
+		}
 	}
 
-	sub := func(cs core.CheckpointSubnet) *collect.Checkpoint {
-		return &collect.Checkpoint{Version: collect.CheckpointVersion, Subnets: []core.CheckpointSubnet{cs}}
-	}
-	for name, cp := range map[string]*collect.Checkpoint{
-		"bad prefix":            sub(core.CheckpointSubnet{Prefix: "nope", Pivot: "10.0.0.1"}),
-		"bad pivot":             sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "x"}),
-		"member outside prefix": sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Addrs: []string{"10.9.0.1"}}),
-		"confidence above one":  sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Confidence: 1.5}),
-		"negative confidence":   sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Confidence: -0.1}),
-		"bad row":               {Version: collect.CheckpointVersion, Rows: []collect.CheckpointRow{{Dst: "not-an-ip"}}},
-		"wrong version":         {Version: 1},
-	} {
+	for name, cp := range badCheckpoints() {
+		var buf bytes.Buffer
+		if err := collect.WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := collect.ReadCheckpoint(&buf); err == nil {
+			t.Errorf("%s: ReadCheckpoint accepted it", name)
+		}
 		cfg := figure3Campaign("10.0.5.2")
 		cfg.Resume = cp
 		if _, err := collect.Run(context.Background(), cfg); err == nil {
@@ -313,11 +350,52 @@ func TestResumeRejectsBadCheckpoint(t *testing.T) {
 	}
 }
 
+// retiredCheckpoints are checkpoints in the v1 and v2 schemas.
+var retiredCheckpoints = []string{
+	`{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"], "subnets": []}`,
+	`{"version": 2, "rows": [{"dst": "10.0.5.2", "reached": true, "hops": 4, "subnets": 3}]}`,
+}
+
+// badCheckpoints returns checkpoints that decode but do not validate, by the
+// fault each one carries.
+func badCheckpoints() map[string]*collect.Checkpoint {
+	sub := func(cs core.CheckpointSubnet) *collect.Checkpoint {
+		return &collect.Checkpoint{Version: collect.CheckpointVersion, Subnets: []core.CheckpointSubnet{cs}}
+	}
+	path := func(rows ...collect.CheckpointRow) *collect.Checkpoint {
+		return &collect.Checkpoint{Version: collect.CheckpointVersion, Rows: rows,
+			Subnets: []core.CheckpointSubnet{{Prefix: "10.0.1.0/30", Pivot: "10.0.1.2", Addrs: []string{"10.0.1.1", "10.0.1.2"}}}}
+	}
+	hop := collect.CheckpointRow{Dst: "10.0.5.2", Addrs: []uint32{uint32(ipv4.MustParseAddr("10.0.1.2"))}, Subnets: []int32{0}, Marks: []uint16{2}}
+	withSubnet := func(i int32) collect.CheckpointRow { r := hop; r.Subnets = []int32{i}; return r }
+	withMarks := func(m uint16) collect.CheckpointRow { r := hop; r.Marks = []uint16{m}; return r }
+	short := hop
+	short.Marks = nil
+	return map[string]*collect.Checkpoint{
+		"bad prefix":            sub(core.CheckpointSubnet{Prefix: "nope", Pivot: "10.0.0.1"}),
+		"bad pivot":             sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "x"}),
+		"member outside prefix": sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Addrs: []string{"10.9.0.1"}}),
+		"confidence above one":  sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Confidence: 1.5}),
+		"negative confidence":   sub(core.CheckpointSubnet{Prefix: "10.0.0.0/30", Pivot: "10.0.0.1", Confidence: -0.1}),
+		"bad row":               {Version: collect.CheckpointVersion, Rows: []collect.CheckpointRow{{Dst: "not-an-ip"}}},
+		"duplicate row":         path(hop, hop),
+		"subnet index past end": path(withSubnet(1)),
+		"negative subnet index": path(withSubnet(-2)),
+		"unknown kind":          path(withMarks(6)),
+		"unknown mark bit":      path(withMarks(0x20)),
+		"ragged path":           path(short),
+		"wrong version":         {Version: 1},
+	}
+}
+
 // TestResumeLegacyConfidence: subnets checkpointed without a confidence key
 // resume with confidence 1, so no resumed report carries a subnet outside
 // the documented (0,1] range.
 func TestResumeLegacyConfidence(t *testing.T) {
-	cp, err := collect.ReadCheckpoint(strings.NewReader(`{"version": 2, "subnets": [
+	// The row's two hops are 10.0.1.2 and 10.0.2.0, answering ttl-exceeded.
+	cp, err := collect.ReadCheckpoint(strings.NewReader(`{"version": 3, "rows": [
+		{"dst": "10.0.5.2", "path_addrs": [167772418, 167772672], "path_subnets": [0, 1], "path_marks": [2, 2]}
+	], "subnets": [
 		{"prefix": "10.0.1.0/30", "addrs": ["10.0.1.1", "10.0.1.2"], "pivot": "10.0.1.2", "pivot_dist": 1},
 		{"prefix": "10.0.2.0/31", "addrs": ["10.0.2.0", "10.0.2.1"], "pivot": "10.0.2.0", "pivot_dist": 2, "confidence": 0.75, "degraded": true}
 	]}`))

@@ -62,7 +62,7 @@ type Config struct {
 	// DisableCache runs the campaign without the shared subnet cache —
 	// every target re-explores its whole path (the ablation baseline the
 	// probes-saved accounting is measured against). A campaign of one
-	// target that resumes no checkpoint never builds the cache.
+	// target never builds the cache.
 	DisableCache bool
 
 	// Session configures each per-target session. Its Shared field is
@@ -99,11 +99,13 @@ type Config struct {
 	OnTargetDone func(TargetResult)
 
 	// Resume seeds the campaign from its own checkpoint: journaled targets
-	// are not re-traced — their rows are restored into the report as
-	// StatusResumed results — and the checkpoint's subnets pre-populate the
-	// cache's frozen member tier so their address space is never
-	// re-explored. A checkpoint from another campaign fails the run with
-	// ErrCheckpointMismatch.
+	// are not re-traced — each row is rebuilt from its journaled hop path
+	// into a StatusResumed result that the report merges like a traced row —
+	// and the hop contexts those paths grew subnets at are served from the
+	// shared cache. On a clean substrate the resumed campaign's report,
+	// checkpoint and wire-probe total (summed with the interrupted run's)
+	// equal the uninterrupted run's. A checkpoint from another campaign
+	// fails the run with ErrCheckpointMismatch.
 	Resume *Checkpoint
 }
 
@@ -119,7 +121,8 @@ const (
 	// NOT recorded done; a resume (fresh breaker) retries it.
 	StatusBreaker TargetStatus = "breaker"
 	// StatusResumed: the checkpoint already contained this target; the row
-	// carries the outcome it journaled.
+	// carries the Result it journaled, and the report renders it as the done
+	// row it was.
 	StatusResumed TargetStatus = "resumed"
 	// StatusBudget: the campaign budget ran out mid-trace; partial result.
 	StatusBudget TargetStatus = "budget"
@@ -129,23 +132,20 @@ const (
 	StatusFailed TargetStatus = "failed"
 )
 
-// TargetResult is one target's row in the campaign report. Only
-// schedule-independent fields are rendered; the full Result carries
-// schedule-dependent detail (probe phase splits, shared-hop marks) for
-// programmatic consumers that know the caveats.
+// TargetResult is one target's row in the campaign report. The report
+// renders only the Result's schedule-independent fields (Reached, the hop
+// and subnet counts, TraceProbes); the rest carries schedule-dependent
+// detail (probe phase splits, shared-hop marks) for programmatic consumers
+// that know the caveats.
 type TargetResult struct {
 	Dst    ipv4.Addr
 	Status TargetStatus
 	// Note carries the skip reason or abort error text.
-	Note    string
-	Reached bool
-	Hops    int
-	// Subnets is the number of distinct subnets observed on this trace.
-	Subnets int
-	// TraceProbes is the trace-collection phase's packet count — a pure
-	// function of the target on a deterministic substrate.
-	TraceProbes uint64
-	// Result is the full per-target session result (nil when not traced).
+	Note string
+	// Result is the per-target session result (nil when not traced). A
+	// resumed row carries the one rebuilt from its journaled path, whose
+	// counts of work the resumed run did not do — PositionProbes,
+	// ExploreProbes, DefenseProbes, Recovered, Quarantined — are zero.
 	Result *core.Result
 }
 
@@ -169,6 +169,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		parallel = len(cfg.Targets)
 	}
 
+	journaled, err := cfg.journal()
+	if err != nil {
+		return nil, err
+	}
 	c := &campaign{
 		cfg:    cfg,
 		tel:    cfg.Telemetry,
@@ -177,28 +181,23 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	// A stop set only saves probes across traces: one trace never repeats a
 	// hop context, so for a lone target the cache would only add the
-	// re-probes ClearCache forces before each owned growth. A resume still
-	// builds it, to serve the checkpoint's subnets.
-	if !cfg.DisableCache && (len(cfg.Targets) > 1 || cfg.Resume != nil) {
+	// re-probes ClearCache forces before each owned growth.
+	if !cfg.DisableCache && len(cfg.Targets) > 1 {
 		c.cache = NewCache()
 	}
-	var journaled map[ipv4.Addr]*CheckpointRow
-	if cfg.Resume != nil {
-		frozen, rows, err := cfg.Resume.restore(&cfg)
-		if err != nil {
-			return nil, err
+	results := make([]TargetResult, len(cfg.Targets))
+	for idx, dst := range cfg.Targets {
+		if res := journaled[dst]; res != nil {
+			results[idx] = TargetResult{Dst: dst, Status: StatusResumed, Result: res}
+			if c.cache != nil {
+				c.cache.seed(res)
+			}
 		}
-		if c.cache != nil {
-			c.cache.Freeze(frozen)
-		}
-		c.frozen = frozen
-		journaled = rows
 	}
 	c.bindTelemetry()
 	c.prog.start(cfg.ID, len(cfg.Targets), parallel, c.budget, c.cache)
 
 	start := c.tel.Ticks()
-	results := make([]TargetResult, len(cfg.Targets))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -214,16 +213,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}(w)
 	}
 	for idx := range cfg.Targets {
-		if row := journaled[cfg.Targets[idx]]; row != nil {
-			results[idx] = TargetResult{
-				Dst:         cfg.Targets[idx],
-				Status:      StatusResumed,
-				Note:        "completed in checkpoint",
-				Reached:     row.Reached,
-				Hops:        row.Hops,
-				Subnets:     row.Subnets,
-				TraceProbes: row.TraceProbes,
-			}
+		if results[idx].Status == StatusResumed {
 			c.prog.targetDone(results[idx])
 			if cfg.OnTargetDone != nil {
 				cfg.OnTargetDone(results[idx])
@@ -255,10 +245,6 @@ type campaign struct {
 	budget *probe.SharedBudget
 	cache  *Cache    // nil when the shared cache is disabled
 	prog   *Progress // nil when no one is watching; all methods nil-safe
-
-	// frozen carries the restored checkpoint subnets into the merged report
-	// and the next checkpoint.
-	frozen []*core.Subnet
 
 	wireProbes atomic.Uint64
 
@@ -357,12 +343,6 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 	c.prog.addBreakerTrips(st.BreakerOpens)
 
 	out.Result = res
-	if res != nil {
-		out.Reached = res.Reached
-		out.Hops = len(res.Hops)
-		out.Subnets = len(res.Subnets)
-		out.TraceProbes = res.TraceProbes
-	}
 	switch {
 	case err == nil && res != nil && res.BreakerLimited:
 		out.Status = StatusBreaker
@@ -408,7 +388,7 @@ func (c *campaign) buildReport(results []TargetResult) *Report {
 		rep.Stats.CacheMisses = c.cache.Misses()
 		rep.Stats.ProbesSaved = c.cache.ProbesSaved()
 	}
-	rep.merge(c.frozen)
+	rep.merge()
 	return rep
 }
 

@@ -183,8 +183,8 @@ func TestCampaignCancellation(t *testing.T) {
 }
 
 // TestCampaignCheckpointResume: a resumed campaign restores completed
-// targets instead of re-tracing them, preserves the checkpointed subnets in
-// its merged topology, and a re-checkpoint carries everything forward.
+// targets instead of re-tracing them, merges their journaled paths into the
+// same topology, and a re-checkpoint carries everything forward.
 func TestCampaignCheckpointResume(t *testing.T) {
 	full, _, _ := runCampaign(t, 4, nil)
 	var buf bytes.Buffer
@@ -205,27 +205,22 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	if resumed.Stats.WireProbes != 0 {
 		t.Fatalf("fully-resumed campaign spent %d probes", resumed.Stats.WireProbes)
 	}
-	assertSameSubnets(t, resumed.Map, full.Map)
+	assertSameMap(t, resumed.Map, full.Map)
 
 	var re bytes.Buffer
 	if err := collect.WriteCheckpoint(&re, resumed.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
-	recp, err := collect.ReadCheckpoint(bytes.NewReader(re.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recp.Rows) != len(cp.Rows) || len(recp.Subnets) != len(cp.Subnets) {
-		t.Errorf("re-checkpoint lost state: rows %d->%d, subnets %d->%d",
-			len(cp.Rows), len(recp.Rows), len(cp.Subnets), len(recp.Subnets))
+	if re.String() != buf.String() {
+		t.Errorf("re-checkpoint differs:\n--- first\n%s--- re-checkpoint\n%s", buf.String(), re.String())
 	}
 }
 
-// TestCampaignResumeFrozenTier: resuming with a partial row list makes the
-// remaining targets draw on the frozen member tier — checkpointed subnets are
-// never re-explored, so the cache reports saved probes even for fresh
-// targets.
-func TestCampaignResumeFrozenTier(t *testing.T) {
+// TestCampaignResumeSeedsCache: resuming with a partial row list makes the
+// remaining targets draw on the cache entries the journaled paths seed —
+// a hop context a journaled row grew is never grown again, so the cache
+// reports saved probes even for fresh targets.
+func TestCampaignResumeSeedsCache(t *testing.T) {
 	full, _, _ := runCampaign(t, 1, nil)
 	cp := full.Checkpoint()
 	// Pretend the campaign died after the first half of the targets.
@@ -242,28 +237,18 @@ func TestCampaignResumeFrozenTier(t *testing.T) {
 		t.Fatalf("done %d targets, want %d: %+v", resumed.Stats.Done, resumed.Stats.Targets-half, resumed.Stats)
 	}
 	if resumed.Stats.ProbesSaved == 0 {
-		t.Error("frozen tier saved no probes for the remaining targets")
+		t.Error("seeded cache entries saved no probes for the remaining targets")
 	}
-	assertSameSubnets(t, resumed.Map, full.Map)
+	assertSameMap(t, resumed.Map, full.Map)
 }
 
-// assertSameSubnets compares two merged topologies by membership: same
-// subnets, same addresses. Observation counts are NOT compared — a resumed
-// campaign restores subnets from the checkpoint instead of replaying the
-// per-target observations that produced them.
-func assertSameSubnets(t *testing.T, got, want *topomap.Map) {
+// assertSameMap compares two merged topologies as rendered, observation
+// counts included: a resumed campaign folds its journaled rows' paths into
+// the map exactly as the traced rows were folded.
+func assertSameMap(t *testing.T, got, want *topomap.Map) {
 	t.Helper()
-	gs, ws := got.Subnets(), want.Subnets()
-	if len(gs) != len(ws) {
-		t.Fatalf("merged %d subnets, want %d:\n--- got\n%s--- want\n%s",
-			len(gs), len(ws), got.String(), want.String())
-	}
-	for i := range gs {
-		a, b := gs[i], ws[i]
-		if a.Prefix != b.Prefix || fmt.Sprint(a.Addrs) != fmt.Sprint(b.Addrs) {
-			t.Errorf("subnet %d differs: got %v %v, want %v %v",
-				i, a.Prefix, a.Addrs, b.Prefix, b.Addrs)
-		}
+	if got.String() != want.String() {
+		t.Errorf("merged topologies differ:\n--- got\n%s--- want\n%s", got.String(), want.String())
 	}
 }
 
@@ -467,8 +452,8 @@ func TestCampaignBreakerTruncatedNotDone(t *testing.T) {
 
 // TestCampaignResumeEvalEquivalence closes the loop between the checkpoint
 // machinery and the ground-truth scorer: a campaign resumed from a half-done
-// checkpoint (remaining targets served partly by the cache's frozen tier)
-// must score IDENTICALLY against the true topology to the fresh end-to-end
+// checkpoint (remaining targets served partly by the seeded cache) must
+// score IDENTICALLY against the true topology to the fresh end-to-end
 // run — same verdicts, same precision/recall, byte-identical evaluation
 // text. And every subnet carried through the checkpoint must keep its
 // confidence annotation inside the documented (0,1] range.

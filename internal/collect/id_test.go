@@ -104,7 +104,7 @@ func TestCampaignWatchdogIDLabels(t *testing.T) {
 	tel.Recorder = rec
 
 	prog := collect.NewProgress()
-	wd := collect.NewCampaignWatchdog(prog, tel, 100, "c0007")
+	wd := collect.NewWatchdog(prog, tel, 100, "c0007")
 
 	// An unstarted campaign never stalls.
 	if wd.Check(1000) {

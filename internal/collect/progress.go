@@ -147,7 +147,9 @@ func (p *Progress) targetDone(res TargetResult) {
 	case StatusFailed:
 		p.failed.Add(1)
 	}
-	p.subnetObs.Add(uint64(res.Subnets))
+	if res.Result != nil {
+		p.subnetObs.Add(uint64(len(res.Result.Subnets)))
+	}
 }
 
 // addBreakerTrips accumulates circuit-breaker opens observed by one target's
@@ -339,19 +341,15 @@ type Watchdog struct {
 	stalled atomic.Bool
 }
 
-// NewWatchdog builds a stall watchdog over prog (window 0 selects
-// DefaultStallWindow). The stalls counter is resolved up front so polling
-// never pays a by-name registry lookup.
-func NewWatchdog(prog *Progress, tel *telemetry.Telemetry, window uint64) *Watchdog {
-	return NewCampaignWatchdog(prog, tel, window, "")
-}
-
-// NewCampaignWatchdog is NewWatchdog for an identified campaign (see
-// Config.ID): the stall counter carries the ("campaign", id) label and stall
-// incidents name the campaign, so one watchdog per campaign — the daemon's
-// arrangement — files attributable evidence instead of colliding on shared
-// series. An empty id is the anonymous single-campaign behaviour.
-func NewCampaignWatchdog(prog *Progress, tel *telemetry.Telemetry, window uint64, id string) *Watchdog {
+// NewWatchdog builds a stall watchdog over the progress of campaign id (see
+// Config.ID; "" for an anonymous campaign, the CLI's), with window 0
+// selecting DefaultStallWindow. For an identified campaign the stall counter
+// carries the ("campaign", id) label and stall incidents name the campaign,
+// so one watchdog per campaign — the daemon's arrangement — files
+// attributable evidence instead of colliding on shared series. The stalls
+// counter is resolved up front so polling never pays a by-name registry
+// lookup.
+func NewWatchdog(prog *Progress, tel *telemetry.Telemetry, window uint64, id string) *Watchdog {
 	if window == 0 {
 		window = DefaultStallWindow
 	}

@@ -18,7 +18,7 @@ func TestWatchdogStallEpisodes(t *testing.T) {
 
 	prog := NewProgress()
 	prog.start("", 4, 2, nil, nil)
-	wd := NewWatchdog(prog, tel, 100)
+	wd := NewWatchdog(prog, tel, 100, "")
 	stalls := tel.Counter("tracenet_campaign_stalls_total")
 
 	if wd.Check(50) {
@@ -70,7 +70,7 @@ func TestWatchdogIgnoresUnstartedAndNil(t *testing.T) {
 		t.Fatal("nil watchdog window nonzero")
 	}
 	prog := NewProgress() // never started
-	wd = NewWatchdog(prog, nil, 0)
+	wd = NewWatchdog(prog, nil, 0, "")
 	if wd.Window() != DefaultStallWindow {
 		t.Fatalf("window = %d, want default %d", wd.Window(), DefaultStallWindow)
 	}
@@ -84,7 +84,7 @@ func TestWatchdogIgnoresUnstartedAndNil(t *testing.T) {
 func TestWatchdogToleratesClockSkew(t *testing.T) {
 	prog := NewProgress()
 	prog.start("", 1, 1, nil, nil)
-	wd := NewWatchdog(prog, nil, 10)
+	wd := NewWatchdog(prog, nil, 10, "")
 	prog.Activity().MarkAt(500)
 	if wd.Check(499) {
 		t.Fatal("now < last activity read as a stall")

@@ -37,15 +37,16 @@ type Stats struct {
 // Report is a completed campaign: per-target rows in input order, the merged
 // subnet-level topology, and the aggregate stats. Its rendering is
 // byte-stable: two campaigns over the same targets on the same substrate
-// render identically regardless of worker count or scheduling.
+// render identically regardless of worker count, scheduling, or whether one
+// of them was interrupted and resumed from its checkpoint.
 type Report struct {
 	// ID is the campaign identity from Config.ID ("" for anonymous runs).
 	// It is carried, not rendered: WriteTo output stays identical whether or
 	// not the campaign was identified.
 	ID      string
 	Targets []TargetResult
-	// Map is the merged topology over every observation of the campaign
-	// (including subnets restored from a resumed checkpoint).
+	// Map is the merged topology over every row's observations, resumed
+	// rows included.
 	Map   *topomap.Map
 	Stats Stats
 
@@ -56,21 +57,11 @@ type Report struct {
 
 // merge builds the merged topology and the distinct-subnet set from the
 // per-target results, in input order — the same fold whatever order workers
-// finished in.
-func (r *Report) merge(frozen []*core.Subnet) {
+// finished in, and whether a row was traced or resumed.
+func (r *Report) merge() {
 	m := topomap.New()
-	m.AddSubnets(frozen)
 	seen := make(map[*core.Subnet]bool)
 	var subs []*core.Subnet
-	add := func(sub *core.Subnet) {
-		if !seen[sub] {
-			seen[sub] = true
-			subs = append(subs, sub)
-		}
-	}
-	for _, sub := range frozen {
-		add(sub)
-	}
 	for i := range r.Targets {
 		res := r.Targets[i].Result
 		if res == nil {
@@ -78,7 +69,10 @@ func (r *Report) merge(frozen []*core.Subnet) {
 		}
 		m.AddSession(res)
 		for _, sub := range res.Subnets {
-			add(sub)
+			if !seen[sub] {
+				seen[sub] = true
+				subs = append(subs, sub)
+			}
 		}
 	}
 	sortSubnets(subs)
@@ -86,10 +80,12 @@ func (r *Report) merge(frozen []*core.Subnet) {
 	r.subnets = subs
 }
 
-// sortSubnets orders subnets by prefix base, prefix length, then pivot —
-// a total order over distinct collected subnets.
+// sortSubnets orders subnets by prefix base, prefix length, pivot, then
+// pivot distance. Distinct hop contexts can grow identical subnets, so the
+// sort is stable: ties keep their first appearance in the input-order fold,
+// which the checkpoint's subnet indices depend on.
 func sortSubnets(subs []*core.Subnet) {
-	sort.Slice(subs, func(i, j int) bool {
+	sort.SliceStable(subs, func(i, j int) bool {
 		a, b := subs[i], subs[j]
 		if a.Prefix.Base() != b.Prefix.Base() {
 			return a.Prefix.Base() < b.Prefix.Base()
@@ -105,27 +101,35 @@ func sortSubnets(subs []*core.Subnet) {
 }
 
 // Subnets returns the campaign's distinct collected subnets in deterministic
-// order (prefix, then pivot).
+// order (prefix, then pivot; see sortSubnets).
 func (r *Report) Subnets() []*core.Subnet { return r.subnets }
 
-// WriteTo renders the report. Everything written is schedule-independent;
-// see Report for the byte-stability contract.
+// WriteTo renders what the campaign collected: the per-target rows, the
+// merged map, subnet links and anonymous routers. A resumed row renders as
+// the done row it journaled, and no run accounting (wire probes, cache
+// counters: see Stats) is rendered, so the output is independent of
+// scheduling and of resume; see Report for the byte-stability contract.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 
-	fmt.Fprintf(&b, "campaign: %d targets (done %d, resumed %d, budget %d, skipped %d, failed %d",
-		r.Stats.Targets, r.Stats.Done, r.Stats.Resumed, r.Stats.Budget, r.Stats.Skipped, r.Stats.Failed)
+	fmt.Fprintf(&b, "campaign: %d targets (done %d, budget %d, skipped %d, failed %d",
+		r.Stats.Targets, r.Stats.Done+r.Stats.Resumed, r.Stats.Budget, r.Stats.Skipped, r.Stats.Failed)
 	if r.Stats.Breaker > 0 {
 		fmt.Fprintf(&b, ", breaker %d", r.Stats.Breaker)
 	}
 	b.WriteString(")\n")
 	for i := range r.Targets {
 		t := &r.Targets[i]
-		fmt.Fprintf(&b, "  %-15v %-8s", t.Dst, t.Status)
-		switch t.Status {
+		st := t.Status
+		if st == StatusResumed {
+			st = StatusDone
+		}
+		fmt.Fprintf(&b, "  %-15v %-8s", t.Dst, st)
+		switch st {
 		case StatusDone, StatusBudget, StatusBreaker:
+			res := t.Result
 			fmt.Fprintf(&b, " reached=%v hops=%d subnets=%d trace-probes=%d",
-				t.Reached, t.Hops, t.Subnets, t.TraceProbes)
+				res.Reached, len(res.Hops), len(res.Subnets), res.TraceProbes)
 		}
 		if t.Note != "" {
 			fmt.Fprintf(&b, " (%s)", t.Note)
@@ -149,13 +153,6 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 			fmt.Fprintf(&b, "  * between %v and %v x%d\n", a.Prev, a.Next, a.Observations)
 		}
 	}
-
-	fmt.Fprintf(&b, "\nwire probes %d", r.Stats.WireProbes)
-	if r.Stats.CacheMisses > 0 || r.Stats.CacheHits > 0 {
-		fmt.Fprintf(&b, ", cache hits %d, misses %d, probes saved %d",
-			r.Stats.CacheHits, r.Stats.CacheMisses, r.Stats.ProbesSaved)
-	}
-	b.WriteByte('\n')
 
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err

@@ -219,8 +219,8 @@ func (d *Daemon) Start() error {
 // replay reconstructs the daemon from the spool: the scheduler clock and ID
 // sequence, every campaign's record, and the queue — queued entries
 // re-admitted as they were, running/interrupted ones re-queued with their
-// checkpoint, whose journaled rows let the resumed run re-render the same
-// report bytes.
+// checkpoint, whose journaled paths let the resumed run render the report,
+// checkpoint and eval an uninterrupted run renders.
 func (d *Daemon) replay() error {
 	var ds daemonState
 	if d.sp.exists("tracenetd.json") {
@@ -264,7 +264,7 @@ func (d *Daemon) replay() error {
 			d.cReplayed.Inc()
 		case stateRunning, stateInterrupted:
 			// The previous process died (or drained) mid-campaign: resume
-			// from its checkpoint, completed-target rows and all.
+			// from its checkpoint, completed-target paths and all.
 			e := d.entryFor(cs, nil)
 			if d.sp.exists(st.ID + ".checkpoint.json") {
 				cp, err := d.sp.readCheckpoint(st.ID + ".checkpoint.json")
@@ -491,7 +491,7 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 	net.SetTelemetry(ctel)
 
 	prog := collect.NewProgress()
-	wd := collect.NewCampaignWatchdog(prog, ctel, d.cfg.StallWindow, e.id)
+	wd := collect.NewWatchdog(prog, ctel, d.cfg.StallWindow, e.id)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -579,7 +579,16 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, 
 		}
 	}
 	if status == stateDone && rep != nil {
-		report := renderReport(cs.id, cs.tenant.cfg.Name, rep)
+		// The report is Report.WriteTo with the campaign ID and tenant in
+		// place of its leading "campaign: " ("campaign c0001 tenant a: 6
+		// targets (done 6, ..."), the header perfbench's daemon workload
+		// parses.
+		var buf bytes.Buffer
+		fmt.Fprintf(&buf, "campaign %s tenant %s: ", cs.id, cs.tenant.cfg.Name)
+		head := buf.Len()
+		rep.WriteTo(&buf)
+		report := buf.Bytes()
+		report = append(report[:head], report[head+len("campaign: "):]...)
 		if err := d.sp.writeFile(cs.id+".report.txt", report); err != nil {
 			d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
 		}

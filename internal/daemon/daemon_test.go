@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"tracenet/internal/cli"
+	"tracenet/internal/collect"
 	"tracenet/internal/obs"
 )
 
@@ -142,114 +143,141 @@ func firstTargets(t *testing.T, topology string, seed int64, n int) []string {
 	return out
 }
 
-// TestDaemonLifecycleResumeByteIdentity is the PR's acceptance test: a
-// daemon drained (the SIGTERM path) mid-campaign and restarted against the
-// same spool produces final artifacts byte-identical to an uninterrupted
-// control run, for both the interrupted campaign and the one that was still
-// queued behind it.
+// TestDaemonLifecycleResumeByteIdentity is the crash-resume acceptance
+// test: a daemon drained (the SIGTERM path) mid-campaign and restarted
+// against the same spool produces final artifacts — report, eval and
+// checkpoint — byte-identical to an uninterrupted control run, for both the
+// interrupted campaign and the one that was still queued behind it. The
+// random seed 4 case grows two identical subnets at different hop contexts,
+// which a resume must keep apart.
 func TestDaemonLifecycleResumeByteIdentity(t *testing.T) {
-	alice := &Spec{Tenant: "alice", Topology: "random", Seed: 42,
-		Targets: firstTargets(t, "random", 42, 6), Parallel: 2}
 	bob := &Spec{Tenant: "bob", Topology: "figure3", Eval: true}
-
-	// Control: uninterrupted run of both campaigns.
-	control := startDaemon(t, t.TempDir(), Config{}, nil)
-	a := control.submit(t, alice)
-	b := control.submit(t, bob)
-	if a != "c0001" || b != "c0002" {
-		t.Fatalf("assigned ids %s, %s", a, b)
-	}
-	st := control.await(t, a, b)
-	if st[a] != stateDone || st[b] != stateDone {
-		t.Fatalf("control outcomes: %v", st)
-	}
-	_, wantReportA := control.do(t, "GET", "/api/v1/campaigns/"+a+"/report", nil)
-	_, wantReportB := control.do(t, "GET", "/api/v1/campaigns/"+b+"/report", nil)
-	_, wantEvalB := control.do(t, "GET", "/api/v1/campaigns/"+b+"/eval", nil)
-
-	// Interrupted run: block alice's workers once two targets are done, then
-	// drain — the daemon-side half of a SIGTERM.
-	dir := t.TempDir()
-	hit := make(chan struct{})
-	hold := make(chan struct{})
-	var once sync.Once
-	h2 := startDaemon(t, dir, Config{}, func(d *Daemon) {
-		d.testTargetDone = func(id string, done int) {
-			if id != "c0001" || done < 2 {
-				return
+	for _, tc := range []struct {
+		name  string
+		first *Spec
+		cut   int // drain once this many of the first campaign's targets are done
+	}{
+		{"random42-p2", &Spec{Tenant: "alice", Topology: "random", Seed: 42,
+			Targets: firstTargets(t, "random", 42, 6), Parallel: 2}, 2},
+		{"random4-p1", &Spec{Tenant: "carol", Topology: "random", Seed: 4, Parallel: 1, Eval: true}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			artifacts := func(h *harness, id string) map[string][]byte {
+				out := map[string][]byte{}
+				for _, a := range []string{"report", "eval", "checkpoint"} {
+					code, body := h.do(t, "GET", "/api/v1/campaigns/"+id+"/"+a, nil)
+					if code == http.StatusOK {
+						out[a] = body
+					} else if a == "report" || a == "checkpoint" {
+						t.Fatalf("%s %s fetch: status %d", id, a, code)
+					}
+				}
+				return out
 			}
-			once.Do(func() { close(hit) })
-			<-hold
-		}
-	})
-	if id := h2.submit(t, alice); id != "c0001" {
-		t.Fatalf("assigned id %s", id)
+
+			// Control: uninterrupted run of both campaigns.
+			control := startDaemon(t, t.TempDir(), Config{}, nil)
+			a := control.submit(t, tc.first)
+			b := control.submit(t, bob)
+			if a != "c0001" || b != "c0002" {
+				t.Fatalf("assigned ids %s, %s", a, b)
+			}
+			st := control.await(t, a, b)
+			if st[a] != stateDone || st[b] != stateDone {
+				t.Fatalf("control outcomes: %v", st)
+			}
+			want := map[string]map[string][]byte{a: artifacts(control, a), b: artifacts(control, b)}
+
+			// Interrupted run: block the first campaign's workers once cut
+			// targets are done, then drain — the daemon-side half of a
+			// SIGTERM.
+			dir := t.TempDir()
+			hit := make(chan struct{})
+			hold := make(chan struct{})
+			var once sync.Once
+			h2 := startDaemon(t, dir, Config{}, func(d *Daemon) {
+				d.testTargetDone = func(id string, done int) {
+					if id != "c0001" || done < tc.cut {
+						return
+					}
+					once.Do(func() { close(hit) })
+					<-hold
+				}
+			})
+			if id := h2.submit(t, tc.first); id != "c0001" {
+				t.Fatalf("assigned id %s", id)
+			}
+			if id := h2.submit(t, bob); id != "c0002" {
+				t.Fatalf("assigned id %s", id)
+			}
+			<-hit
+			drained := make(chan error, 1)
+			go func() { drained <- h2.d.Drain(context.Background()) }()
+			// Drain cancels the running campaign's context before waiting;
+			// release the blocked workers once the cancellation is
+			// observable.
+			cs := h2.d.campaign("c0001")
+			h2.d.mu.Lock()
+			cctx := cs.ctx
+			h2.d.mu.Unlock()
+			<-cctx.Done()
+			close(hold)
+			if err := <-drained; err != nil {
+				t.Fatal(err)
+			}
+
+			var persisted State
+			if err := (spool{dir: dir}).readJSON("c0001.state.json", &persisted); err != nil {
+				t.Fatal(err)
+			}
+			if persisted.Status != stateInterrupted {
+				t.Fatalf("after drain, c0001 state = %s, want interrupted", persisted.Status)
+			}
+			journal, err := (spool{dir: dir}).readCheckpoint("c0001.checkpoint.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(journal.Rows) < tc.cut {
+				t.Fatalf("interrupted campaign journaled %d rows, want at least %d", len(journal.Rows), tc.cut)
+			}
+			if bytes.Equal(mustCheckpointBytes(t, journal), want[a]["checkpoint"]) {
+				t.Fatal("interrupt left no work to resume")
+			}
+
+			// Restart against the same spool: the interrupted campaign
+			// resumes from its checkpoint, the queued one runs for the first
+			// time.
+			h3 := startDaemon(t, dir, Config{}, nil)
+			if got := h3.d.cReplayed.Value(); got != 2 {
+				t.Fatalf("spool replayed %d campaigns, want 2", got)
+			}
+			st = h3.await(t, "c0001", "c0002")
+			if st["c0001"] != stateDone || st["c0002"] != stateDone {
+				t.Fatalf("resumed outcomes: %v", st)
+			}
+			for _, id := range []string{a, b} {
+				got := artifacts(h3, id)
+				for name, w := range want[id] {
+					if !bytes.Equal(got[name], w) {
+						t.Errorf("%s %s differs from control:\n--- control\n%s\n--- resumed\n%s", id, name, w, got[name])
+					}
+				}
+				if len(got) != len(want[id]) {
+					t.Errorf("%s served artifacts %d, control %d", id, len(got), len(want[id]))
+				}
+			}
+		})
 	}
-	if id := h2.submit(t, bob); id != "c0002" {
-		t.Fatalf("assigned id %s", id)
-	}
-	<-hit
-	drained := make(chan error, 1)
-	go func() { drained <- h2.d.Drain(context.Background()) }()
-	// Drain cancels the running campaign's context before waiting; release
-	// the blocked workers once the cancellation is observable.
-	cs := h2.d.campaign("c0001")
-	h2.d.mu.Lock()
-	cctx := cs.ctx
-	h2.d.mu.Unlock()
-	<-cctx.Done()
-	close(hold)
-	if err := <-drained; err != nil {
+}
+
+// mustCheckpointBytes encodes cp as the spool journals it.
+func mustCheckpointBytes(t *testing.T, cp *collect.Checkpoint) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := collect.WriteCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
-
-	var persisted State
-	if err := (spool{dir: dir}).readJSON("c0001.state.json", &persisted); err != nil {
-		t.Fatal(err)
-	}
-	if persisted.Status != stateInterrupted {
-		t.Fatalf("after drain, c0001 state = %s, want interrupted", persisted.Status)
-	}
-	journal, err := (spool{dir: dir}).readCheckpoint("c0001.checkpoint.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(journal.Rows) == 0 {
-		t.Fatal("interrupted campaign journaled no completed rows")
-	}
-	if len(journal.Rows) >= 6 {
-		t.Fatalf("interrupt left no work to resume: %d rows journaled", len(journal.Rows))
-	}
-
-	// Restart against the same spool: the interrupted campaign resumes from
-	// its checkpoint, the queued one runs for the first time.
-	h3 := startDaemon(t, dir, Config{}, nil)
-	if got := h3.d.cReplayed.Value(); got != 2 {
-		t.Fatalf("spool replayed %d campaigns, want 2", got)
-	}
-	st = h3.await(t, "c0001", "c0002")
-	if st["c0001"] != stateDone || st["c0002"] != stateDone {
-		t.Fatalf("resumed outcomes: %v", st)
-	}
-
-	code, gotReportA := h3.do(t, "GET", "/api/v1/campaigns/c0001/report", nil)
-	if code != http.StatusOK {
-		t.Fatalf("resumed report fetch: status %d", code)
-	}
-	if !bytes.Equal(gotReportA, wantReportA) {
-		t.Errorf("resumed c0001 report differs from control:\n--- control\n%s\n--- resumed\n%s", wantReportA, gotReportA)
-	}
-	_, gotReportB := h3.do(t, "GET", "/api/v1/campaigns/c0002/report", nil)
-	if !bytes.Equal(gotReportB, wantReportB) {
-		t.Errorf("restarted c0002 report differs from control:\n--- control\n%s\n--- restarted\n%s", wantReportB, gotReportB)
-	}
-	_, gotEvalB := h3.do(t, "GET", "/api/v1/campaigns/c0002/eval", nil)
-	if !bytes.Equal(gotEvalB, wantEvalB) {
-		t.Errorf("restarted c0002 eval differs from control:\n--- control\n%s\n--- restarted\n%s", wantEvalB, gotEvalB)
-	}
-	if code, _ := h3.do(t, "GET", "/api/v1/campaigns/c0001/checkpoint", nil); code != http.StatusOK {
-		t.Errorf("checkpoint fetch: status %d", code)
-	}
+	return buf.Bytes()
 }
 
 // TestRescanFreshness: a completed campaign with a rescan interval enrolls
@@ -452,33 +480,45 @@ func TestReadinessLifecycle(t *testing.T) {
 
 // TestReplayRejectsCorruptSpool: Start trusts nothing it reads back from the
 // spool. A hand-corrupted file — a spec POST would refuse, an undecodable
-// state, a retired checkpoint version — fails Start with ErrCorruptSpool
-// naming the file, instead of running something the API never admitted.
+// state, a retired checkpoint version, a checkpoint that decodes but does
+// not validate — fails Start with ErrCorruptSpool naming the file (and, for
+// a checkpoint, the fault), instead of running something the API never
+// admitted.
 func TestReplayRejectsCorruptSpool(t *testing.T) {
 	const queued = `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "queued"}`
 	const interrupted = `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "interrupted"}`
 	const good = `{"tenant": "alice", "topology": "figure3"}`
+	checkpoint := func(body string) map[string]string {
+		return map[string]string{"c0001.state.json": interrupted, "c0001.spec.json": good, "c0001.checkpoint.json": body}
+	}
 	cases := []struct {
 		name  string
 		files map[string]string
 		bad   string // the file the error must name
+		fault string // what the error must say is wrong with it, if set
 	}{
 		{"unknown protocol", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "proto": "xyz"}`}, "c0001.spec.json"},
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "proto": "xyz"}`}, "c0001.spec.json", ""},
 		{"file topology", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "topology": "/etc/passwd"}`}, "c0001.spec.json"},
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "topology": "/etc/passwd"}`}, "c0001.spec.json", ""},
 		{"unknown field", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "bogus_knob": 1}`}, "c0001.spec.json"},
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "bogus_knob": 1}`}, "c0001.spec.json", ""},
 		{"trailing data", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": good + "\n" + `{"tenant": "evil"}`}, "c0001.spec.json"},
+			"c0001.state.json": queued, "c0001.spec.json": good + "\n" + `{"tenant": "evil"}`}, "c0001.spec.json", ""},
 		{"truncated spec", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "ali`}, "c0001.spec.json"},
-		{"missing spec", map[string]string{"c0001.state.json": queued}, "c0001.spec.json"},
+			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "ali`}, "c0001.spec.json", ""},
+		{"missing spec", map[string]string{"c0001.state.json": queued}, "c0001.spec.json", ""},
 		{"truncated state", map[string]string{
-			"c0001.state.json": `{"id": "c00`, "c0001.spec.json": good}, "c0001.state.json"},
-		{"v1 checkpoint", map[string]string{
-			"c0001.state.json": interrupted, "c0001.spec.json": good,
-			"c0001.checkpoint.json": `{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"]}`}, "c0001.checkpoint.json"},
+			"c0001.state.json": `{"id": "c00`, "c0001.spec.json": good}, "c0001.state.json", ""},
+		{"v1 checkpoint", checkpoint(`{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"]}`),
+			"c0001.checkpoint.json", "version 1"},
+		{"checkpoint subnet prefix", checkpoint(`{"version": 3, "subnets": [{"prefix": "nope", "pivot": "10.0.0.1"}]}`),
+			"c0001.checkpoint.json", `invalid prefix "nope"`},
+		{"checkpoint row destination", checkpoint(`{"version": 3, "rows": [{"dst": "x"}]}`),
+			"c0001.checkpoint.json", `invalid address "x"`},
+		{"checkpoint path index", checkpoint(`{"version": 3, "rows": [{"dst": "10.0.5.2",
+			"path_addrs": [167772418], "path_subnets": [4], "path_marks": [2]}]}`),
+			"c0001.checkpoint.json", "subnet index 4 outside"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -494,8 +534,9 @@ func TestReplayRejectsCorruptSpool(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = d.Start()
-			if !errors.Is(err, ErrCorruptSpool) || !strings.Contains(err.Error(), tc.bad) {
-				t.Fatalf("Start = %v, want ErrCorruptSpool naming %s", err, tc.bad)
+			if !errors.Is(err, ErrCorruptSpool) || !strings.Contains(err.Error(), tc.bad) ||
+				!strings.Contains(err.Error(), tc.fault) {
+				t.Fatalf("Start = %v, want ErrCorruptSpool naming %s and %q", err, tc.bad, tc.fault)
 			}
 		})
 	}

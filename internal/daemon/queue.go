@@ -14,8 +14,8 @@ type queueEntry struct {
 	// Re-scan generations are deferred this way.
 	notBefore uint64
 	// resume carries an interrupted campaign's checkpoint back into its
-	// resumed run: its subnets seed the cache's frozen tier, its rows
-	// restore the completed targets' outcomes.
+	// resumed run: its rows restore the completed targets' traces, and
+	// their hop contexts seed the shared cache.
 	resume *collect.Checkpoint
 	// rescan is the re-scan generation (0 = the original submission).
 	rescan int

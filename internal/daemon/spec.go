@@ -11,10 +11,12 @@
 // advances by each finished campaign's virtual-tick span — and every
 // campaign runs on its own seeded netsim substrate, so a same-seed daemon
 // fed the same submissions produces byte-identical reports, checkpoints,
-// and metric expositions. The daemon's final report rendering is
-// additionally resume-invariant: a campaign interrupted by SIGTERM and
-// resumed from the spool renders the same bytes as an uninterrupted run
-// (see report.go for what that excludes).
+// and metric expositions. The final report (collect.Report.WriteTo), the
+// checkpoint and the eval document are additionally resume-invariant on a
+// clean substrate: a campaign interrupted by SIGTERM and resumed from the
+// spool renders the same bytes as an uninterrupted run. Run accounting
+// that differs across a resume (wire totals, cache hits) lives in the
+// metrics exposition and the status document.
 package daemon
 
 import (

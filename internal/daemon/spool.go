@@ -19,18 +19,19 @@ import (
 //
 //	<id>.spec.json        the accepted submission, canonical encoding
 //	<id>.state.json       lifecycle state only (queue position, status)
-//	<id>.checkpoint.json  collect checkpoint v2 (interrupted and final): the
-//	                      campaign's one resume journal, completed-target
-//	                      rows included
-//	<id>.report.txt       the byte-stable final report
+//	<id>.checkpoint.json  collect checkpoint v3 (interrupted and final): the
+//	                      campaign's one resume journal, each completed
+//	                      target's hop path included
+//	<id>.report.txt       the byte-stable final report (Report.WriteTo)
 //	<id>.eval.json        ground-truth evaluation (when the spec asks)
 //	tracenetd.json        daemon-level state: scheduler clock, next sequence
 //
 // Writes are atomic (temp file + rename) so a SIGTERM racing a write never
 // leaves a half-journaled campaign for the next start to trip over. Replay
 // trusts nothing it reads back: a spec is decoded and validated as strictly
-// as a submission, every other file must decode, and a file that fails
-// fails Start with ErrCorruptSpool naming it.
+// as a submission, a checkpoint is validated by collect.ReadCheckpoint,
+// every other file must decode, and a file that fails fails Start with
+// ErrCorruptSpool naming it.
 
 // Campaign lifecycle states as persisted and served by the API.
 const (
@@ -135,7 +136,7 @@ func (s spool) readSpec(name string) (*Spec, error) {
 	return sp, nil
 }
 
-// readCheckpoint decodes a journaled campaign checkpoint.
+// readCheckpoint decodes and validates a journaled campaign checkpoint.
 func (s spool) readCheckpoint(name string) (*collect.Checkpoint, error) {
 	f, err := os.Open(s.path(name))
 	if err != nil {

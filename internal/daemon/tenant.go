@@ -47,7 +47,6 @@ type tenantState struct {
 	cInterrupt  *telemetry.Counter
 	cAccepted   *telemetry.Counter
 	cRejBudget  *telemetry.Counter
-	cRejSpec    *telemetry.Counter
 }
 
 // tenants is the tenant registry: configured tenants are materialized at
@@ -86,7 +85,6 @@ func (ts *tenants) materialize(cfg TenantConfig) *tenantState {
 		cCancelled:  ts.tel.Counter("tracenet_tenant_campaigns_total", "tenant", cfg.Name, "status", "cancelled"),
 		cInterrupt:  ts.tel.Counter("tracenet_tenant_campaigns_total", "tenant", cfg.Name, "status", "interrupted"),
 		cRejBudget:  ts.tel.Counter("tracenet_tenant_rejects_total", "tenant", cfg.Name, "reason", "budget"),
-		cRejSpec:    ts.tel.Counter("tracenet_tenant_rejects_total", "tenant", cfg.Name, "reason", "spec"),
 	}
 	if cfg.RateInterval > 0 {
 		t.pacer = probe.NewTokenBucket(cfg.RateInterval, cfg.RateBurst)

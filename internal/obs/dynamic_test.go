@@ -31,11 +31,13 @@ func TestMountComposesAPI(t *testing.T) {
 	}
 }
 
-// TestReadyzCheckSource: dynamic checks join the static ones on every
-// request and their verdicts govern readiness.
+// TestReadyzCheckSource: every source is consulted on every request, in
+// registration order, and the verdicts of the checks it yields govern
+// readiness.
 func TestReadyzCheckSource(t *testing.T) {
 	srv := obs.NewServer(nil, nil)
-	srv.AddCheck(obs.Check{Name: "static", Probe: func() error { return nil }})
+	static := []obs.Check{{Name: "static", Probe: func() error { return nil }}}
+	srv.AddCheckSource(func() []obs.Check { return static })
 	var mu sync.Mutex
 	var dynamic []obs.Check
 	srv.AddCheckSource(func() []obs.Check {
@@ -78,11 +80,12 @@ func TestReadyzCheckSource(t *testing.T) {
 	}
 }
 
-// TestCampaignsSource: dynamically sourced campaigns render after the static
-// ones, in source order, with their IDs.
+// TestCampaignsSource: campaigns render by source registration order, then
+// in each source's order, with their IDs.
 func TestCampaignsSource(t *testing.T) {
 	srv := obs.NewServer(nil, nil)
-	srv.AddCampaign("static", collect.NewProgress())
+	static := []obs.CampaignEntry{{Name: "static", Prog: collect.NewProgress()}}
+	srv.AddCampaignSource(func() []obs.CampaignEntry { return static })
 	var mu sync.Mutex
 	var entries []obs.CampaignEntry
 	srv.AddCampaignSource(func() []obs.CampaignEntry {

@@ -155,23 +155,21 @@ func TestProbeSinkClassifiesEvents(t *testing.T) {
 	}
 }
 
-// The sink hook replaces LoggingTransport's rendered lines entirely.
+// LoggingTransport hands each exchange to its sink, stamped by its clock.
 func TestLoggingTransportSink(t *testing.T) {
 	var events []probe.ProbeEvent
-	var out strings.Builder
+	clk := &telemetry.ManualClock{}
+	clk.Advance(42)
 	tr := probe.LoggingTransport{
 		Inner: silentTransport{},
-		W:     &out,
+		Clock: clk,
 		Sink:  func(ev probe.ProbeEvent) { events = append(events, ev) },
 	}
 	if _, err := tr.Exchange([]byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("sink saw %d events, want 1", len(events))
-	}
-	if out.Len() != 0 {
-		t.Errorf("sink set but transcript still written: %q", out.String())
+	if len(events) != 1 || events[0].Ticks != 42 {
+		t.Fatalf("sink saw %+v, want one event at tick 42", events)
 	}
 }
 

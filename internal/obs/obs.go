@@ -53,7 +53,7 @@ type Check struct {
 }
 
 // Server exposes one process's observability surfaces over HTTP. Construct
-// with NewServer, register campaigns and readiness checks, then either
+// with NewServer, register campaign and readiness sources, then either
 // Start it on an address or mount Handler in a test server. All methods are
 // safe for concurrent use.
 type Server struct {
@@ -63,19 +63,12 @@ type Server struct {
 	hs  *http.Server
 
 	mu              sync.Mutex
-	checks          []Check
 	checkSources    []func() []Check
-	campaigns       []namedProgress
 	campaignSources []func() []CampaignEntry
 }
 
-type namedProgress struct {
-	name string
-	prog *collect.Progress
-}
-
-// CampaignEntry is one dynamically published campaign: its display name and
-// live progress. See AddCampaignSource.
+// CampaignEntry is one published campaign: its display name and live
+// progress. See AddCampaignSource.
 type CampaignEntry struct {
 	Name string
 	Prog *collect.Progress
@@ -103,38 +96,21 @@ func NewServer(tel *telemetry.Telemetry, lg *Logger) *Server {
 	return s
 }
 
-// AddCheck registers a readiness check; /readyz runs every check on each
-// request and answers 503 when any fails.
-func (s *Server) AddCheck(c Check) {
-	s.mu.Lock()
-	s.checks = append(s.checks, c)
-	s.mu.Unlock()
-}
-
-// AddCheckSource registers a dynamic readiness source: /readyz calls it on
-// every request and runs the returned checks after the statically registered
-// ones. This is how a daemon keeps readiness honest while its campaign set
-// changes — per-campaign stall checks exist exactly while their campaign
-// runs, instead of one static check assuming a single campaign per process.
-// The source is called without the server lock held and must be safe for
-// concurrent use.
+// AddCheckSource registers a readiness source: /readyz calls every source on
+// each request, in registration order, runs the returned checks and answers
+// 503 when any fails. A source can change its checks as the process runs —
+// a daemon's per-campaign stall checks exist exactly while their campaign
+// runs. The source is called without the server lock held and must be safe
+// for concurrent use.
 func (s *Server) AddCheckSource(src func() []Check) {
 	s.mu.Lock()
 	s.checkSources = append(s.checkSources, src)
 	s.mu.Unlock()
 }
 
-// AddCampaign publishes a campaign's live progress under /campaigns.
-// Campaigns render in registration order.
-func (s *Server) AddCampaign(name string, p *collect.Progress) {
-	s.mu.Lock()
-	s.campaigns = append(s.campaigns, namedProgress{name: name, prog: p})
-	s.mu.Unlock()
-}
-
-// AddCampaignSource registers a dynamic campaign source: /campaigns calls it
-// on every request and renders the returned entries after the statically
-// registered ones, in the order the source yields them (the source owns the
+// AddCampaignSource registers a campaign source: /campaigns calls every
+// source on each request, in registration order, and renders the returned
+// entries in the order each source yields them (the source owns the
 // ordering contract — the daemon yields submission order, keeping the body
 // deterministic). Called without the server lock held; must be safe for
 // concurrent use.
@@ -228,9 +204,9 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	checks := append([]Check(nil), s.checks...)
 	sources := append([]func() []Check(nil), s.checkSources...)
 	s.mu.Unlock()
+	var checks []Check
 	for _, src := range sources {
 		checks = append(checks, src()...)
 	}
@@ -296,9 +272,9 @@ func (s *Server) serveLogz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// campaignDoc is one /campaigns entry: the registered name plus the progress
-// snapshot. Entries render in registration order (names need not be unique,
-// so no map is involved and the body stays byte-stable).
+// campaignDoc is one /campaigns entry: the published name plus the progress
+// snapshot. Entries render in source order (names need not be unique, so no
+// map is involved and the body stays byte-stable).
 type campaignDoc struct {
 	Name string `json:"name"`
 	collect.Snapshot
@@ -306,14 +282,10 @@ type campaignDoc struct {
 
 func (s *Server) serveCampaigns(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	campaigns := append([]namedProgress(nil), s.campaigns...)
 	sources := append([]func() []CampaignEntry(nil), s.campaignSources...)
 	s.mu.Unlock()
 
-	docs := make([]campaignDoc, 0, len(campaigns))
-	for _, c := range campaigns {
-		docs = append(docs, campaignDoc{Name: c.name, Snapshot: c.prog.Snapshot()})
-	}
+	docs := []campaignDoc{}
 	for _, src := range sources {
 		for _, e := range src() {
 			docs = append(docs, campaignDoc{Name: e.Name, Snapshot: e.Prog.Snapshot()})

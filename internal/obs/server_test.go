@@ -62,12 +62,11 @@ func runObsCampaign(t *testing.T, parallel int, mutate func(*collect.Config)) *o
 
 	lg := obs.NewLogger(n, nil, obs.LevelDebug, 0)
 	lg.Info("campaign finished")
-	wd := collect.NewWatchdog(prog, tel, 0)
+	wd := collect.NewWatchdog(prog, tel, 0, "")
 	srv := obs.NewServer(tel, lg)
-	srv.AddCampaign("campaign", prog)
-	srv.AddCheck(obs.BudgetCheck(prog))
-	srv.AddCheck(obs.BreakerStormCheck(prog, 0))
-	srv.AddCheck(obs.StallCheck(wd, n))
+	srv.AddCampaignSource(func() []obs.CampaignEntry { return []obs.CampaignEntry{{Name: "campaign", Prog: prog}} })
+	checks := []obs.Check{obs.BudgetCheck(prog), obs.BreakerStormCheck(prog, 0), obs.StallCheck(wd, n)}
+	srv.AddCheckSource(func() []obs.Check { return checks })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return &obsCampaign{tel: tel, prog: prog, wd: wd, net: n, srv: srv, ts: ts}
@@ -141,7 +140,8 @@ func TestHealthAndReadiness(t *testing.T) {
 		}
 	}
 
-	oc.srv.AddCheck(obs.Check{Name: "always-red", Probe: func() error { return errors.New("boom") }})
+	red := []obs.Check{{Name: "always-red", Probe: func() error { return errors.New("boom") }}}
+	oc.srv.AddCheckSource(func() []obs.Check { return red })
 	code, body = get(t, oc.ts.URL, "/readyz")
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("/readyz = %d with a failing check, want 503", code)
@@ -207,7 +207,7 @@ func runObsCampaignWithProgress(t *testing.T, prog *collect.Progress, mutate fun
 func TestStallCheckTripsMidRun(t *testing.T) {
 	prog := collect.NewProgress()
 	clock := &telemetry.ManualClock{}
-	wd := collect.NewWatchdog(prog, nil, 10)
+	wd := collect.NewWatchdog(prog, nil, 10, "")
 	check := obs.StallCheck(wd, clock)
 	var mu sync.Mutex
 	var tripped, healthyEarly bool
@@ -347,11 +347,11 @@ func TestServeDuringLiveCampaign(t *testing.T) {
 
 	prog := collect.NewProgress()
 	lg := obs.NewLogger(n, nil, obs.LevelDebug, 0)
-	wd := collect.NewWatchdog(prog, tel, 0)
+	wd := collect.NewWatchdog(prog, tel, 0, "")
 	srv := obs.NewServer(tel, lg)
-	srv.AddCampaign("campaign", prog)
-	srv.AddCheck(obs.BudgetCheck(prog))
-	srv.AddCheck(obs.StallCheck(wd, n))
+	srv.AddCampaignSource(func() []obs.CampaignEntry { return []obs.CampaignEntry{{Name: "campaign", Prog: prog}} })
+	checks := []obs.Check{obs.BudgetCheck(prog), obs.StallCheck(wd, n)}
+	srv.AddCheckSource(func() []obs.Check { return checks })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

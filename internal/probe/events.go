@@ -43,7 +43,7 @@ func (k ErrKind) String() string {
 // ProbeEvent is one probe exchange on tracenet's telemetry event stream: the
 // decoded request, the classified outcome, and — when a reply arrived — the
 // responder's address, the reply datagram's remaining TTL, and its IP
-// identifier. The flight recorder retains these, LoggingTransport renders
+// identifier. The flight recorder retains these, LoggingTransport streams
 // them live, and golden tests replay them.
 type ProbeEvent struct {
 	Ticks    uint64

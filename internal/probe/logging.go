@@ -1,29 +1,21 @@
 package probe
 
-import (
-	"fmt"
-	"io"
+import "tracenet/internal/telemetry"
 
-	"tracenet/internal/telemetry"
-)
-
-// LoggingTransport wraps a Transport and writes a one-line transcript of
-// every exchange — the probe-level debugging view the paper's conclusion
-// suggests tracenet for ("network analysis/debugging"). Each line is a
-// rendered ProbeEvent, so the transcript shows the reply's remaining TTL and
-// classifies failures (timeout vs transport vs decode) instead of echoing a
-// raw error string.
+// LoggingTransport wraps a Transport and hands every exchange, classified as
+// a ProbeEvent, to Sink — the probe-level debugging view the paper's
+// conclusion suggests tracenet for ("network analysis/debugging"). The event
+// carries the reply's remaining TTL and classifies failures (timeout vs
+// transport vs decode) instead of echoing a raw error string.
 type LoggingTransport struct {
 	Inner Transport
-	W     io.Writer
-	// Clock, when set, prefixes every line with the virtual tick at which
-	// the exchange completed, aligning the transcript with trace and
-	// flight-recorder timestamps.
+	// Clock, when set, stamps every event with the virtual tick at which the
+	// exchange completed, aligning the log with trace and flight-recorder
+	// timestamps.
 	Clock telemetry.Clock
-	// Sink, when set, receives the classified event instead of a rendered
-	// line on W — the hook the structured logging layer (internal/obs) uses
-	// to turn exchanges into leveled JSON records without this package
-	// depending on it.
+	// Sink receives each event (required) — the hook the structured logging
+	// layer (internal/obs) uses to turn exchanges into leveled JSON records
+	// without this package depending on it.
 	Sink func(ProbeEvent)
 }
 
@@ -34,15 +26,6 @@ func (l LoggingTransport) Exchange(raw []byte) ([]byte, error) {
 	if l.Clock != nil {
 		ticks = l.Clock.Ticks()
 	}
-	ev := exchangeEvent(ticks, raw, reply, err)
-	if l.Sink != nil {
-		l.Sink(ev)
-		return reply, err
-	}
-	if l.Clock != nil {
-		fmt.Fprintf(l.W, "[%6d] %s\n", ev.Ticks, ev)
-	} else {
-		fmt.Fprintf(l.W, "%s\n", ev)
-	}
+	l.Sink(exchangeEvent(ticks, raw, reply, err))
 	return reply, err
 }

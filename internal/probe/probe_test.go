@@ -374,8 +374,9 @@ func TestLoggingTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	p := New(LoggingTransport{Inner: port, W: &buf}, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
+	var events []ProbeEvent
+	sink := func(ev ProbeEvent) { events = append(events, ev) }
+	p := New(LoggingTransport{Inner: port, Sink: sink}, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	if _, err := p.Direct(addr("10.0.2.3")); err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +386,22 @@ func TestLoggingTransport(t *testing.T) {
 	if _, err := p.Direct(addr("10.0.2.200")); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := transcript(events)
 	for _, want := range []string{"icmp 10.0.2.3 ttl=64", "echo-reply from 10.0.2.3",
 		"ttl-exceeded from 10.0.1.1", "timeout"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("transcript lacks %q:\n%s", want, out)
 		}
 	}
+}
+
+// transcript renders collected probe events one per line, as a reader of the
+// debug log sees them.
+func transcript(events []ProbeEvent) string {
+	var b strings.Builder
+	for _, ev := range events {
+		b.WriteString(ev.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -143,22 +143,25 @@ func TestLoggingTransportClassifiesOutcomes(t *testing.T) {
 		replies: [][]byte{nil, nil, {0xde, 0xad, 0xbe, 0xef}},
 		errs:    []error{nil, errors.New("socket shut"), nil},
 	}
-	var buf strings.Builder
-	lt := LoggingTransport{Inner: script, W: &buf, Clock: n}
+	var events []ProbeEvent
+	lt := LoggingTransport{Inner: script, Clock: n, Sink: func(ev ProbeEvent) { events = append(events, ev) }}
 	lp := New(lt, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	for i := 0; i < 3; i++ {
 		lp.Probe(addr("10.0.9.9"), 3)
 	}
-	out := buf.String()
+	out := transcript(events)
 	for _, want := range []string{
 		"icmp 10.0.9.9 ttl=3 -> timeout",
 		"icmp 10.0.9.9 ttl=3 -> error: transport",
 		"icmp 10.0.9.9 ttl=3 -> error: decode(4 bytes)",
-		"[", // tick prefix from the Clock
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("transcript lacks %q:\n%s", want, out)
 		}
+	}
+	// The Clock stamps each event with the tick its exchange completed at.
+	if len(events) != 3 || n.Ticks() == 0 || events[0].Ticks != n.Ticks() {
+		t.Errorf("events %+v, want 3 stamped at tick %d", events, n.Ticks())
 	}
 	if strings.Contains(out, "socket shut") {
 		t.Errorf("transcript leaks the raw transport error instead of its kind:\n%s", out)
@@ -171,12 +174,13 @@ func TestLoggingTransportLogsReplyTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	p := New(LoggingTransport{Inner: port, W: &buf}, port.LocalAddr(), Options{Retry: &RetryPolicy{}})
+	var events []ProbeEvent
+	p := New(LoggingTransport{Inner: port, Sink: func(ev ProbeEvent) { events = append(events, ev) }},
+		port.LocalAddr(), Options{Retry: &RetryPolicy{}})
 	if _, err := p.Probe(addr("10.0.5.2"), 2); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := transcript(events)
 	for _, want := range []string{"ttl-exceeded from 10.0.1.1", "rttl=", "ipid="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("transcript lacks %q:\n%s", want, out)

@@ -2,7 +2,7 @@
 # Full verification gate: formatting, build, vet, the project's own static
 # analysis suite (tracenetlint), race-enabled tests with runtime invariants
 # compiled in, and a short fuzz smoke over the wire decoders, ground-truth
-# scoring, fault plans and campaign specs.
+# scoring, fault plans, campaign specs and campaign checkpoints.
 # Everything here must stay green; the chaos tests (internal/netsim/chaos_test.go)
 # are deterministic, so a failure is reproducible with the same seed.
 set -eu
@@ -94,13 +94,17 @@ echo "== benchjson -compare $bench_baseline (warn-only)"
 go run ./cmd/benchjson -compare "$bench_baseline" < "$bench_tmp"
 rm -f "$bench_tmp"
 
-echo "== fuzz smoke (wire decoders + groundtruth scoring + fault plans + campaign specs, 5s per target)"
+echo "== fuzz smoke (wire decoders + groundtruth scoring + fault plans + campaign specs + checkpoints, 5s per target)"
 for target in FuzzUnmarshalIPv4 FuzzUnmarshalICMP FuzzUnmarshalUDP FuzzUnmarshalTCP; do
     go test ./internal/wire/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 go test ./internal/groundtruth/ -run '^$' -fuzz '^FuzzScoreInvariants$' -fuzztime 5s
 go test ./internal/netsim/ -run '^$' -fuzz '^FuzzReadFaultPlan$' -fuzztime 5s
 go test ./internal/daemon/ -run '^$' -fuzz '^FuzzReadSpec$' -fuzztime 5s
+# Minimizing one of the multi-kilobyte seed checkpoints would otherwise take
+# the whole smoke (a 5 s run executed 20 inputs); 100 tries per new input
+# leaves ~14k inputs/s for fuzzing.
+go test ./internal/collect/ -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s -fuzzminimizetime 100x
 
 # govulncheck: known-vulnerability scan over the module and its (stdlib-only)
 # dependency graph, pinned so CI and local runs agree on the checker version.
