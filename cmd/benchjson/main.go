@@ -11,15 +11,19 @@
 // keeping the conversion itself a pure function of its input.
 //
 // -compare diffs the piped run against a committed baseline and prints one
-// line per benchmark metric that moved. It is warn-only by design — exit
-// status is 0 regardless, because single-run benchmarks on shared CI hardware
-// are too noisy to gate on. The hard perf gate is the allocation-budget check
-// (tracenetlint -allocbudget); this diff exists so a reviewer sees the trend.
+// line per benchmark metric that moved. It gates only on exact probe counts
+// (the wire-probes and probes/trace units): they move when the collector's
+// behaviour does, never with the machine or the iteration count, so a rise
+// in one exits non-zero. Every other metric is warn-only — timings from
+// single-run benchmarks on shared hardware are too noisy to gate on, and
+// allocs/op at one iteration includes warm-up. The hard allocation gate is
+// the allocation-budget check (tracenetlint -allocbudget).
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +56,7 @@ type Baseline struct {
 func main() {
 	date := flag.String("date", "", "baseline date stamp (e.g. 20260805), supplied by the caller")
 	baseline := flag.String("compare", "",
-		"diff the piped bench output against this baseline JSON (warn-only, always exits 0)")
+		"diff the piped bench output against this baseline JSON (exits 1 when an exact probe count rose)")
 	flag.Parse()
 	if *baseline != "" {
 		f, err := os.Open(*baseline)
@@ -126,10 +130,16 @@ func parse(r io.Reader, date string) (Baseline, error) {
 // exact, so any increase at all is flagged.
 const regressThreshold = 0.10
 
+// gatedUnits are the exact, lower-is-better probe counts compare gates on.
+var gatedUnits = map[string]bool{"wire-probes": true, "probes/trace": true}
+
+// errCountsRose is compare's error when a gated probe count rose.
+var errCountsRose = errors.New("exact probe counts rose")
+
 // compare diffs the bench output on cur against the baseline JSON on base,
-// writing a per-metric report to w. It never fails the caller over a perf
-// delta: the report is advisory and the only returned errors are parse
-// failures.
+// writing a per-metric report to w. It fails with errCountsRose when a gated
+// probe count rose; every other movement is advisory, and the only other
+// errors are parse failures.
 func compare(cur io.Reader, base io.Reader, w io.Writer) error {
 	var baseline Baseline
 	if err := json.NewDecoder(base).Decode(&baseline); err != nil {
@@ -143,7 +153,7 @@ func compare(cur io.Reader, base io.Reader, w io.Writer) error {
 	for _, b := range baseline.Benchmarks {
 		old[benchKey(b.Name)] = b
 	}
-	regressions := 0
+	regressions, gated := 0, 0
 	for _, b := range current.Benchmarks {
 		prev, ok := old[benchKey(b.Name)]
 		if !ok {
@@ -163,7 +173,11 @@ func compare(cur io.Reader, base io.Reader, w io.Writer) error {
 			if verdict == "" {
 				continue
 			}
-			if verdict == "REGRESSION" {
+			switch {
+			case verdict == "REGRESSION" && gatedUnits[u]:
+				gated++
+				verdict += " (gating)"
+			case verdict == "REGRESSION":
 				regressions++
 			}
 			fmt.Fprintf(w, "%-32s %-12s %g -> %g (%+.1f%%) %s\n",
@@ -173,7 +187,11 @@ func compare(cur io.Reader, base io.Reader, w io.Writer) error {
 	if regressions > 0 {
 		fmt.Fprintf(w, "benchjson: %d metric(s) regressed vs baseline %s (warn-only; not gating)\n",
 			regressions, baseline.Date)
-	} else {
+	}
+	if gated > 0 {
+		return fmt.Errorf("%w: %d vs baseline %s", errCountsRose, gated, baseline.Date)
+	}
+	if regressions == 0 {
 		fmt.Fprintf(w, "benchjson: no regressions vs baseline %s\n", baseline.Date)
 	}
 	return nil
@@ -192,10 +210,10 @@ func benchKey(name string) string {
 
 // metricVerdict classifies one metric's movement: "REGRESSION", "improved",
 // or "" for noise-level movement not worth a report line. Exact count metrics
-// (allocs/op, B/op) regress on any increase; timing and rate metrics get the
-// relative threshold.
+// (allocs/op, B/op and the gated probe counts) regress on any increase;
+// timing and rate metrics get the relative threshold.
 func metricVerdict(unit string, was, now float64) string {
-	exact := unit == "allocs/op" || unit == "B/op"
+	exact := gatedUnits[unit] || unit == "allocs/op" || unit == "B/op"
 	d := relDelta(was, now)
 	switch {
 	case now > was && (exact || d > regressThreshold):

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,33 @@ func TestCompareClean(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no regressions vs baseline 20260805") {
 		t.Errorf("clean compare: %s", out.String())
+	}
+}
+
+// TestCompareGatesProbeCounts: a rise in an exact probe count (wire-probes,
+// probes/trace) fails the compare, whatever else moved; a fall, or a rise
+// in a warn-only count such as allocs/op, does not.
+func TestCompareGatesProbeCounts(t *testing.T) {
+	baseline := `{"date": "20260805", "benchmarks": [
+	  {"name": "BenchmarkSingleTrace-8", "iterations": 1, "metrics": {"probes/trace": 63, "allocs/op": 161}},
+	  {"name": "BenchmarkCampaign/rtt=0s/parallel=4-8", "iterations": 1, "metrics": {"wire-probes": 574, "probes-saved": 832}}]}`
+	for _, tc := range []struct {
+		name, current string
+		gate          bool
+	}{
+		{"one more probe per trace", "BenchmarkSingleTrace-8 1 100 ns/op 64.00 probes/trace 161 allocs/op\n", true},
+		{"more wire probes", "BenchmarkCampaign/rtt=0s/parallel=4-8 1 100 ns/op 575.0 wire-probes 832.0 probes-saved\n", true},
+		{"fewer wire probes", "BenchmarkCampaign/rtt=0s/parallel=4-8 1 100 ns/op 500.0 wire-probes 700.0 probes-saved\n", false},
+		{"more allocs", "BenchmarkSingleTrace-8 1 100 ns/op 63.00 probes/trace 170 allocs/op\n", false},
+	} {
+		var out strings.Builder
+		err := compare(strings.NewReader(tc.current), strings.NewReader(baseline), &out)
+		if gated := errors.Is(err, errCountsRose); gated != tc.gate || (err != nil && !gated) {
+			t.Errorf("%s: err = %v, want gating %v\n%s", tc.name, err, tc.gate, out.String())
+		}
+		if tc.gate && !strings.Contains(out.String(), "REGRESSION (gating)") {
+			t.Errorf("%s: report does not mark the gating count:\n%s", tc.name, out.String())
+		}
 	}
 }
 

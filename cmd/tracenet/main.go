@@ -41,11 +41,17 @@
 //	                     with its hop path
 //	-campaign-resume f   resume the campaign from its checkpoint: completed
 //	                     targets are rebuilt from their journaled paths
-//	                     instead of being re-traced, and the hop contexts
-//	                     those paths grew subnets at are not explored again,
-//	                     so the report equals an uninterrupted run's; a
-//	                     checkpoint naming other targets is refused
-//	-campaign-no-cache   disable the shared subnet cache (for comparisons)
+//	                     instead of being re-traced, the hop contexts those
+//	                     paths grew subnets at are not explored again, and
+//	                     the journaled probe memo answers the probes already
+//	                     sent, so the report equals an uninterrupted run's
+//	                     and the two runs' wire probes sum to its total; a
+//	                     checkpoint naming other targets, or written under
+//	                     another topology, seed, vantage, protocol, fault
+//	                     plan, defence, back-off, breaker or max TTL, is
+//	                     refused
+//	-campaign-no-cache   disable sharing between destinations — the shared
+//	                     subnet cache and the probe memo (for comparisons)
 //	-spec file           run a tracenetd campaign spec (JSON, DESIGN.md §14)
 //	                     locally. The spec supplies the whole campaign: a
 //	                     field it leaves unset takes the Spec default,
@@ -62,13 +68,18 @@
 // exactly as tracenetd resolves one, and collect.Run traces every
 // destination with its own session/prober pair. With more than one
 // destination the sessions share a subnet cache, so each hop context is
-// explored once; a lone destination runs without it and costs what one
-// trace costs. The output is, in order: the banner, any resume and progress
-// lines, the hop listing of every traced or resumed destination in input
-// order, the merged campaign report, the run's wire-probe and cache line,
-// the -subnets inventory, the probe and resilience totals summed over every
-// prober the campaign dialed, the fault and defense lines, and the
-// evaluation. All of it is byte-identical whatever -parallel is.
+// explored once, and a probe memo, so each distinct (destination, TTL)
+// probe goes on the wire once; a lone destination runs without them and
+// costs what one trace costs. The output is, in order: the banner, any
+// resume and progress lines, the hop listing of every traced or resumed
+// destination in input order, the merged campaign report, the run's
+// wire-probe, memo and cache line, the -subnets inventory, the probe and
+// resilience totals summed over every prober the campaign dialed, the
+// fault and defense lines, and the evaluation. All of it is byte-identical
+// whatever -parallel is. The wire-probe line counts packets on the wire;
+// the totals count logical probes, so a probe the memo answered counts the
+// packets its first sender spent (the "replayed by the memo" share), as the
+// report's rows and subnets do.
 //
 // Ground-truth evaluation (see DESIGN.md §10):
 //
@@ -255,7 +266,7 @@ func main() {
 	flag.Uint64Var(&o.campaignBudget, "campaign-budget", 0, "shared wire-probe budget across all campaign workers")
 	flag.StringVar(&o.campaignOut, "campaign-out", "", "write a campaign checkpoint to this file")
 	flag.StringVar(&o.campaignResume, "campaign-resume", "", "resume a campaign from this checkpoint file")
-	flag.BoolVar(&o.campaignNoCache, "campaign-no-cache", false, "disable the campaign's shared subnet cache")
+	flag.BoolVar(&o.campaignNoCache, "campaign-no-cache", false, "disable the campaign's shared subnet cache and probe memo")
 	flag.BoolVar(&o.eval, "eval", false, "score the collected subnets against the simulated ground truth")
 	flag.StringVar(&o.evalOut, "eval-out", "", "write the ground-truth evaluation as JSON to this file (implies -eval)")
 	flag.BoolVar(&o.evalCore, "eval-core", false, "evaluate against core subnets only, excluding host access subnets")
@@ -314,7 +325,7 @@ func run(w io.Writer, o options) error {
 		if err != nil {
 			return err
 		}
-		if err := net.InstallFaults(plan); err != nil {
+		if err := c.InstallFaults(plan); err != nil {
 			return err
 		}
 	}
@@ -511,6 +522,9 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 	// Run accounting: what this run put on the wire, which a resume does not
 	// repeat for the targets its checkpoint journaled.
 	fmt.Fprintf(w, "\nwire probes %d", rep.Stats.WireProbes)
+	if rep.Stats.MemoHits > 0 {
+		fmt.Fprintf(w, ", memo hits %d", rep.Stats.MemoHits)
+	}
 	if rep.Stats.CacheMisses > 0 || rep.Stats.CacheHits > 0 {
 		fmt.Fprintf(w, ", cache hits %d, misses %d, probes saved %d",
 			rep.Stats.CacheHits, rep.Stats.CacheMisses, rep.Stats.ProbesSaved)
@@ -523,10 +537,13 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 		}
 	}
 
+	// The totals count logical probes: a memo hit counts the packets the
+	// probe's first sender spent, as the rows and subnets do.
 	var st probe.Stats
 	for _, pr := range probers {
 		ps := pr.Stats()
 		st.Sent += ps.Sent
+		st.MemoReplayed += ps.MemoReplayed
 		st.Answered += ps.Answered
 		st.Retries += ps.Retries
 		st.Cached += ps.Cached
@@ -536,8 +553,11 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 		st.BreakerSkips += ps.BreakerSkips
 		st.BackoffTicks += ps.BackoffTicks
 	}
-	fmt.Fprintf(w, "\nprobes sent %d, answered %d, retried %d, served from cache %d\n",
-		st.Sent, st.Answered, st.Retries, st.Cached)
+	fmt.Fprintf(w, "\nprobes sent %d", st.Sent)
+	if st.MemoReplayed > 0 {
+		fmt.Fprintf(w, " (%d replayed by the memo)", st.MemoReplayed)
+	}
+	fmt.Fprintf(w, ", answered %d, retried %d, served from cache %d\n", st.Answered, st.Retries, st.Cached)
 	faulted := sp.Chaos != 0 || o.faults != ""
 	if faulted || st.FaultEvents() > 0 || st.Timeouts > 0 || recovered > 0 {
 		fmt.Fprintf(w, "resilience: timeouts %d, corrupt %d, breaker opens %d, breaker skips %d, backoff ticks %d, recovered errors %d\n",

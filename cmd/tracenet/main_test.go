@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -393,6 +395,80 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	}
 	if got, want := collected(out), collected(traced); got != want {
 		t.Errorf("resumed run renders:\n%s\ntraced run rendered:\n%s", got, want)
+	}
+}
+
+// TestRunCampaignResumeRefusesOtherSpec: a checkpoint resumes only under
+// the collection setup that wrote it. A clean ICMP checkpoint, complete or
+// cut (a cut one journals the probe memo, whose replies another protocol
+// must not be served), is refused by a run with another protocol, fault
+// plan, chaos or defence instead of being reported as that run's outcome.
+// Under its own setup it resumes, whether or not the flags spell out the
+// defaults.
+func TestRunCampaignResumeRefusesOtherSpec(t *testing.T) {
+	dir := t.TempDir()
+	base := options{topo: "random", maxTTL: 30, seed: 1}
+	complete := filepath.Join(dir, "complete.json")
+	o := base
+	o.campaignOut = complete
+	if err := run(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := (&daemon.Spec{Topology: "random", Seed: 1}).Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := c.Config
+	cfg.OnTargetDone = func(collect.TargetResult) { cancel() }
+	rep, err := collect.Run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := rep.Checkpoint()
+	if cp.Memo == nil {
+		t.Fatal("cut checkpoint journals no probe memo")
+	}
+	cut := filepath.Join(dir, "cut.json")
+	f, err := os.Create(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := collect.WriteCheckpoint(f, cp); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	plan := filepath.Join(dir, "plan.json")
+	if err := os.WriteFile(plan, []byte(`{"seed": 3, "faults": [{"kind": "corrupt", "prob": 0.3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, checkpoint string
+		mutate           func(*options)
+	}{
+		{"complete/udp+chaos+defend", complete, func(o *options) { o.proto, o.chaos, o.defend = "udp", 5, true }},
+		{"cut/udp", cut, func(o *options) { o.proto = "udp" }},
+		{"cut/faults", cut, func(o *options) { o.faults = plan }},
+		{"cut/maxttl", cut, func(o *options) { o.maxTTL = 20 }},
+	} {
+		o := base
+		o.campaignResume = tc.checkpoint
+		tc.mutate(&o)
+		if err := run(io.Discard, o); !errors.Is(err, collect.ErrCheckpointMismatch) {
+			t.Errorf("%s: err = %v, want ErrCheckpointMismatch", tc.name, err)
+		}
+	}
+
+	for _, ck := range []string{complete, cut} {
+		o := base
+		o.seed, o.proto = 0, "icmp"
+		o.campaignResume = ck
+		if err := run(io.Discard, o); err != nil {
+			t.Errorf("%s under its own spec: %v", filepath.Base(ck), err)
+		}
 	}
 }
 

@@ -110,8 +110,8 @@ func (c *Cache) ExploreHop(v, u ipv4.Addr, d int, grow func() (core.Growth, erro
 	return g, false, nil
 }
 
-// recordHit accounts one cache hit: the growth's wire cost is exactly what
-// the campaign did not have to spend again.
+// recordHit accounts one cache hit: the growth's packet cost is exactly
+// what the campaign did not have to spend again.
 func (c *Cache) recordHit(g core.Growth) {
 	c.hits.Add(1)
 	c.saved.Add(g.Cost)
@@ -123,5 +123,5 @@ func (c *Cache) Hits() uint64 { return c.hits.Load() }
 // Misses returns how many distinct contexts were grown (successfully).
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
-// ProbesSaved returns the wire packets the cache's hits avoided re-spending.
+// ProbesSaved returns the packets the cache's hits avoided re-spending.
 func (c *Cache) ProbesSaved() uint64 { return c.saved.Load() }

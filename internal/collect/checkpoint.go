@@ -13,35 +13,44 @@ import (
 	"tracenet/internal/probe"
 )
 
-// CheckpointVersion is the campaign checkpoint schema version. Version 3
-// journals each completed target's hop path; version 1 (bare target and done
-// lists) and version 2 (per-row counts) checkpoints are rejected, not
-// migrated.
-const CheckpointVersion = 3
+// CheckpointVersion is the campaign checkpoint schema version. Version 4
+// journals each completed target's hop path, the spec digest, and the probe
+// memo of an unfinished campaign; version 1 (bare target and done lists),
+// version 2 (per-row counts) and version 3 (no digest or memo) checkpoints
+// are rejected, not migrated.
+const CheckpointVersion = 4
 
 // ErrCheckpointMismatch reports a resume checkpoint written by a different
-// campaign: its campaign_id differs from a non-empty Config.ID, or a row
-// names a destination outside Config.Targets. Resuming from it would render
-// another campaign's outcomes as this one's.
+// campaign: its campaign_id differs from a non-empty Config.ID, its digest
+// from Config.Digest, or a row names a destination outside Config.Targets.
+// Resuming from it would render another campaign's outcomes as this one's.
 var ErrCheckpointMismatch = errors.New("collect: checkpoint does not match the campaign")
 
 // Checkpoint is a campaign's resume journal: one row per completed target,
-// carrying the target's hop path, and the subnets those paths reference. A
-// campaign resumed from its checkpoint rebuilds each journaled row instead of
+// carrying the target's hop path, the subnets those paths reference, and —
+// while some target is unfinished — the campaign's probe memo. A campaign
+// resumed from its checkpoint rebuilds each journaled row instead of
 // re-tracing the target, folds it into the merged report like a traced row,
-// and serves the journaled hop contexts from the shared cache, so the resumed
-// campaign renders what the uninterrupted one renders and an interrupted run
-// loses at most the in-flight targets' probes.
+// serves the journaled hop contexts from the shared cache and the journaled
+// probes from the memo, so the resumed campaign renders what the
+// uninterrupted one renders and spends what it spends, and an interrupted
+// run loses at most the in-flight targets' probes.
 type Checkpoint struct {
 	Version int `json:"version"`
 	// CampaignID identifies which campaign wrote the checkpoint (see
 	// Config.ID; omitted for anonymous campaigns).
 	CampaignID string `json:"campaign_id,omitempty"`
+	// Digest is the Config.Digest of the campaign that wrote it.
+	Digest string `json:"digest,omitempty"`
 	// Rows journals the completed targets, in input order.
 	Rows []CheckpointRow `json:"rows,omitempty"`
 	// Subnets are the distinct subnets the rows' hops reference, in the
 	// report's order (see Report.Subnets); a hop names its subnet by index.
 	Subnets []core.CheckpointSubnet `json:"subnets,omitempty"`
+	// Memo journals the campaign's probe memo, sorted by key, when some
+	// target is not journaled done; a complete campaign's checkpoint has
+	// none, as nothing is left to probe.
+	Memo *probe.MemoJournal `json:"memo,omitempty"`
 }
 
 // CheckpointRow is one completed target's journaled outcome: whether the
@@ -73,10 +82,10 @@ const (
 )
 
 // Checkpoint snapshots the campaign for a later resume. Deterministic: the
-// rows follow input order and the subnets the report's order, so the
-// serialized bytes are independent of worker scheduling. Completed targets
-// are those traced to completion in this run or restored from the
-// checkpoint it resumed.
+// rows follow input order, the subnets the report's order and the memo its
+// keys, so the serialized bytes are independent of worker scheduling.
+// Completed targets are those traced to completion in this run or restored
+// from the checkpoint it resumed.
 func (r *Report) Checkpoint() *Checkpoint {
 	// Number the subnets the journaled paths reference in report order.
 	index := make(map[*core.Subnet]int32, len(r.subnets))
@@ -95,8 +104,12 @@ func (r *Report) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Version:    CheckpointVersion,
 		CampaignID: r.ID,
+		Digest:     r.digest,
 		Rows:       make([]CheckpointRow, 0, rows),
 		Subnets:    make([]core.CheckpointSubnet, 0, len(index)),
+	}
+	if r.memo != nil {
+		cp.Memo = r.memo.Journal()
 	}
 	for _, sub := range r.subnets {
 		if _, ok := index[sub]; ok {
@@ -159,8 +172,9 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 }
 
 // ReadCheckpoint decodes and validates a JSON campaign checkpoint: the
-// version, every subnet, and every row's destination (unique) and path. Only
-// the match against the resuming campaign is left to Run.
+// version, every subnet, every row's destination (unique) and path, and the
+// memo journal. Only the match against the resuming campaign is left to
+// Run.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
@@ -181,6 +195,11 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 func (cp *Checkpoint) restore() ([]*core.Result, error) {
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("collect: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
+	}
+	if cp.Memo != nil {
+		if err := cp.Memo.Validate(); err != nil {
+			return nil, fmt.Errorf("collect: checkpoint: %w", err)
+		}
 	}
 	subs := make([]*core.Subnet, len(cp.Subnets))
 	for i, cs := range cp.Subnets {
@@ -223,6 +242,9 @@ func (cfg *Config) journal() (map[ipv4.Addr]*core.Result, error) {
 	}
 	if cfg.ID != "" && cp.CampaignID != cfg.ID {
 		return nil, fmt.Errorf("%w: written by campaign %q, resuming %q", ErrCheckpointMismatch, cp.CampaignID, cfg.ID)
+	}
+	if cp.Digest != cfg.Digest {
+		return nil, fmt.Errorf("%w: written under spec digest %q, resuming under %q", ErrCheckpointMismatch, cp.Digest, cfg.Digest)
 	}
 	targets := make(map[ipv4.Addr]bool, len(cfg.Targets))
 	for _, t := range cfg.Targets {

@@ -308,6 +308,15 @@ func TestCheckpointMismatch(t *testing.T) {
 			t.Fatalf("row for a non-target: err = %v, want ErrCheckpointMismatch", err)
 		}
 	})
+	t.Run("spec digest", func(t *testing.T) {
+		cfg := figure3Campaign("10.0.5.2")
+		cfg.ID = "c0001"
+		cfg.Digest = "another spec"
+		cfg.Resume = cp
+		if _, err := collect.Run(context.Background(), cfg); !errors.Is(err, collect.ErrCheckpointMismatch) {
+			t.Fatalf("foreign digest: err = %v, want ErrCheckpointMismatch", err)
+		}
+	})
 	t.Run("anonymous resume", func(t *testing.T) {
 		// An anonymous campaign (the CLI's) may resume an identified one's
 		// checkpoint over the same targets.
@@ -320,7 +329,7 @@ func TestCheckpointMismatch(t *testing.T) {
 }
 
 // TestResumeRejectsBadCheckpoint: every malformed checkpoint fails the
-// resume — at decode time for bad JSON and the retired v1 and v2 schemas,
+// resume — at decode time for bad JSON and the retired v1, v2 and v3 schemas,
 // and both at decode time and at collect.Run for subnets, rows or paths
 // that do not validate.
 func TestResumeRejectsBadCheckpoint(t *testing.T) {
@@ -329,7 +338,7 @@ func TestResumeRejectsBadCheckpoint(t *testing.T) {
 	}
 	for _, old := range retiredCheckpoints {
 		if _, err := collect.ReadCheckpoint(strings.NewReader(old)); err == nil ||
-			!strings.Contains(err.Error(), "want 3") {
+			!strings.Contains(err.Error(), "want 4") {
 			t.Errorf("%s: err = %v, want the version error", old, err)
 		}
 	}
@@ -350,10 +359,11 @@ func TestResumeRejectsBadCheckpoint(t *testing.T) {
 	}
 }
 
-// retiredCheckpoints are checkpoints in the v1 and v2 schemas.
+// retiredCheckpoints are checkpoints in the v1, v2 and v3 schemas.
 var retiredCheckpoints = []string{
 	`{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"], "subnets": []}`,
 	`{"version": 2, "rows": [{"dst": "10.0.5.2", "reached": true, "hops": 4, "subnets": 3}]}`,
+	`{"version": 3, "rows": [{"dst": "10.0.5.2", "reached": true, "path_addrs": [167772418], "path_subnets": [-1], "path_marks": [2]}]}`,
 }
 
 // badCheckpoints returns checkpoints that decode but do not validate, by the
@@ -385,6 +395,59 @@ func badCheckpoints() map[string]*collect.Checkpoint {
 		"unknown mark bit":      path(withMarks(0x20)),
 		"ragged path":           path(short),
 		"wrong version":         {Version: 1},
+		"ragged memo": {Version: collect.CheckpointVersion,
+			Memo: &probe.MemoJournal{Keys: []uint64{0x0a00050201}, Replies: []uint64{0}}},
+		"unsorted memo": {Version: collect.CheckpointVersion,
+			Memo: &probe.MemoJournal{Keys: []uint64{0x0a00050202, 0x0a00050201}, Replies: []uint64{0, 0}, Costs: []uint64{1, 1}}},
+		"memo ttl 0": {Version: collect.CheckpointVersion,
+			Memo: &probe.MemoJournal{Keys: []uint64{0x0a00050200}, Replies: []uint64{0}, Costs: []uint64{1}}},
+		"memo cost of no packets": {Version: collect.CheckpointVersion,
+			Memo: &probe.MemoJournal{Keys: []uint64{0x0a00050201}, Replies: []uint64{0}, Costs: []uint64{0}}},
+	}
+}
+
+// cutCheckpoint runs the campaign, cancelled once cut targets have finished
+// (0 = never), and returns its checkpoint.
+func cutCheckpoint(t testing.TB, cfg collect.Config, cut int) *collect.Checkpoint {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var done atomic.Int64
+	cfg.OnTargetDone = func(collect.TargetResult) {
+		if done.Add(1) == int64(cut) {
+			cancel()
+		}
+	}
+	rep, err := collect.Run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Checkpoint()
+}
+
+// TestCheckpointJournalsMemoWhileUnfinished: a cut campaign's checkpoint
+// journals the probe memo, sorted by key; a complete campaign's, or one run
+// without sharing, carries none.
+func TestCheckpointJournalsMemoWhileUnfinished(t *testing.T) {
+	resolve := func(sp daemon.Spec) collect.Config {
+		c, err := sp.Resolve("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Config
+	}
+	cut := cutCheckpoint(t, resolve(daemon.Spec{Topology: "random", Seed: 3}), 5)
+	if cut.Memo == nil || len(cut.Memo.Keys) == 0 {
+		t.Fatal("cut checkpoint journals no probe memo")
+	}
+	if err := cut.Memo.Validate(); err != nil {
+		t.Errorf("cut checkpoint's memo: %v", err)
+	}
+	if full := cutCheckpoint(t, resolve(daemon.Spec{Topology: "random", Seed: 3}), 0); full.Memo != nil {
+		t.Errorf("complete checkpoint journals a memo of %d keys", len(full.Memo.Keys))
+	}
+	if unshared := cutCheckpoint(t, resolve(daemon.Spec{Topology: "random", Seed: 3, DisableCache: true}), 5); unshared.Memo != nil {
+		t.Errorf("a campaign without sharing journals a memo of %d keys", len(unshared.Memo.Keys))
 	}
 }
 
@@ -393,7 +456,7 @@ func badCheckpoints() map[string]*collect.Checkpoint {
 // the documented (0,1] range.
 func TestResumeLegacyConfidence(t *testing.T) {
 	// The row's two hops are 10.0.1.2 and 10.0.2.0, answering ttl-exceeded.
-	cp, err := collect.ReadCheckpoint(strings.NewReader(`{"version": 3, "rows": [
+	cp, err := collect.ReadCheckpoint(strings.NewReader(`{"version": 4, "rows": [
 		{"dst": "10.0.5.2", "path_addrs": [167772418, 167772672], "path_subnets": [0, 1], "path_marks": [2, 2]}
 	], "subnets": [
 		{"prefix": "10.0.1.0/30", "addrs": ["10.0.1.1", "10.0.1.2"], "pivot": "10.0.1.2", "pivot_dist": 1},

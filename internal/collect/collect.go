@@ -1,23 +1,29 @@
 // Package collect is tracenet's parallel multi-destination collection
 // engine: a campaign traces many destinations concurrently from one vantage
-// point, shares subnet explorations between workers through a single-flight
-// cache, and merges everything into one deterministic subnet-level topology.
+// point, shares subnet explorations and single probes between workers
+// through single-flight memos, and merges everything into one deterministic
+// subnet-level topology.
 //
 // The paper collects its datasets by running tracenet against thousands of
 // destinations (§4); doing that serially re-explores every backbone subnet
 // once per destination that crosses it. The campaign engine removes both
-// costs: a worker pool overlaps traces in wall-clock time, and the shared
-// cache (internal/collect.Cache) makes each distinct hop context's subnet
-// exploration happen exactly once across the whole campaign — the
-// Doubletree stop-set idea applied to subnet exploration.
+// costs: a worker pool overlaps traces in wall-clock time, the shared cache
+// (internal/collect.Cache) makes each distinct hop context's subnet
+// exploration happen exactly once across the whole campaign, and the probe
+// memo (probe.Memo) puts each distinct (destination, TTL) probe on the wire
+// once — the Doubletree stop-set idea applied to subnet exploration and to
+// single probes. A memo hit replays the packets its first sender spent into
+// the asker's accounting, so every probe count the campaign renders is what
+// the asker would have spent alone; only Stats.WireProbes falls.
 //
 // Determinism contract: on a clean deterministic substrate (netsim without
 // loss, faults, rate limits, or per-packet ECMP; no retries with jitter; no
-// breaker), a campaign's merged topology, report rendering, and metrics
-// exposition are byte-identical at any Parallel value. Only
-// scheduling-dependent artifacts — span timestamps in the trace output,
-// per-target position/explore probe attribution — vary; everything the
-// campaign renders is derived from schedule-independent quantities.
+// breaker), a campaign's merged topology, report rendering, checkpoint,
+// wire-probe total and metrics exposition are byte-identical at any
+// Parallel value. Only scheduling-dependent artifacts — span timestamps in
+// the trace output, per-target position/explore probe attribution — vary;
+// everything the campaign renders is derived from schedule-independent
+// quantities.
 package collect
 
 import (
@@ -59,19 +65,27 @@ type Config struct {
 	// runs out. The daemon points this at the submitting tenant's aggregate
 	// budget so no set of campaigns can overspend the tenant's allowance.
 	BudgetParent *probe.SharedBudget
-	// DisableCache runs the campaign without the shared subnet cache —
-	// every target re-explores its whole path (the ablation baseline the
-	// probes-saved accounting is measured against). A campaign of one
-	// target never builds the cache.
+	// DisableCache runs the campaign without any cross-target sharing: no
+	// shared subnet cache and no probe memo, so every target re-explores
+	// its whole path and pays for every probe on the wire (the
+	// independent-traces baseline the probes-saved accounting is measured
+	// against). A campaign of one target never builds either.
 	DisableCache bool
+
+	// Digest identifies what the campaign collects: daemon.Spec.Resolve
+	// sets it from the resolved spec's collection fields. The checkpoint
+	// journals it, and a resume under another digest fails with
+	// ErrCheckpointMismatch.
+	Digest string
 
 	// Session configures each per-target session. Its Shared field is
 	// overwritten by the campaign.
 	Session core.Config
-	// Probe configures each per-target prober. Its SharedBudget, Activity
-	// and Telemetry fields are overwritten by the campaign (with the
-	// campaign budget, Progress.Activity and Telemetry below); leave
-	// retries/breaker unset for deterministic campaigns.
+	// Probe configures each per-target prober. Its SharedBudget, Activity,
+	// Memo and Telemetry fields are overwritten by the campaign (with the
+	// campaign budget, Progress.Activity, the campaign's probe memo and
+	// Telemetry below); leave retries/breaker unset for deterministic
+	// campaigns.
 	Probe probe.Options
 	// Dial builds the prober a worker uses for one target, from the options
 	// the campaign finished assembling — typically netsim's PortFor plus
@@ -101,11 +115,12 @@ type Config struct {
 	// Resume seeds the campaign from its own checkpoint: journaled targets
 	// are not re-traced — each row is rebuilt from its journaled hop path
 	// into a StatusResumed result that the report merges like a traced row —
-	// and the hop contexts those paths grew subnets at are served from the
-	// shared cache. On a clean substrate the resumed campaign's report,
-	// checkpoint and wire-probe total (summed with the interrupted run's)
-	// equal the uninterrupted run's. A checkpoint from another campaign
-	// fails the run with ErrCheckpointMismatch.
+	// the hop contexts those paths grew subnets at are served from the
+	// shared cache, and the journaled probe memo answers the probes the
+	// interrupted run already sent. On a clean substrate the resumed
+	// campaign's report, checkpoint and wire-probe total (summed with the
+	// interrupted run's) equal the uninterrupted run's. A checkpoint from
+	// another campaign or spec fails the run with ErrCheckpointMismatch.
 	Resume *Checkpoint
 }
 
@@ -184,6 +199,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// re-probes ClearCache forces before each owned growth.
 	if !cfg.DisableCache && len(cfg.Targets) > 1 {
 		c.cache = NewCache()
+		c.memo = probe.NewMemo()
+		if cfg.Resume != nil && cfg.Resume.Memo != nil {
+			if err := c.memo.Seed(cfg.Resume.Memo); err != nil {
+				return nil, err
+			}
+		}
 	}
 	results := make([]TargetResult, len(cfg.Targets))
 	for idx, dst := range cfg.Targets {
@@ -243,10 +264,12 @@ type campaign struct {
 	cfg    Config
 	tel    *telemetry.Telemetry
 	budget *probe.SharedBudget
-	cache  *Cache    // nil when the shared cache is disabled
-	prog   *Progress // nil when no one is watching; all methods nil-safe
+	cache  *Cache      // nil when the shared cache is disabled
+	memo   *probe.Memo // nil exactly when cache is
+	prog   *Progress   // nil when no one is watching; all methods nil-safe
 
 	wireProbes atomic.Uint64
+	memoHits   atomic.Uint64
 
 	cTargets  map[TargetStatus]*telemetry.Counter
 	cHits     *telemetry.Counter
@@ -319,6 +342,7 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 	opts := c.cfg.Probe
 	opts.SharedBudget = c.budget
 	opts.Activity = c.prog.Activity()
+	opts.Memo = c.memo
 	opts.Telemetry = c.tel
 	pr, err := c.cfg.Dial(opts)
 	if err != nil {
@@ -339,7 +363,8 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 	end := c.tel.Ticks()
 
 	st := pr.Stats()
-	c.wireProbes.Add(st.Sent)
+	c.wireProbes.Add(st.Wire())
+	c.memoHits.Add(st.MemoHits)
 	c.prog.addBreakerTrips(st.BreakerOpens)
 
 	out.Result = res
@@ -364,7 +389,7 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 // buildReport assembles the deterministic campaign report from the
 // per-target rows (already in input order).
 func (c *campaign) buildReport(results []TargetResult) *Report {
-	rep := &Report{ID: c.cfg.ID, Targets: results}
+	rep := &Report{ID: c.cfg.ID, Targets: results, digest: c.cfg.Digest}
 	for i := range results {
 		switch results[i].Status {
 		case StatusDone:
@@ -382,7 +407,12 @@ func (c *campaign) buildReport(results []TargetResult) *Report {
 		}
 	}
 	rep.Stats.Targets = len(results)
+	if rep.Stats.Done+rep.Stats.Resumed < rep.Stats.Targets {
+		// Probes are left to send: the checkpoint journals the memo.
+		rep.memo = c.memo
+	}
 	rep.Stats.WireProbes = c.wireProbes.Load()
+	rep.Stats.MemoHits = c.memoHits.Load()
 	if c.cache != nil {
 		rep.Stats.CacheHits = c.cache.Hits()
 		rep.Stats.CacheMisses = c.cache.Misses()

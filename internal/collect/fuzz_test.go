@@ -35,6 +35,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(run(c.Config))
+	f.Add(encode(cutCheckpoint(f, figure3Campaign("10.0.5.2", "10.0.3.1"), 1)))
 	f.Add([]byte("{not json"))
 	for _, old := range retiredCheckpoints {
 		f.Add([]byte(old))

@@ -7,13 +7,14 @@ import (
 	"strings"
 
 	"tracenet/internal/core"
+	"tracenet/internal/probe"
 	"tracenet/internal/topomap"
 )
 
 // Stats is the campaign's aggregate accounting. Every field is
-// schedule-independent on a deterministic substrate: wire probes and cache
-// counters total over work that happens exactly once per target or per
-// distinct hop context, however it was interleaved.
+// schedule-independent on a deterministic substrate: wire probes, memo and
+// cache counters total over work that happens exactly once per target, per
+// distinct hop context or per distinct probe, however it was interleaved.
 type Stats struct {
 	Targets int
 	Done    int
@@ -30,8 +31,12 @@ type Stats struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	ProbesSaved uint64
-	// WireProbes is the campaign's total packets on the wire.
+	// WireProbes is the campaign's total packets on the wire. MemoHits
+	// counts the logical probes the campaign's probe memo answered instead
+	// (logical lookups less the distinct probes sent; zero when sharing is
+	// disabled).
 	WireProbes uint64
+	MemoHits   uint64
 }
 
 // Report is a completed campaign: per-target rows in input order, the merged
@@ -53,6 +58,11 @@ type Report struct {
 	// subnets is the deduplicated, deterministically ordered set of distinct
 	// collected subnets, for checkpointing.
 	subnets []*core.Subnet
+	// digest and memo are what the checkpoint journals besides the rows:
+	// Config.Digest, and the probe memo while some target is unfinished
+	// (nil once every target is done, or without sharing).
+	digest string
+	memo   *probe.Memo
 }
 
 // merge builds the merged topology and the distinct-subnet set from the

@@ -191,10 +191,17 @@ func (s *Session) trace(dst ipv4.Addr) (*Result, error) {
 // loop, or gap limit).
 func (s *Session) traceHop(dst ipv4.Addr, d int, u *ipv4.Addr, gaps *int,
 	seen map[ipv4.Addr]bool, res *Result) (stop bool, err error) {
-	// Trace collection: one indirect probe at TTL d.
+	// Trace collection: one indirect probe at TTL d. The TTL-1 probe stays
+	// off the campaign memo, so the first packet every traced target puts
+	// on the wire is its own, toward the target.
 	tc := s.pr.Scope()
 	recoveredHere := false
-	r, err := s.pr.Probe(dst, d)
+	var r probe.Result
+	if d == 1 {
+		r, err = s.pr.ProbeUnshared(dst, d)
+	} else {
+		r, err = s.pr.Probe(dst, d)
+	}
 	if err != nil {
 		if !recoverable(err) {
 			return true, err

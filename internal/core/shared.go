@@ -3,17 +3,19 @@ package core
 import "tracenet/internal/ipv4"
 
 // Growth is the outcome of one subnet exploration at a hop context: the
-// subnet grown around pivot v (nil when v was unpositionable) and the wire
+// subnet grown around pivot v (nil when v was unpositionable) and the packet
 // cost — position plus exploration packets — that the growth spent. On a
 // clean network the whole Growth is a pure function of the hop context
 // (v, u, d): the session clears its prober's response cache before an owned
 // growth precisely so the cost cannot depend on what the session probed
-// earlier. That purity is what lets a campaign share growths across workers
+// earlier, and a campaign's probe memo replays the packets of every probe it
+// answers. That purity is what lets a campaign share growths across workers
 // without perturbing any observable output.
 type Growth struct {
 	// Subnet is the grown subnet, nil when positioning rejected the pivot.
 	Subnet *Subnet
-	// Cost is the number of packets the growth put on the wire.
+	// Cost is the number of packets the growth sent, counting those a probe
+	// memo hit replayed.
 	Cost uint64
 }
 

@@ -512,11 +512,11 @@ func TestReplayRejectsCorruptSpool(t *testing.T) {
 			"c0001.state.json": `{"id": "c00`, "c0001.spec.json": good}, "c0001.state.json", ""},
 		{"v1 checkpoint", checkpoint(`{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"]}`),
 			"c0001.checkpoint.json", "version 1"},
-		{"checkpoint subnet prefix", checkpoint(`{"version": 3, "subnets": [{"prefix": "nope", "pivot": "10.0.0.1"}]}`),
+		{"checkpoint subnet prefix", checkpoint(`{"version": 4, "subnets": [{"prefix": "nope", "pivot": "10.0.0.1"}]}`),
 			"c0001.checkpoint.json", `invalid prefix "nope"`},
-		{"checkpoint row destination", checkpoint(`{"version": 3, "rows": [{"dst": "x"}]}`),
+		{"checkpoint row destination", checkpoint(`{"version": 4, "rows": [{"dst": "x"}]}`),
 			"c0001.checkpoint.json", `invalid address "x"`},
-		{"checkpoint path index", checkpoint(`{"version": 3, "rows": [{"dst": "10.0.5.2",
+		{"checkpoint path index", checkpoint(`{"version": 4, "rows": [{"dst": "10.0.5.2",
 			"path_addrs": [167772418], "path_subnets": [4], "path_marks": [2]}]}`),
 			"c0001.checkpoint.json", "subnet index 4 outside"},
 	}

@@ -21,6 +21,8 @@ package daemon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,8 +82,9 @@ type Spec struct {
 	Backoff bool  `json:"backoff,omitempty"`
 	Breaker bool  `json:"breaker,omitempty"`
 
-	// DisableCache runs the campaign without the shared subnet cache,
-	// exactly like the CLI's -campaign-no-cache flag.
+	// DisableCache runs the campaign without sharing between targets (no
+	// shared subnet cache, no probe memo), exactly like the CLI's
+	// -campaign-no-cache flag.
 	DisableCache bool `json:"disable_cache,omitempty"`
 
 	// Eval scores the collected subnets against the simulated ground truth
@@ -244,14 +247,57 @@ func parseProto(name string) (probe.Protocol, error) {
 
 // Campaign is a resolved Spec: its scenario, a freshly seeded substrate
 // with the spec's chaos plan installed, the vantage port, and the
-// collect.Config carrying every spec-derived knob. Callers add their own
-// wiring (telemetry, progress, resume, budget parent, pacer) to Config
-// before collect.Run.
+// collect.Config carrying every spec-derived knob, the spec digest
+// included. Callers add their own wiring (telemetry, progress, resume,
+// budget parent, pacer) to Config before collect.Run.
 type Campaign struct {
 	Scenario *cli.Scenario
 	Net      *netsim.Network
 	Port     *netsim.Port
 	Config   collect.Config
+}
+
+// InstallFaults installs a fault plan the spec does not name (the CLI's
+// -faults) on the campaign's substrate, and folds the plan into
+// Config.Digest: a checkpoint written under one plan does not resume under
+// another.
+func (c *Campaign) InstallFaults(plan netsim.FaultPlan) error {
+	if err := c.Net.InstallFaults(plan); err != nil {
+		return err
+	}
+	b, err := json.Marshal(plan)
+	if err != nil {
+		return err
+	}
+	c.Config.Digest = digest(c.Config.Digest, string(b))
+	return nil
+}
+
+// collection holds the resolved spec fields that decide what a campaign
+// collects; its JSON is what the spec digest hashes. Targets, parallelism,
+// budget, cache and evaluation settings are left out: the checkpoint checks
+// its rows against the targets itself, and the rest change how a campaign
+// runs, not what a target's trace observes.
+type collection struct {
+	Topology string `json:"topology"`
+	Seed     int64  `json:"seed"`
+	Vantage  string `json:"vantage"`
+	Proto    string `json:"proto"`
+	Chaos    int64  `json:"chaos"`
+	Defend   bool   `json:"defend"`
+	Backoff  bool   `json:"backoff"`
+	Breaker  bool   `json:"breaker"`
+	MaxTTL   int    `json:"max_ttl"`
+}
+
+// digest returns the hex SHA-256 of its parts, NUL-separated.
+func digest(parts ...string) string {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Resolve turns the spec into a runnable campaign identified as id ("" for
@@ -297,6 +343,16 @@ func (sp *Spec) Resolve(id string) (*Campaign, error) {
 		return nil, err
 	}
 
+	// Resolved values: an unset seed reads as 1 and an unset protocol as
+	// icmp, so equal specs digest equally however they were written.
+	fields, err := json.Marshal(collection{
+		Topology: sp.topology(), Seed: sp.seed(), Vantage: vantage, Proto: proto.String(),
+		Chaos: sp.Chaos, Defend: sp.Defend, Backoff: sp.Backoff, Breaker: sp.Breaker, MaxTTL: sp.maxTTL(),
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	popts := probe.Options{Protocol: proto, Cache: true}
 	if sp.Backoff {
 		popts.Retry = &probe.RetryPolicy{MaxRetries: 2, BackoffBase: 4, BackoffMax: 64, Jitter: 0.25}
@@ -314,6 +370,7 @@ func (sp *Spec) Resolve(id string) (*Campaign, error) {
 			Parallel:     sp.Parallel,
 			Budget:       sp.Budget,
 			DisableCache: sp.DisableCache,
+			Digest:       digest(string(fields)),
 			Session:      core.Config{MaxTTL: sp.maxTTL(), Defend: sp.Defend},
 			Probe:        popts,
 			Dial: func(opts probe.Options) (*probe.Prober, error) {

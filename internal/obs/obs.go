@@ -37,11 +37,17 @@ import (
 	"tracenet/internal/telemetry"
 )
 
-// Connection timeouts: a client that never finishes its request headers, or
-// idles between keep-alive requests, must not hold a connection forever.
-// There is no write timeout: /debug/pprof/profile?seconds=N streams for N
-// seconds. readHeaderTimeout is a variable only so a test can shorten it.
-var readHeaderTimeout = 10 * time.Second
+// Connection timeouts: a client that never finishes its request headers or
+// body, or idles between keep-alive requests, must not hold a connection —
+// or a handler blocked reading the body — forever. There is no write
+// timeout: /debug/pprof/profile?seconds=N streams for N seconds (net/http
+// lifts the read deadline once the body is read, so the read timeout does
+// not cut it short). readHeaderTimeout and readTimeout are variables only
+// so a test can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 15 * time.Second
+)
 
 const idleTimeout = 2 * time.Minute
 
@@ -92,7 +98,8 @@ func NewServer(tel *telemetry.Telemetry, lg *Logger) *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		IdleTimeout: idleTimeout}
 	return s
 }
 

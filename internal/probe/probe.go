@@ -135,10 +135,16 @@ func (r Result) Silent() bool { return r.Kind == None }
 // Stats accumulates probe accounting across a prober's lifetime; tracenet's
 // probing-overhead model (paper §3.6) is validated against these counters.
 type Stats struct {
-	Sent     uint64 // packets put on the wire, including retries
+	Sent     uint64 // packets sent, including retries and memo replays
 	Answered uint64 // packets that drew any response
 	Retries  uint64 // additional packets sent after silence
 	Cached   uint64 // logical probes served from the response cache
+
+	// Campaign memo accounting (see Memo): a memo hit replays its owner's
+	// exchange into the counters above, so Sent counts logical packets and
+	// Wire() the ones this prober put on the wire.
+	MemoHits     uint64 // logical probes the campaign memo answered
+	MemoReplayed uint64 // packets those hits replayed into Sent
 
 	// Resilience accounting (fault injection & graceful degradation).
 	Timeouts     uint64 // logical probes still silent after all retries
@@ -158,6 +164,10 @@ func (s Stats) FaultEvents() uint64 {
 	return s.Corrupt + s.BreakerSkips
 }
 
+// Wire returns the packets the prober itself put on the wire: Sent less
+// what memo hits replayed.
+func (s Stats) Wire() uint64 { return s.Sent - s.MemoReplayed }
+
 // Sub returns the component-wise difference s - base. It underpins Scope:
 // two snapshots of a monotonically-growing Stats bracket a phase of work,
 // and their difference is that phase's accounting.
@@ -167,6 +177,8 @@ func (s Stats) Sub(base Stats) Stats {
 		Answered:     s.Answered - base.Answered,
 		Retries:      s.Retries - base.Retries,
 		Cached:       s.Cached - base.Cached,
+		MemoHits:     s.MemoHits - base.MemoHits,
+		MemoReplayed: s.MemoReplayed - base.MemoReplayed,
 		Timeouts:     s.Timeouts - base.Timeouts,
 		Corrupt:      s.Corrupt - base.Corrupt,
 		BreakerOpens: s.BreakerOpens - base.BreakerOpens,
@@ -303,6 +315,11 @@ type Options struct {
 	// cost no packets. tracenet's rule merging (§3.5: "both H3 and H6
 	// require the same single probe") relies on this.
 	Cache bool
+	// Memo, when set, is the memo of logical probes every prober of a
+	// campaign shares (see Memo); collect.Run overwrites it. Probe consults
+	// it after the prober's own response cache; ProbeUnshared and
+	// ProbeUncached never touch it, and a RecordRoute prober ignores it.
+	Memo *Memo
 	// RecordRoute sets the IP record-route option on every probe, the
 	// DisCarte mechanism: compliant routers stamp their outgoing interface,
 	// yielding a second address per hop for the first nine hops.
@@ -405,6 +422,10 @@ func New(tr Transport, src ipv4.Addr, opts Options) *Prober {
 	if opts.FlowID == 0 {
 		opts.FlowID = 0x7a7a
 	}
+	if opts.RecordRoute {
+		// The memo keeps no record-route stamps; a hit must not drop them.
+		opts.Memo = nil
+	}
 	p := &Prober{tr: tr, src: src, opts: opts, retry: retry}
 	if retry.BackoffBase > 0 || opts.Pacer != nil {
 		// Backoff and pacing both wait through the transport's clock hook.
@@ -491,14 +512,14 @@ func (p *Prober) Protocol() Protocol { return p.opts.Protocol }
 func (p *Prober) Stats() Stats { return p.stats }
 
 // ClearCache empties the prober's response cache (a no-op when caching is
-// disabled). The campaign layer clears it before every shared subnet
-// exploration so an exploration's probe cost is a pure function of its hop
-// context — independent of which worker happens to run it — which is what
-// keeps parallel campaigns byte-deterministic. Stats are unaffected.
+// disabled), keeping its storage for the next epoch. The campaign layer
+// clears it before every shared subnet exploration so an exploration's
+// probe cost is a pure function of its hop context — independent of which
+// worker happens to run it — which is what keeps parallel campaigns
+// byte-deterministic. The campaign memo does not change that cost: a memo
+// hit replays the packets its owner spent. Stats are unaffected.
 func (p *Prober) ClearCache() {
-	if p.cache != nil {
-		p.cache = make(map[cacheKey]Result)
-	}
+	clear(p.cache)
 }
 
 // Direct sends a direct probe (large TTL) testing whether dst is alive.
@@ -507,29 +528,49 @@ func (p *Prober) Direct(dst ipv4.Addr) (Result, error) {
 }
 
 // Probe sends one logical probe to dst with the given TTL, retrying on
-// silence, and classifies the response.
+// silence, and classifies the response. It is answered from the prober's
+// response cache, then from the campaign memo, before it goes on the wire.
 func (p *Prober) Probe(dst ipv4.Addr, ttl int) (Result, error) {
-	return p.probe(dst, ttl, true)
+	return p.probe(dst, ttl, shared)
 }
 
-// ProbeUncached is Probe bypassing the response cache in both directions: the
-// cached outcome is ignored and the fresh outcome does not replace it. It is
-// the cross-validation primitive of the adversarial defenses — a lying
+// ProbeUnshared is Probe without the campaign memo: the response cache still
+// answers, but a miss goes on the wire and its outcome is not published. A
+// trace sends its TTL-1 probe this way, so the first packet every traced
+// target puts on the wire names the target.
+func (p *Prober) ProbeUnshared(dst ipv4.Addr, ttl int) (Result, error) {
+	return p.probe(dst, ttl, unshared)
+}
+
+// ProbeUncached is Probe bypassing the response cache and the memo in both
+// directions: no stored outcome is used and the fresh outcome replaces none.
+// It is the cross-validation primitive of the adversarial defenses — a lying
 // responder's first answer must not be able to vouch for itself, and the
 // re-probe must not overwrite the evidence of what was originally observed.
 func (p *Prober) ProbeUncached(dst ipv4.Addr, ttl int) (Result, error) {
-	return p.probe(dst, ttl, false)
+	return p.probe(dst, ttl, uncached)
 }
 
-// probe is the per-probe engine behind Probe and ProbeUncached.
+// probeMode selects which stored outcomes a logical probe may use and fill.
+type probeMode uint8
+
+const (
+	shared   probeMode = iota // response cache, then the campaign memo
+	unshared                  // response cache only
+	uncached                  // neither
+)
+
+// probe is the per-probe engine behind Probe, ProbeUnshared and
+// ProbeUncached.
 //
 //tracenet:hotpath
-func (p *Prober) probe(dst ipv4.Addr, ttl int, useCache bool) (Result, error) {
+func (p *Prober) probe(dst ipv4.Addr, ttl int, mode probeMode) (Result, error) {
 	if ttl < 1 || ttl > 255 {
 		return Result{}, fmt.Errorf("probe: ttl %d out of range", ttl)
 	}
 	key := cacheKey{dst, uint8(ttl)}
-	if useCache && p.cache != nil {
+	useCache := mode != uncached && p.cache != nil
+	if useCache {
 		if r, ok := p.cache[key]; ok {
 			p.stats.Cached++
 			p.cCached.Inc()
@@ -546,6 +587,57 @@ func (p *Prober) probe(dst ipv4.Addr, ttl int, useCache bool) (Result, error) {
 		return Result{}, nil
 	}
 	var res Result
+	var err error
+	if p.opts.Memo != nil && mode == shared {
+		res, err = p.memoized(dst, uint8(ttl))
+	} else {
+		res, err = p.exchange(dst, uint8(ttl))
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	if p.br != nil && p.br.record(dst, !res.Silent()) {
+		p.stats.BreakerOpens++
+		p.cBreakerOpens.Inc()
+		// A breaker opening is active load shedding — the degradation signal
+		// the flight recorder exists for, so dump the probe history now.
+		p.tel.Incident(fmt.Sprintf("breaker-open zone=%v/%d",
+			p.br.key(dst), p.br.cfg.KeyBits))
+	}
+	if useCache {
+		p.cache[key] = res
+	}
+	return res, nil
+}
+
+// memoized serves one logical probe through the campaign memo: a finished
+// entry is replayed, and a key no prober has asked for yet is exchanged here
+// and published for every later asker.
+//
+//tracenet:hotpath
+func (p *Prober) memoized(dst ipv4.Addr, ttl uint8) (Result, error) {
+	m := p.opts.Memo
+	key := memoKey(dst, ttl)
+	s, owner := m.claim(key)
+	if !owner {
+		return p.replay(s), nil
+	}
+	before := p.stats
+	res, err := p.exchange(dst, ttl)
+	s = memoSlot{}
+	if err == nil {
+		s = memoSlot{reply: packReply(res), cost: packCost(p.stats.Sub(before))}
+	}
+	m.settle(key, s)
+	return res, err
+}
+
+// exchange puts one logical probe on the wire: a packet, then a retry after
+// each silence up to the retry policy, backing off between attempts.
+//
+//tracenet:hotpath
+func (p *Prober) exchange(dst ipv4.Addr, ttl uint8) (Result, error) {
+	var res Result
 	for attempt := 0; ; attempt++ {
 		if !p.opts.SharedBudget.TrySpend(1) {
 			return Result{}, ErrBudgetExceeded
@@ -561,7 +653,7 @@ func (p *Prober) probe(dst ipv4.Addr, ttl int, useCache bool) (Result, error) {
 				}
 			}
 		}
-		r, err := p.once(dst, uint8(ttl))
+		r, err := p.once(dst, ttl)
 		if err != nil {
 			return Result{}, err
 		}
@@ -582,17 +674,6 @@ func (p *Prober) probe(dst ipv4.Addr, ttl int, useCache bool) (Result, error) {
 	if res.Silent() {
 		p.stats.Timeouts++
 		p.cTimeouts.Inc()
-	}
-	if p.br != nil && p.br.record(dst, !res.Silent()) {
-		p.stats.BreakerOpens++
-		p.cBreakerOpens.Inc()
-		// A breaker opening is active load shedding — the degradation signal
-		// the flight recorder exists for, so dump the probe history now.
-		p.tel.Incident(fmt.Sprintf("breaker-open zone=%v/%d",
-			p.br.key(dst), p.br.cfg.KeyBits))
-	}
-	if useCache && p.cache != nil {
-		p.cache[key] = res
 	}
 	return res, nil
 }

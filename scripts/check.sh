@@ -80,17 +80,18 @@ for d in examples/*/; do
     go run "./$d" >/dev/null
 done
 
-echo "== bench smoke (1 iteration per benchmark) + warn-only baseline diff"
+echo "== bench smoke (1 iteration per benchmark) + baseline diff (gating on exact probe counts)"
 bench_tmp="$(mktemp)"
 go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
 go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/telemetry/ | tee -a "$bench_tmp"
-# Diff the smoke run against the newest committed baseline. The report is
-# advisory (benchjson -compare always exits 0 on parseable input): 1x timing
-# numbers are noise, but allocs/op is exact even at one iteration, so a real
-# allocation regression is visible here before the hard allocbudget gate
-# pins down which function caused it.
+# Diff the smoke run against the newest committed baseline. Exact probe
+# counts gate: a rise in a benchmark's wire-probes or probes/trace fails
+# here, since they move only when the collector's behaviour does. The rest
+# of the report is advisory: 1x timing numbers are noise, and allocs/op at
+# one iteration includes warm-up, so an allocation regression shows here
+# before the hard allocbudget gate pins down which function caused it.
 bench_baseline="$(ls BENCH_*.json | sort | tail -1)"
-echo "== benchjson -compare $bench_baseline (warn-only)"
+echo "== benchjson -compare $bench_baseline (gating on wire-probes and probes/trace)"
 go run ./cmd/benchjson -compare "$bench_baseline" < "$bench_tmp"
 rm -f "$bench_tmp"
 
