@@ -71,11 +71,12 @@
 // explored once, and a probe memo, so each distinct (destination, TTL)
 // probe goes on the wire once; a lone destination runs without them and
 // costs what one trace costs. The output is, in order: the banner, any
-// resume and progress lines, the hop listing of every traced or resumed
-// destination in input order, the merged campaign report, the run's
-// wire-probe, memo and cache line, the -subnets inventory, the probe and
-// resilience totals summed over every prober the campaign dialed, the
-// fault and defense lines, and the evaluation. All of it is byte-identical
+// progress lines, the resume line (printed once collect.Run has accepted the
+// checkpoint, so a refused resume prints none), the hop listing of every
+// traced or resumed destination in input order, the merged campaign report,
+// the run's wire-probe, memo and cache line, the -subnets inventory, the
+// probe and resilience totals summed over every prober the campaign dialed,
+// the fault and defense lines, and the evaluation. All of it is byte-identical
 // whatever -parallel is. The wire-probe line counts packets on the wire;
 // the totals count logical probes, so a probe the memo answered counts the
 // packets its first sender spent (the "replayed by the memo" share), as the
@@ -479,8 +480,6 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 			return err
 		}
 		ccfg.Resume = cp
-		fmt.Fprintf(w, "resuming campaign from %s: %d of %d targets done, %d subnets\n",
-			o.campaignResume, len(cp.Rows), len(ccfg.Targets), len(cp.Subnets))
 	}
 
 	// Keep every prober the campaign dials: their summed stats are the run's
@@ -502,6 +501,12 @@ func runCampaign(ctx context.Context, w io.Writer, o options, sp *daemon.Spec, c
 	rep, err := collect.Run(ctx, ccfg)
 	if err != nil {
 		return err
+	}
+	// Run refuses a checkpoint before any target runs, so a refused resume
+	// announces nothing.
+	if cp := ccfg.Resume; cp != nil {
+		fmt.Fprintf(w, "resuming campaign from %s: %d of %d targets done, %d subnets\n",
+			o.campaignResume, len(cp.Rows), len(ccfg.Targets), len(cp.Subnets))
 	}
 	var recovered, defenseProbes uint64
 	var quarantined []ipv4.Addr

@@ -8,12 +8,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"tracenet/internal/collect"
 	"tracenet/internal/daemon"
+	"tracenet/internal/experiments"
 	"tracenet/internal/obs"
 )
 
@@ -457,8 +460,14 @@ func TestRunCampaignResumeRefusesOtherSpec(t *testing.T) {
 		o := base
 		o.campaignResume = tc.checkpoint
 		tc.mutate(&o)
-		if err := run(io.Discard, o); !errors.Is(err, collect.ErrCheckpointMismatch) {
+		var b strings.Builder
+		if err := run(&b, o); !errors.Is(err, collect.ErrCheckpointMismatch) {
 			t.Errorf("%s: err = %v, want ErrCheckpointMismatch", tc.name, err)
+		}
+		// The resume line prints only once collect.Run has accepted the
+		// checkpoint: a refused resume announces nothing.
+		if strings.Contains(b.String(), "resuming") {
+			t.Errorf("%s: refused resume announced itself:\n%s", tc.name, b.String())
 		}
 	}
 
@@ -468,6 +477,41 @@ func TestRunCampaignResumeRefusesOtherSpec(t *testing.T) {
 		o.campaignResume = ck
 		if err := run(io.Discard, o); err != nil {
 			t.Errorf("%s under its own spec: %v", filepath.Base(ck), err)
+		}
+	}
+}
+
+// TestRunWireProbesAreTableProbes pins the one collection path: the wire
+// probes tracenet prints for Internet2 and GEANT are the "probes spent" of
+// the paper's Tables 1 and 2, which the experiments harness collects through
+// the same campaign.
+func TestRunWireProbesAreTableProbes(t *testing.T) {
+	wire := regexp.MustCompile(`(?m)^wire probes (\d+)`)
+	for _, tc := range []struct {
+		topo  string
+		table func(int64) (*experiments.ResearchResult, error)
+		want  uint64
+	}{
+		{"internet2", experiments.Table1Internet2, 3135},
+		{"geant", experiments.Table2GEANT, 4734},
+	} {
+		res, err := tc.table(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Probes != tc.want {
+			t.Errorf("%s: table probes spent %d, want %d", tc.topo, res.Probes, tc.want)
+		}
+		var b strings.Builder
+		if err := run(&b, options{topo: tc.topo, maxTTL: 30, seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		m := wire.FindStringSubmatch(b.String())
+		if m == nil {
+			t.Fatalf("%s: no wire probes line:\n%s", tc.topo, b.String())
+		}
+		if got := strconv.FormatUint(res.Probes, 10); m[1] != got {
+			t.Errorf("%s: tracenet sent %s wire probes, the table spent %s", tc.topo, m[1], got)
 		}
 	}
 }

@@ -70,16 +70,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One destination is one core.Trace; trace a list with collect.Run.
 	prober := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	session := core.NewSession(prober, core.Config{})
-
-	res, err := session.Trace(ipv4.MustParseAddr("10.10.24.2"))
+	res, err := core.Trace(prober, ipv4.MustParseAddr("10.10.24.2"), core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(res)
 	fmt.Println("\nwhat tracenet sees of this network:")
-	for _, s := range session.Subnets() {
+	for _, s := range res.Subnets {
 		fmt.Printf("  %v\n", s)
 	}
 	fmt.Println("\nnote: the anonymous core hop is bridged, and the firewalled")

@@ -1,17 +1,18 @@
 // Multivantage: the §4.2 cross-validation methodology. Three vantage points
-// trace a common target set into four ISP cores; the subnets each collects
-// are compared region by region, reproducing Figure 6's observation that
-// around 60% of a vantage point's subnets are seen by all three and roughly
-// 80% by at least one other.
+// trace a common target set into four ISP cores, one collect.Run campaign
+// each; the subnets each collects are compared region by region, reproducing
+// Figure 6's observation that around 60% of a vantage point's subnets are
+// seen by all three and roughly 80% by at least one other.
 //
 //	go run ./examples/multivantage
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"tracenet/internal/core"
+	"tracenet/internal/collect"
 	"tracenet/internal/experiments"
 	"tracenet/internal/ipv4"
 	"tracenet/internal/netsim"
@@ -33,21 +34,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, FlowID: uint16(7 + i)})
-		sess := core.NewSession(pr, core.Config{})
-		for _, target := range sc.TargetsFor() {
-			if _, err := sess.Trace(target); err != nil {
-				log.Fatal(err)
-			}
+		rep, err := collect.Run(context.Background(), collect.Config{
+			Targets: sc.TargetsFor(),
+			Probe:   probe.Options{Cache: true, FlowID: uint16(7 + i)},
+			Dial: func(opts probe.Options) (*probe.Prober, error) {
+				return probe.New(port, port.LocalAddr(), opts), nil
+			},
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
 		collected[i] = map[ipv4.Prefix]bool{}
-		for _, s := range sess.Subnets() {
+		for _, s := range rep.Subnets() {
 			if s.Prefix.Bits() < 32 {
 				collected[i][s.Prefix] = true
 			}
 		}
 		fmt.Printf("%-8s collected %4d subnets with %6d probes\n",
-			vantage, len(collected[i]), pr.Stats().Sent)
+			vantage, len(collected[i]), rep.Stats.WireProbes)
 	}
 
 	v := experiments.VennOf(collected[0], collected[1], collected[2])

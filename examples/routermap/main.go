@@ -1,44 +1,36 @@
 // Routermap: the downstream pipeline the paper motivates in §1 — from raw
-// probes to a router-level map. tracenet collects the subnets along several
-// paths, the subnet map assembles them, and Ally-style alias resolution
-// (pruned by tracenet's same-subnet constraint) groups the interfaces into
-// routers.
+// probes to a router-level map. A tracenet campaign collects the subnets
+// along several paths and merges them into one subnet map, and Ally-style
+// alias resolution (pruned by tracenet's same-subnet constraint) groups the
+// interfaces into routers.
 //
 //	go run ./examples/routermap
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"tracenet/internal/alias"
-	"tracenet/internal/core"
+	"tracenet/internal/collect"
+	"tracenet/internal/daemon"
 	"tracenet/internal/ipv4"
-	"tracenet/internal/netsim"
-	"tracenet/internal/probe"
-	"tracenet/internal/topo"
-	"tracenet/internal/topomap"
 )
 
 func main() {
-	topology := topo.Figure3()
-	network := netsim.New(topology, netsim.Config{})
-	port, err := network.PortFor("vantage")
+	// 1. Collect subnets along three paths: one campaign, resolved from a
+	// tracenetd spec exactly as `tracenet -topo figure3 <dst...>` resolves it.
+	sp := &daemon.Spec{Topology: "figure3", Targets: []string{"10.0.5.2", "10.0.4.1", "10.0.3.1"}}
+	c, err := sp.Resolve("")
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 1. Collect subnets along three paths.
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := core.NewSession(pr, core.Config{})
-	m := topomap.New()
-	for _, dst := range []string{"10.0.5.2", "10.0.4.1", "10.0.3.1"} {
-		res, err := sess.Trace(ipv4.MustParseAddr(dst))
-		if err != nil {
-			log.Fatal(err)
-		}
-		m.AddSession(res)
+	rep, err := collect.Run(context.Background(), c.Config)
+	if err != nil {
+		log.Fatal(err)
 	}
+	m, topology, port := rep.Map, c.Scenario.Topo, c.Port
 	fmt.Println("subnet-level map:")
 	fmt.Print(m)
 

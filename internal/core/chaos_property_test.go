@@ -91,7 +91,7 @@ func TestDegradedAnnotationUnderCorruption(t *testing.T) {
 	if pr.Stats().Corrupt == 0 {
 		t.Fatal("fault plan injected no corruption; test is vacuous")
 	}
-	deg := sess.DegradedSubnets()
+	deg := res.DegradedSubnets()
 	if len(deg) == 0 {
 		t.Fatalf("corruption observed (%d mangled) but no subnet flagged degraded:\n%v",
 			pr.Stats().Corrupt, res)
@@ -115,7 +115,7 @@ func TestFaultFreeRunsStayClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sess.DegradedSubnets()) != 0 {
+	if len(res.DegradedSubnets()) != 0 {
 		t.Errorf("clean run produced degraded subnets:\n%v", res)
 	}
 	if res.Recovered != 0 {

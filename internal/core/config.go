@@ -1,5 +1,8 @@
 package core
 
+// maxConsecutiveGaps ends a trace after this many anonymous hops in a row.
+const maxConsecutiveGaps = 4
+
 // Config tunes a tracenet session. The zero value selects the paper's
 // behaviour, including §3.5's reuse of a subnet the session has already
 // collected (always on). The ablation switches — DisableHalfFillStop,
@@ -8,9 +11,6 @@ package core
 type Config struct {
 	// MaxTTL bounds the trace length. Default 30.
 	MaxTTL int
-	// MaxConsecutiveGaps ends the trace after this many anonymous hops in a
-	// row. Default 4.
-	MaxConsecutiveGaps int
 	// MinPrefixBits bounds subnet growth: exploration never grows past this
 	// prefix length (Algorithm 1's loop would run m down to 0; operationally
 	// /20 is the largest subnet the paper observes). Default 20.
@@ -46,9 +46,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxTTL == 0 {
 		c.MaxTTL = 30
-	}
-	if c.MaxConsecutiveGaps == 0 {
-		c.MaxConsecutiveGaps = 4
 	}
 	if c.MinPrefixBits == 0 {
 		c.MinPrefixBits = 20

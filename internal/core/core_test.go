@@ -222,15 +222,22 @@ func TestUnpositionableHop(t *testing.T) {
 
 func TestUnroutableDestinationGivesUp(t *testing.T) {
 	pr := prober(t, topo.Figure3(), netsim.Config{}, probe.Options{Retry: &probe.RetryPolicy{}})
-	res, err := Trace(pr, addr("172.16.0.1"), Config{MaxConsecutiveGaps: 3})
+	res, err := Trace(pr, addr("172.16.0.1"), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reached {
 		t.Fatal("unroutable destination reported reached")
 	}
-	if len(res.Hops) > 6 {
-		t.Fatalf("did not give up: %d hops", len(res.Hops))
+	// Nothing answers toward an unroutable destination, so the trace gives
+	// up after exactly the gap limit of silent hops, 4.
+	if len(res.Hops) != 4 {
+		t.Fatalf("gave up after %d hops, want the gap limit 4:\n%v", len(res.Hops), res)
+	}
+	for _, h := range res.Hops {
+		if !h.Anonymous() {
+			t.Fatalf("hop %d answered from %v:\n%v", h.TTL, h.Addr, res)
+		}
 	}
 }
 
@@ -299,22 +306,17 @@ func TestSessionAccessors(t *testing.T) {
 	port, _ := n.PortFor("vantage")
 	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
 	sess := NewSession(pr, Config{})
-	if sess.Prober() != pr {
-		t.Fatal("Prober accessor broken")
-	}
-	if _, err := sess.Trace(addr("10.0.5.2")); err != nil {
+	res, err := sess.Trace(addr("10.0.5.2"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats := sess.StopStats()
-	total := 0
-	for reason, n := range stats {
-		if reason == StopNone {
-			t.Errorf("unterminated growth: %d", n)
-		}
-		total += n
+	if len(sess.Subnets()) == 0 || len(sess.Subnets()) != len(res.Subnets) {
+		t.Fatalf("session holds %d subnets, its one trace %d", len(sess.Subnets()), len(res.Subnets))
 	}
-	if total != len(sess.Subnets()) {
-		t.Fatalf("stop stats cover %d of %d subnets", total, len(sess.Subnets()))
+	for _, sub := range sess.Subnets() {
+		if sub.Stop == StopNone {
+			t.Errorf("unterminated growth: %v", sub.Prefix)
+		}
 	}
 }
 

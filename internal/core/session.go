@@ -103,38 +103,6 @@ func (s *Session) bindTelemetry() {
 // Subnets returns every distinct subnet collected so far, in discovery order.
 func (s *Session) Subnets() []*Subnet { return s.subnets }
 
-// DegradedSubnets returns the collected subnets flagged as degraded.
-func (s *Session) DegradedSubnets() []*Subnet {
-	var out []*Subnet
-	for _, sub := range s.subnets {
-		if sub.Degraded {
-			out = append(out, sub)
-		}
-	}
-	return out
-}
-
-// StopStats returns how often each rule terminated subnet growth across the
-// session — the observability counterpart of §3.5's heuristics: H1 shrinks
-// are attributed to the heuristic that fired, the half-fill rule and the
-// MinPrefixBits floor appear under their own labels.
-func (s *Session) StopStats() map[StopReason]int {
-	out := map[StopReason]int{}
-	for _, sub := range s.subnets {
-		out[sub.Stop]++
-	}
-	return out
-}
-
-// StopStatsOrdered returns the stop-reason histogram in the canonical
-// deterministic order (see OrderedStopCounts).
-func (s *Session) StopStatsOrdered() []StopCount {
-	return OrderedStopCounts(s.StopStats())
-}
-
-// Prober exposes the session's prober (for accounting).
-func (s *Session) Prober() *probe.Prober { return s.pr }
-
 // recoverable reports whether err is a fault the session absorbs (treating
 // the probe as silent) rather than an abort condition. Budget exhaustion and
 // programming errors still propagate.
@@ -248,7 +216,7 @@ func (s *Session) traceHop(dst ipv4.Addr, d int, u *ipv4.Addr, gaps *int,
 				res.Hops = append(res.Hops, hop)
 				*u = ipv4.Zero
 				*gaps = *gaps + 1
-				return *gaps >= s.cfg.MaxConsecutiveGaps, nil
+				return *gaps >= maxConsecutiveGaps, nil
 			}
 			// Routing loop: the same interface answered two TTLs.
 			res.Hops = append(res.Hops, hop)
@@ -266,7 +234,7 @@ func (s *Session) traceHop(dst ipv4.Addr, d int, u *ipv4.Addr, gaps *int,
 	default: // silent hop
 		*u = ipv4.Zero
 		*gaps = *gaps + 1
-		if *gaps >= s.cfg.MaxConsecutiveGaps {
+		if *gaps >= maxConsecutiveGaps {
 			res.Hops = append(res.Hops, hop)
 			return true, nil
 		}

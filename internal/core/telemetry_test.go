@@ -105,15 +105,16 @@ func TestSessionDegradedSubnetRaisesIncident(t *testing.T) {
 	var dump strings.Builder
 	tel.SetIncidentWriter(&dump)
 	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Telemetry: tel})
-	s := NewSession(pr, Config{})
-	if _, err := s.Trace(addr("10.0.5.2")); err != nil {
+	res, err := NewSession(pr, Config{}).Trace(addr("10.0.5.2"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.DegradedSubnets()) == 0 {
+	deg := res.DegradedSubnets()
+	if len(deg) == 0 {
 		t.Skip("seed produced no degraded subnet; incident path covered elsewhere")
 	}
-	if got := tel.Counter("tracenet_session_degraded_subnets_total").Value(); got != uint64(len(s.DegradedSubnets())) {
-		t.Errorf("degraded counter = %d, want %d", got, len(s.DegradedSubnets()))
+	if got := tel.Counter("tracenet_session_degraded_subnets_total").Value(); got != uint64(len(deg)) {
+		t.Errorf("degraded counter = %d, want %d", got, len(deg))
 	}
 	if !strings.Contains(dump.String(), "subnet-degraded") {
 		t.Errorf("no subnet-degraded flight-recorder dump:\n%s", dump.String())
@@ -148,9 +149,12 @@ func TestStopStatsOrderedMatchesMap(t *testing.T) {
 	if _, err := s.Trace(addr("10.0.5.2")); err != nil {
 		t.Fatal(err)
 	}
-	stats := s.StopStats()
+	stats := map[StopReason]int{}
+	for _, sub := range s.Subnets() {
+		stats[sub.Stop]++
+	}
 	total := 0
-	for _, sc := range s.StopStatsOrdered() {
+	for _, sc := range OrderedStopCounts(stats) {
 		if stats[sc.Reason] != sc.Count {
 			t.Errorf("ordered count for %q = %d, map says %d", sc.Reason, sc.Count, stats[sc.Reason])
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tracenet/internal/core"
 	"tracenet/internal/groundtruth"
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
@@ -66,19 +65,22 @@ type AccuracyFloor struct {
 // topology-generator changes (the runs themselves are seeded and fully
 // deterministic — there is no run-to-run noise to absorb).
 //
-// Measured means at commit time (seeds 1–5):
+// Measured means at commit time (seeds 1–5, each run a collect.Run
+// campaign):
 //
 //	clean:   subnet P/R 1.000/0.988, addr P/R 1.000/0.993
-//	faulted: subnet P/R 1.000/0.144, addr P/R 1.000/0.136
+//	faulted: subnet P/R 1.000/0.838, addr P/R 1.000/0.807
 //	ecmp:    subnet P/R 0.970/0.935, addr P/R 1.000/0.903
 //
 // Note the shape of the faulted row: the random fault plan blackholes and
-// flaps most of the topology, so recall collapses — but precision holds at
-// 1.0. That is the resilience property worth gating: a degraded collector
-// must miss subnets, never invent them.
+// flaps parts of the topology, and a target whose probes run into them trips
+// its own circuit breaker, which skips the rest of that trace's probes into
+// the silent zone (without a breaker subnet recall reads 0.988). So recall
+// falls — but precision holds at 1.0. That is the resilience property worth
+// gating: a degraded collector must miss subnets, never invent them.
 var AccuracyFloors = map[Regime]AccuracyFloor{
 	RegimeClean:   {SubnetPrecision: 0.99, SubnetRecall: 0.95, AddrPrecision: 0.99, AddrRecall: 0.96},
-	RegimeFaulted: {SubnetPrecision: 0.99, SubnetRecall: 0.10, AddrPrecision: 0.99, AddrRecall: 0.10},
+	RegimeFaulted: {SubnetPrecision: 0.99, SubnetRecall: 0.80, AddrPrecision: 0.99, AddrRecall: 0.77},
 	RegimeECMP:    {SubnetPrecision: 0.93, SubnetRecall: 0.90, AddrPrecision: 0.97, AddrRecall: 0.85},
 }
 
@@ -102,11 +104,13 @@ func (r *AccuracyResult) Violations(f AccuracyFloor) []string {
 }
 
 // RunAccuracy collects one seeded random topology under the given regime and
-// scores the result against the simulator's ground truth.
+// scores the result against the simulator's ground truth. A Spec names
+// neither the generator's setting (no extra cross links unless the regime
+// adds them) nor per-packet balancing, so the harness builds the network.
 func RunAccuracy(regime Regime, seed int64) (*AccuracyRun, error) {
 	spec := topo.RandomSpec{Seed: seed, ExtraLinks: -1}
 	cfg := netsim.Config{Seed: seed}
-	popts := probe.Options{Cache: true}
+	var popts probe.Options
 	switch regime {
 	case RegimeClean:
 	case RegimeFaulted:
@@ -126,20 +130,13 @@ func RunAccuracy(regime Regime, seed int64) (*AccuracyRun, error) {
 			return nil, err
 		}
 	}
-	port, err := n.PortFor("vantage")
+	rep, err := runOn(n, "vantage", targets, popts)
 	if err != nil {
-		return nil, err
-	}
-	pr := probe.New(port, port.LocalAddr(), popts)
-	sess := core.NewSession(pr, core.Config{})
-	for _, dst := range targets {
-		if _, err := sess.Trace(dst); err != nil {
-			return nil, fmt.Errorf("regime %s seed %d trace %v: %w", regime, seed, dst, err)
-		}
+		return nil, fmt.Errorf("regime %s seed %d: %w", regime, seed, err)
 	}
 
 	truth := groundtruth.FromTopology(topol, groundtruth.Options{})
-	score := truth.Score(groundtruth.FromCoreSubnets(sess.Subnets()))
+	score := truth.Score(groundtruth.FromCoreSubnets(rep.Subnets()))
 	return &AccuracyRun{Seed: seed, Score: score}, nil
 }
 

@@ -183,6 +183,15 @@ func (r *AdversarialResult) Violations(f AdversarialFloor) []string {
 // collectAdversarial runs one seeded topology under a regime's plan and
 // scores it. The defended and undefended runs share every other parameter,
 // so their difference isolates the defenses.
+//
+// It is the one harness that still traces its target list on one
+// multi-target core.Session rather than through collect.Run, because the
+// session quarantines a lying address for every later target while a
+// campaign quarantines per target. On the campaign path the committed liar
+// and byzantine gates fail (seeds 1–5: liar defended subnet precision 0.889
+// against the 0.91 floor, byzantine 0.791 against 0.80), so the gap is in
+// the shipped -defend, and ROADMAP's "Campaign defence quarantines per
+// target" item tracks it; no gate moves to hide it.
 func collectAdversarial(regime Regime, seed int64, defend bool) (*groundtruth.Score, *core.Session, uint64, error) {
 	plan, err := AdversarialPlan(regime, seed)
 	if err != nil {

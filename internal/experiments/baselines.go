@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"tracenet/internal/alias"
-	"tracenet/internal/core"
+	"tracenet/internal/daemon"
 	"tracenet/internal/groundtruth"
 	"tracenet/internal/ipv4"
 	"tracenet/internal/netsim"
@@ -35,12 +35,10 @@ func OnlineVsOffline(seed int64) (*OnlineVsOfflineResult, error) {
 
 	// Offline: traceroute everything, then infer subnets from the hops.
 	{
-		n := netsim.New(r.Topo, netsim.Config{Seed: seed})
-		port, err := n.PortFor("vantage")
+		pr, err := baselineProber(r, seed, probe.Options{})
 		if err != nil {
 			return nil, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
 		byAddr := map[ipv4.Addr]int{}
 		for _, target := range r.Targets() {
 			route, err := trace.Run(pr, target, trace.Options{})
@@ -70,35 +68,13 @@ func OnlineVsOffline(seed int64) (*OnlineVsOfflineResult, error) {
 	}
 
 	// Online: tracenet.
-	{
-		n := netsim.New(r.Topo, netsim.Config{Seed: seed})
-		port, err := n.PortFor("vantage")
-		if err != nil {
-			return nil, err
-		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-		sess := core.NewSession(pr, core.Config{})
-		addrs := map[ipv4.Addr]bool{}
-		for _, target := range r.Targets() {
-			res, err := sess.Trace(target)
-			if err != nil {
-				return nil, err
-			}
-			for _, h := range res.Hops {
-				if !h.Anonymous() {
-					addrs[h.Addr] = true
-				}
-			}
-		}
-		for _, s := range sess.Subnets() {
-			for _, a := range s.Addrs {
-				addrs[a] = true
-			}
-		}
-		eval := truth.Paper(truth.Score(CollectedSubnets(sess.Subnets())))
-		out.OnlineDist, out.OnlineExact = eval.Dist, eval.ExactRate
-		out.OnlineAddrs = len(addrs)
+	_, rep, err := runSpec(daemon.Spec{Topology: "internet2", Seed: seed})
+	if err != nil {
+		return nil, err
 	}
+	eval := truth.Paper(truth.Score(groundtruth.FromCoreSubnets(rep.Subnets())))
+	out.OnlineDist, out.OnlineExact = eval.Dist, eval.ExactRate
+	out.OnlineAddrs = len(discovered(rep))
 	return out, nil
 }
 
@@ -121,23 +97,15 @@ type RouterMapResult struct {
 // RouterMap runs the pipeline over the Figure 3 network (small enough for
 // exhaustive pairwise resolution).
 func RouterMap(seed int64) (*RouterMapResult, error) {
-	top := topo.Figure3()
-	n := netsim.New(top, netsim.Config{Seed: seed})
-	port, err := n.PortFor("vantage")
+	c, rep, err := runSpec(daemon.Spec{Topology: "figure3", Seed: seed, Targets: []string{"10.0.5.2", "10.0.4.1", "10.0.3.1"}})
 	if err != nil {
 		return nil, err
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := core.NewSession(pr, core.Config{})
-	for _, dst := range []string{"10.0.5.2", "10.0.4.1", "10.0.3.1"} {
-		if _, err := sess.Trace(ipv4.MustParseAddr(dst)); err != nil {
-			return nil, err
-		}
-	}
+	top, port := c.Scenario.Topo, c.Port
 	var subnets [][]ipv4.Addr
 	seen := map[ipv4.Addr]bool{}
 	var addrs []ipv4.Addr
-	for _, s := range sess.Subnets() {
+	for _, s := range rep.Subnets() {
 		subnets = append(subnets, s.Addrs)
 		for _, a := range s.Addrs {
 			// Keep router interfaces only (skip the vantage/destination

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"tracenet/internal/core"
+	"tracenet/internal/collect"
+	"tracenet/internal/daemon"
 	"tracenet/internal/discarte"
 	"tracenet/internal/ipv4"
 	"tracenet/internal/netsim"
@@ -33,12 +34,10 @@ func Coverage(seed int64) (*CoverageResult, error) {
 
 	// Baseline traceroute.
 	{
-		n := netsim.New(r.Topo, netsim.Config{Seed: seed})
-		port, err := n.PortFor("vantage")
+		pr, err := baselineProber(r, seed, probe.Options{})
 		if err != nil {
 			return nil, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
 		addrs := map[ipv4.Addr]bool{}
 		for _, target := range r.Targets() {
 			route, err := trace.Run(pr, target, trace.Options{})
@@ -56,12 +55,10 @@ func Coverage(seed int64) (*CoverageResult, error) {
 	// DisCarte-style record-route baseline (§2): about two addresses per
 	// hop for the first nine hops.
 	{
-		n := netsim.New(r.Topo, netsim.Config{Seed: seed})
-		port, err := n.PortFor("vantage")
+		pr, err := baselineProber(r, seed, probe.Options{RecordRoute: true})
 		if err != nil {
 			return nil, err
 		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, RecordRoute: true})
 		addrs := map[ipv4.Addr]bool{}
 		for _, target := range r.Targets() {
 			route, err := discarte.Run(pr, target, discarte.Options{})
@@ -77,39 +74,49 @@ func Coverage(seed int64) (*CoverageResult, error) {
 	}
 
 	// tracenet.
-	{
-		n := netsim.New(r.Topo, netsim.Config{Seed: seed})
-		port, err := n.PortFor("vantage")
-		if err != nil {
-			return nil, err
-		}
-		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-		sess := core.NewSession(pr, core.Config{})
-		addrs := map[ipv4.Addr]bool{}
-		for _, target := range r.Targets() {
-			res, err := sess.Trace(target)
-			if err != nil {
-				return nil, err
-			}
-			for _, h := range res.Hops {
-				if !h.Anonymous() {
-					addrs[h.Addr] = true
-				}
-			}
-		}
-		for _, s := range sess.Subnets() {
-			for _, a := range s.Addrs {
-				addrs[a] = true
-			}
-			if s.Prefix.Bits() < 32 {
-				out.Subnets++
-				if !s.PointToPoint() {
-					out.MultiAccess++
-				}
-			}
-		}
-		out.TracenetAddrs = len(addrs)
-		out.TracenetProbes = pr.Stats().Sent
+	_, rep, err := runSpec(daemon.Spec{Topology: "internet2", Seed: seed})
+	if err != nil {
+		return nil, err
 	}
+	for _, s := range rep.Subnets() {
+		if s.Prefix.Bits() < 32 {
+			out.Subnets++
+			if !s.PointToPoint() {
+				out.MultiAccess++
+			}
+		}
+	}
+	out.TracenetAddrs = len(discovered(rep))
+	out.TracenetProbes = rep.Stats.WireProbes
 	return out, nil
+}
+
+// baselineProber dials a prober at the research network's vantage, on a
+// fresh network, for the collectors that are not tracenet.
+func baselineProber(r *topo.Research, seed int64, opts probe.Options) (*probe.Prober, error) {
+	port, err := netsim.New(r.Topo, netsim.Config{Seed: seed}).PortFor("vantage")
+	if err != nil {
+		return nil, err
+	}
+	opts.Cache = true
+	return probe.New(port, port.LocalAddr(), opts), nil
+}
+
+// discovered is every address a campaign found: its responding hops and its
+// subnets' members.
+func discovered(rep *collect.Report) map[ipv4.Addr]bool {
+	addrs := map[ipv4.Addr]bool{}
+	for _, t := range rep.Targets {
+		for _, h := range t.Result.Hops {
+			if !h.Anonymous() {
+				addrs[h.Addr] = true
+			}
+		}
+	}
+	for _, s := range rep.Subnets() {
+		for _, a := range s.Addrs {
+			addrs[a] = true
+		}
+	}
+	return addrs
 }

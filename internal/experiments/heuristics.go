@@ -2,29 +2,23 @@ package experiments
 
 import (
 	"tracenet/internal/core"
-	"tracenet/internal/netsim"
-	"tracenet/internal/probe"
-	"tracenet/internal/topo"
+	"tracenet/internal/daemon"
 )
 
 // HeuristicStats reports how often each rule terminated subnet growth over a
-// full Internet2-like collection run — an analysis the paper does not print
-// but that its §3.5/§3.6 discussion implies: on a well-numbered network most
-// explorations end at the half-fill rule or at an H2/H6 boundary with a
-// neighbouring address block.
+// full Internet2-like collection campaign — an analysis the paper does not
+// print but that its §3.5/§3.6 discussion implies: on a well-numbered network
+// most explorations end at the half-fill rule or at an H2/H6 boundary with a
+// neighbouring address block. Each of the campaign's distinct subnets counts
+// once, under the rule that stopped its growth.
 func HeuristicStats(seed int64) (map[core.StopReason]int, error) {
-	r := topo.Internet2()
-	n := netsim.New(r.Topo, netsim.Config{Seed: seed})
-	port, err := n.PortFor("vantage")
+	_, rep, err := runSpec(daemon.Spec{Topology: "internet2", Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := core.NewSession(pr, core.Config{})
-	for _, target := range r.Targets() {
-		if _, err := sess.Trace(target); err != nil {
-			return nil, err
-		}
+	out := map[core.StopReason]int{}
+	for _, sub := range rep.Subnets() {
+		out[sub.Stop]++
 	}
-	return sess.StopStats(), nil
+	return out, nil
 }

@@ -20,8 +20,6 @@ type VantageRun struct {
 	Subnets []*core.Subnet
 	// Prefixes is the exact-prefix set (bits < 32) for cross-validation.
 	Prefixes map[ipv4.Prefix]bool
-	// Probes is the total packets this vantage spent.
-	Probes uint64
 }
 
 // ISPResult bundles the three vantage runs of the §4.2 experiments.
@@ -29,13 +27,6 @@ type ISPResult struct {
 	Profiles []topo.ISPProfile
 	Targets  map[string][]ipv4.Addr
 	Runs     []VantageRun
-}
-
-// ispConfig tunes the §4.2 environment: light reply loss plus the rate
-// limiting encoded in the topology produce the per-vantage disagreement the
-// paper observes.
-func ispConfig(seed int64) netsim.Config {
-	return netsim.Config{Mode: netsim.PerFlow, LossRate: 0.02, Seed: seed}
 }
 
 // RunISP traces the common target set from all three vantage points. Each
@@ -57,7 +48,7 @@ func RunISP(seed int64) (*ISPResult, error) {
 			// per vantage campaign.
 			sc := topo.ISPCores(seed, seed+1000*int64(i+1))
 			targets[i] = sc.Targets
-			runs[i], errs[i] = runVantage(sc, vantage, seed+int64(i)*101, probe.Options{Cache: true, FlowID: uint16(7 + i)})
+			runs[i], errs[i] = runVantage(sc, vantage, seed+int64(i)*101, probe.Options{FlowID: uint16(7 + i)})
 		}(i, vantage)
 	}
 	wg.Wait()
@@ -73,26 +64,22 @@ func RunISP(seed int64) (*ISPResult, error) {
 	return res, nil
 }
 
+// runVantage traces the ISP cores' common target set from vantage. Light
+// reply loss plus the rate limiting encoded in the topology produce the
+// per-vantage disagreement the paper observes; a Spec names neither the loss
+// rate nor the flow identifier.
 func runVantage(sc *topo.ISPScape, vantage string, seed int64, opts probe.Options) (*VantageRun, error) {
-	net := netsim.New(sc.Topo, ispConfig(seed))
-	port, err := net.PortFor(vantage)
+	net := netsim.New(sc.Topo, netsim.Config{Mode: netsim.PerFlow, LossRate: 0.02, Seed: seed})
+	rep, err := runOn(net, vantage, sc.TargetsFor(), opts)
 	if err != nil {
-		return nil, err
-	}
-	pr := probe.New(port, port.LocalAddr(), opts)
-	sess := core.NewSession(pr, core.Config{})
-	for _, target := range sc.TargetsFor() {
-		if _, err := sess.Trace(target); err != nil {
-			return nil, fmt.Errorf("experiments: %s tracing %v: %w", vantage, target, err)
-		}
+		return nil, fmt.Errorf("experiments: %s: %w", vantage, err)
 	}
 	run := &VantageRun{
 		Vantage:  vantage,
-		Subnets:  sess.Subnets(),
+		Subnets:  rep.Subnets(),
 		Prefixes: map[ipv4.Prefix]bool{},
-		Probes:   pr.Stats().Sent,
 	}
-	for _, s := range sess.Subnets() {
+	for _, s := range run.Subnets {
 		if s.Prefix.Bits() < 32 {
 			run.Prefixes[s.Prefix] = true
 		}
@@ -275,7 +262,7 @@ func Table3(seed int64) ([]Table3Row, error) {
 	counts := map[probe.Protocol]map[string]int{}
 	for _, proto := range []probe.Protocol{probe.ICMP, probe.UDP, probe.TCP} {
 		sc := topo.ISPCores(seed, seed+1000)
-		run, err := runVantage(sc, topo.VantageNames[0], seed, probe.Options{Cache: true, Protocol: proto})
+		run, err := runVantage(sc, topo.VantageNames[0], seed, probe.Options{Protocol: proto})
 		if err != nil {
 			return nil, err
 		}

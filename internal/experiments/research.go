@@ -3,16 +3,16 @@
 // ablations listed in DESIGN.md. Each harness is deterministic given its
 // seed and returns the rows/series the paper reports; the cmd/experiments
 // binary and the repository-level benchmarks print them.
+//
+// A harness that traces a target list runs it through collect.Run, the
+// campaign tracenet and tracenetd run, so a table's numbers are the
+// product's numbers. The adversarial ensemble is the one exception (see
+// collectAdversarial).
 package experiments
 
 import (
-	"fmt"
-
-	"tracenet/internal/core"
+	"tracenet/internal/daemon"
 	"tracenet/internal/groundtruth"
-	"tracenet/internal/ipv4"
-	"tracenet/internal/netsim"
-	"tracenet/internal/probe"
 	"tracenet/internal/topo"
 )
 
@@ -24,31 +24,23 @@ type ResearchResult struct {
 	// PaperEval holds the Table 1/2 cross-tabulation (Dist), the §4.1
 	// headline rates, and the similarities of equations (3) and (5).
 	groundtruth.PaperEval
-	// Probes is the total packet count of the collection run.
+	// Probes is the campaign's wire-probe total: the "wire probes" figure
+	// tracenet prints for the same topology and seed.
 	Probes uint64
 }
 
-// RunResearch traces every target of the research network from its vantage
-// point and evaluates the collected subnets against the ground truth.
-func RunResearch(r *topo.Research, seed int64) (*ResearchResult, error) {
-	net := netsim.New(r.Topo, netsim.Config{Seed: seed})
-	port, err := net.PortFor("vantage")
+// runResearch runs `tracenet -topo topology -seed seed` over the research
+// network r and evaluates the campaign's subnets against the ground truth.
+func runResearch(r *topo.Research, topology string, seed int64) (*ResearchResult, error) {
+	_, rep, err := runSpec(daemon.Spec{Topology: topology, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
-	sess := core.NewSession(pr, core.Config{})
-	for _, target := range r.Targets() {
-		if _, err := sess.Trace(target); err != nil {
-			return nil, fmt.Errorf("experiments: tracing %v: %w", target, err)
-		}
-	}
-
 	truth := ResearchTruth(r)
 	return &ResearchResult{
 		Name:      r.Name,
-		PaperEval: truth.Paper(truth.Score(CollectedSubnets(sess.Subnets()))),
-		Probes:    pr.Stats().Sent,
+		PaperEval: truth.Paper(truth.Score(groundtruth.FromCoreSubnets(rep.Subnets()))),
+		Probes:    rep.Stats.WireProbes,
 	}, nil
 }
 
@@ -71,26 +63,10 @@ func ResearchTruth(r *topo.Research) *groundtruth.Truth {
 // Table1Internet2 reproduces Table 1: tracenet over the Internet2-like
 // network.
 func Table1Internet2(seed int64) (*ResearchResult, error) {
-	return RunResearch(topo.Internet2(), seed)
+	return runResearch(topo.Internet2(), "internet2", seed)
 }
 
 // Table2GEANT reproduces Table 2: tracenet over the GEANT-like network.
 func Table2GEANT(seed int64) (*ResearchResult, error) {
-	return RunResearch(topo.GEANT(), seed)
-}
-
-// CollectedSubnets extracts the distinct observed subnets from a session's
-// subnets, first observation first. Subnets of a single address (/32) are
-// the paper's "un-subnetized" class and are not subnets.
-func CollectedSubnets(subnets []*core.Subnet) []groundtruth.CollectedSubnet {
-	seen := map[ipv4.Prefix]bool{}
-	var out []groundtruth.CollectedSubnet
-	for _, s := range subnets {
-		if s.Prefix.Bits() >= 32 || seen[s.Prefix] {
-			continue
-		}
-		seen[s.Prefix] = true
-		out = append(out, groundtruth.CollectedSubnet{Prefix: s.Prefix, Addrs: s.Addrs})
-	}
-	return out
+	return runResearch(topo.GEANT(), "geant", seed)
 }

@@ -53,7 +53,7 @@ func chaosRun(t *testing.T, r *topo.Research, plan *netsim.FaultPlan, opts probe
 func classifyRun(r *topo.Research, sess *core.Session) map[ipv4.Prefix]groundtruth.Class {
 	truth := experiments.ResearchTruth(r)
 	out := map[ipv4.Prefix]groundtruth.Class{}
-	for _, o := range truth.Classify(truth.Score(experiments.CollectedSubnets(sess.Subnets()))) {
+	for _, o := range truth.Classify(truth.Score(groundtruth.FromCoreSubnets(sess.Subnets()))) {
 		out[o.Truth] = o.Class
 	}
 	return out
@@ -110,9 +110,11 @@ func TestChaosResilience(t *testing.T) {
 
 		st := pr.Stats()
 		totalFaultEvents += st.FaultEvents()
-		deg := sess.DegradedSubnets()
-		totalDegraded += uint64(len(deg))
-		for _, s := range deg {
+		for _, s := range sess.Subnets() {
+			if !s.Degraded {
+				continue
+			}
+			totalDegraded++
 			// Confidence 0 is legal: a subnet whose fresh probes all faulted,
 			// with membership resolved from the probe cache.
 			if s.Confidence < 0 || s.Confidence >= 1 {

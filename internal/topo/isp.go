@@ -119,16 +119,6 @@ func (sc *ISPScape) TargetsFor() []ipv4.Addr {
 	return out
 }
 
-// ISPOf returns the profile whose block contains addr, or nil.
-func (sc *ISPScape) ISPOf(addr ipv4.Addr) *ISPProfile {
-	for i := range sc.Profiles {
-		if sc.Profiles[i].Block.Contains(addr) {
-			return &sc.Profiles[i]
-		}
-	}
-	return nil
-}
-
 // ISPCores builds the §4.2 experiment topology. Each ISP is a 12-router
 // ring core with two aggregation routers per core router; point-to-point
 // links and LANs hang off the aggregation layer. Three borders per ISP

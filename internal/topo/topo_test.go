@@ -174,13 +174,6 @@ func TestISPCoresStructure(t *testing.T) {
 			}
 		}
 	}
-	// ISPOf resolves blocks.
-	if got := sc.ISPOf(addr("21.0.0.1")); got == nil || got.Name != "NTTAmerica" {
-		t.Errorf("ISPOf(21.0.0.1) = %v", got)
-	}
-	if sc.ISPOf(addr("192.168.0.1")) != nil {
-		t.Error("vantage space attributed to an ISP")
-	}
 }
 
 func TestISPCoresDeterministicStructure(t *testing.T) {

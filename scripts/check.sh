@@ -22,6 +22,20 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# One way to trace a target list: collect.Run, the path tracenet and tracenetd
+# run. A core.Session built outside internal/collect is a second path that no
+# command ships. The adversarial ensemble is the one exception until a
+# campaign's defence quarantines as one session does (ROADMAP: "Campaign
+# defence quarantines per target").
+echo "== core.NewSession only in internal/collect"
+sessions=$(grep -rl --include='*.go' 'core\.NewSession' . | grep -v '_test\.go$' |
+    grep -v -e '^\./internal/collect/' -e '^\./internal/experiments/adversarial\.go$' || true)
+if [ -n "$sessions" ]; then
+    echo "core.NewSession outside internal/collect; trace target lists with collect.Run:" >&2
+    echo "$sessions" >&2
+    exit 1
+fi
+
 # perfbench is its own Go module (replace tracenet => ../), so the root
 # "./..." patterns above never compile it. Vet and unit-test it here so an
 # API change in collect, core or daemon that breaks the benchmark harness
