@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"tracenet/internal/cli"
 	"tracenet/internal/collect"
 	"tracenet/internal/core"
 	"tracenet/internal/daemon"
@@ -257,6 +258,33 @@ func BenchmarkSingleTrace(b *testing.B) {
 		}
 		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
 		if _, err := core.Trace(pr, dst, core.Config{}); err != nil {
+			b.Fatal(err)
+		}
+		probes = pr.Stats().Sent
+	}
+	b.ReportMetric(float64(probes), "probes/trace")
+}
+
+// BenchmarkTraceInternet2Cold measures what a one-shot tracenet run pays
+// for one trace: a network on a topology nothing has routed over yet, and
+// one trace toward the first Table 1 target. Loading the topology is
+// untimed; the routes each trace needs are built inside the timed region.
+func BenchmarkTraceInternet2Cold(b *testing.B) {
+	var probes uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sc, err := cli.Load("internet2", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		n := netsim.New(sc.Topo, netsim.Config{Seed: 1})
+		port, err := n.PortFor(sc.Vantage)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true})
+		if _, err := core.Trace(pr, sc.Destinations[0], core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 		probes = pr.Stats().Sent

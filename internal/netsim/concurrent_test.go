@@ -7,6 +7,7 @@ package netsim_test
 // race detector must stay silent while ≥8 sessions probe simultaneously.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"tracenet/internal/netsim"
 	"tracenet/internal/probe"
 	"tracenet/internal/topo"
+	"tracenet/internal/wire"
 )
 
 // concurrentSpec is shared by the sequential baseline and the concurrent run
@@ -125,5 +127,82 @@ func TestConcurrentExchangeSamePort(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// probeSequence exchanges a fixed list of probes (every target at TTLs 1–8)
+// through the vantage port of n and returns each reply's bytes, nil for
+// silence.
+func probeSequence(t *testing.T, n *netsim.Network, targets []ipv4.Addr) [][]byte {
+	t.Helper()
+	port, err := n.PortFor("vantage")
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	var out [][]byte
+	for _, dst := range targets {
+		for ttl := uint8(1); ttl <= 8; ttl++ {
+			raw, err := wire.NewEchoRequest(port.LocalAddr(), dst, ttl, 0x5151, uint16(ttl)).Encode()
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			reply, err := port.Exchange(raw)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			out = append(out, append([]byte(nil), reply...))
+		}
+	}
+	return out
+}
+
+// TestNetworksShareTopology runs two networks on one topology at once: each
+// must answer exactly as a lone network on its own topology does, IP-IDs and
+// loss draws included, since both belong to the network. The two share the
+// topology's routes, so together they build no more route tables than the
+// lone network did, and each table once.
+func TestNetworksShareTopology(t *testing.T) {
+	cfg := netsim.Config{Seed: 7, LossRate: 0.1}
+	lone, targets := topo.Random(concurrentSpec)
+	want := probeSequence(t, netsim.New(lone, cfg), targets)
+	loneBuilds, loneHeld := netsim.RouteTables(lone)
+	if loneBuilds == 0 || loneBuilds != loneHeld {
+		t.Fatalf("lone topology built %d route tables and holds %d", loneBuilds, loneHeld)
+	}
+
+	shared, _ := topo.Random(concurrentSpec)
+	nets := []*netsim.Network{netsim.New(shared, cfg), netsim.New(shared, cfg)}
+	if builds, _ := netsim.RouteTables(shared); builds != 0 {
+		t.Fatalf("netsim.New built %d route tables; routes are built on first use", builds)
+	}
+	got := make([][][]byte, len(nets))
+	var wg sync.WaitGroup
+	for i, n := range nets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = probeSequence(t, n, targets)
+		}()
+	}
+	wg.Wait()
+
+	for i := range nets {
+		if len(got[i]) != len(want) {
+			t.Fatalf("network %d: %d replies, lone network %d", i, len(got[i]), len(want))
+		}
+		for j := range want {
+			if !bytes.Equal(got[i][j], want[j]) {
+				t.Fatalf("network %d, probe %d (%v ttl %d): reply % x, lone network % x",
+					i, j, targets[j/8], j%8+1, got[i][j], want[j])
+			}
+		}
+	}
+	builds, held := netsim.RouteTables(shared)
+	if builds != loneBuilds || held != loneHeld {
+		t.Fatalf("two networks built %d route tables (holding %d); one network alone built %d",
+			builds, held, loneBuilds)
 	}
 }

@@ -68,17 +68,30 @@ func shardIndex(r *Router) int {
 // rngShard is one stripe of a seeded random stream: a dedicated generator
 // behind its own lock, padded out to a cache line so neighbouring stripes do
 // not false-share. Each draw locks only its stripe, so routers in different
-// stripes never serialize against each other.
+// stripes never serialize against each other. The generator is seeded on the
+// stripe's first draw: seeding costs more than most traces, and a clean
+// network never draws at all. A stripe's draw sequence is the same however
+// late it starts.
 type rngShard struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-	_   [40]byte
+	seed int64 // fixed before the owning network or fault plan is shared
+	mu   sync.Mutex
+	rng  *rand.Rand // nil until the first draw
+	_    [40]byte
+}
+
+// gen returns the stripe's generator, seeding it on the first draw. Called
+// with s.mu held.
+func (s *rngShard) gen() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
 }
 
 // chance draws one uniform float and reports whether it fell below p.
 func (s *rngShard) chance(p float64) bool {
 	s.mu.Lock()
-	ok := s.rng.Float64() < p
+	ok := s.gen().Float64() < p
 	s.mu.Unlock()
 	return ok
 }
@@ -86,28 +99,33 @@ func (s *rngShard) chance(p float64) bool {
 // intn draws one uniform int in [0, n).
 func (s *rngShard) intn(n int) int {
 	s.mu.Lock()
-	v := s.rng.Intn(n)
+	v := s.gen().Intn(n)
 	s.mu.Unlock()
 	return v
 }
 
-// shardSeed derives the seed of stripe i from the stream's base seed. The
+// seedShards fixes each stripe's seed from the stream's base seed. The
 // multiplier is the 64-bit golden-ratio constant, so stripe streams are
 // decorrelated from each other and from the base seed itself.
-func shardSeed(base int64, i int) int64 {
-	return base ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
+func seedShards(shards *[numShards]rngShard, base int64) {
+	for i := range shards {
+		shards[i].seed = base ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
+	}
 }
 
-// Network is a runnable simulation over an immutable Topology.
+// Network is a runnable simulation over an immutable Topology. Any number of
+// networks may share one topology: each owns its clock, counters, IP-ID
+// counters, random streams and fault plan, and they share the topology's
+// lazily built routes.
 //
 // A Network is safe for concurrent use by multiple vantage Ports, and every
-// injection runs without a network-wide lock: the topology and routing state
-// are immutable, counters and the clock are atomic, and the mutable remainder
-// — the seeded random streams and rate-limit buckets — is striped per
-// responding router (see rngShard) or locked per bucket. A configuration with
-// loss, faults, or rate limits therefore scales across cores exactly like a
-// clean one; only probes answered by the same router contend, and only when
-// they actually draw randomness or tokens.
+// injection runs without a network-wide lock: the topology and its published
+// routes are immutable, counters and the clock are atomic, and the mutable
+// remainder — the seeded random streams and rate-limit buckets — is striped
+// per responding router (see rngShard) or locked per bucket. A configuration
+// with loss, faults, or rate limits therefore scales across cores exactly
+// like a clean one; only probes answered by the same router contend, and
+// only when they actually draw randomness or tokens.
 type Network struct {
 	Topo *Topology
 
@@ -117,12 +135,17 @@ type Network struct {
 	Probes  uint64
 	Replies uint64
 
-	// cfg and rt are immutable after construction; faults is replaced
-	// wholesale by InstallFaults; clock is atomic.
+	// cfg is immutable after construction; faults is replaced wholesale by
+	// InstallFaults; clock is atomic.
 	cfg    Config
-	rt     *routingState
 	faults atomic.Pointer[faultState]
 	clock  atomic.Uint64
+
+	// ipid holds each router's IP-ID counter, indexed by router idx and
+	// widened to uint32 so it can be advanced atomically (the lock-free
+	// injection path increments it from concurrent probers); replies carry
+	// its low 16 bits.
+	ipid []uint32
 
 	// shards stripe the network's own seeded stream (loss, per-router reply
 	// loss, random IP-IDs) by responding router. The fault plan's independent
@@ -157,28 +180,23 @@ func NewChecked(topo *Topology, cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{
-		Topo: topo,
-		cfg:  cfg,
-		rt:   newRoutingState(topo),
-	}
-	n.initShards(cfg.Seed)
 	// Spread the per-router IP-ID counters so distinct routers' sequences
 	// don't coincide by construction.
-	for i, r := range topo.Routers {
-		atomic.StoreUint32(&r.ipid, uint32(uint16(i*1021)))
+	ipid := make([]uint32, len(topo.Routers))
+	for i := range ipid {
+		ipid[i] = uint32(uint16(i * 1021))
 	}
+	n := &Network{Topo: topo, cfg: cfg, ipid: ipid}
+	seedShards(&n.shards, cfg.Seed)
 	return n, nil
 }
 
-// initShards seeds the network's striped random streams from seed.
-func (n *Network) initShards(seed int64) {
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.Lock()
-		s.rng = rand.New(rand.NewSource(shardSeed(seed, i)))
-		s.mu.Unlock()
-	}
+// nextIPID returns router r's next IP identifier. Replies from all of a
+// router's interfaces share one counter — the signal the Ally technique uses
+// to group interfaces into routers. Atomic: concurrent probers interleave
+// draws but the per-router sequence stays strictly increasing (mod 2^16).
+func (n *Network) nextIPID(r *Router) uint16 {
+	return uint16(atomic.AddUint32(&n.ipid[r.idx], 1))
 }
 
 // Counters returns a race-free snapshot of the probe/reply counters. Replies
@@ -483,7 +501,7 @@ func (n *Network) exchange(x *exchangeScratch, pkt *wire.Packet, raw []byte, ori
 		if responder.IPIDRandom {
 			reply.IP.ID = uint16(n.shards[shardIndex(responder)].intn(1 << 16))
 		} else {
-			reply.IP.ID = responder.nextIPID()
+			reply.IP.ID = n.nextIPID(responder)
 		}
 	}
 	if n.replyDelayed(responder) {
@@ -496,23 +514,42 @@ func (n *Network) exchange(x *exchangeScratch, pkt *wire.Packet, raw []byte, ori
 	return reply, responder
 }
 
+// route is a probe's destination as forwarding sees it: the subnet it
+// routes toward (nil: no route), the interface assigned the destination
+// address (nil: unassigned) and the subnet's route table. walk resolves it
+// once per probe.
+type route struct {
+	subnet *Subnet
+	iface  *Iface
+	table  *routeTable
+}
+
 // walk traces one probe hop by hop until it is answered, dropped, or runs out
 // of hops, returning the reply (synthesized into x) and the router that
-// generated it. The topology and routing state it reads are immutable; fault
-// windows and counters are atomic; random draws lock only the responding
-// router's stripe.
+// generated it. The topology and the routes it reads are immutable once
+// published; fault windows and counters are atomic; random draws lock only
+// the responding router's stripe.
 func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin *Router) (*wire.Packet, *Router) {
 	dst := pkt.IP.Dst
 	ttl := int(pkt.IP.TTL)
 	if ttl <= 0 {
 		return nil, nil
 	}
+	dest := route{iface: n.Topo.IfaceByAddr(dst)}
 	// Self-probe: answered locally without entering the network.
-	if iface := origin.IfaceWithAddr(dst); iface != nil {
-		return n.directReply(x, origin, iface, nil, pkt, raw)
+	if dest.iface != nil && dest.iface.Router == origin {
+		return n.directReply(x, origin, dest.iface, nil, pkt, raw)
+	}
+	if dest.iface != nil {
+		dest.subnet = dest.iface.Subnet
+	} else {
+		dest.subnet = n.Topo.SubnetContaining(dst)
+	}
+	if dest.subnet != nil {
+		dest.table = n.Topo.routesTo(dest.subnet)
 	}
 
-	cur, in, _, verdict := n.forwardStep(origin, pkt, nil)
+	cur, in, _, verdict := n.forwardStep(origin, pkt, &dest)
 	if verdict != stepForwarded && verdict != stepDelivered {
 		// The vantage itself cannot reach the destination; hosts do not
 		// generate ICMP errors for their own traffic.
@@ -523,8 +560,8 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 	}
 	for hop := 0; hop < maxHops; hop++ {
 		// Local delivery: the packet is addressed to one of cur's interfaces.
-		if iface := cur.IfaceWithAddr(dst); iface != nil {
-			return n.directReply(x, cur, iface, in, pkt, raw)
+		if dest.iface != nil && dest.iface.Router == cur {
+			return n.directReply(x, cur, dest.iface, in, pkt, raw)
 		}
 		// TTL expires on forwarding.
 		ttl--
@@ -532,7 +569,7 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 		if ttl <= 0 {
 			return n.ttlExceeded(x, cur, in, pkt, raw)
 		}
-		next, nextIn, out, verdict := n.forwardStep(cur, pkt, in)
+		next, nextIn, out, verdict := n.forwardStep(cur, pkt, &dest)
 		if (verdict == stepForwarded || verdict == stepDelivered) &&
 			cur.RRCompliant && out != nil && len(pkt.IP.Options) > 0 {
 			// RFC 791 record route: a compliant router stamps the address
@@ -571,28 +608,26 @@ const (
 	stepNoRoute
 )
 
-// forwardStep decides cur's next hop for pkt. It returns the next router,
-// the interface the packet enters it through, and the outgoing interface on
-// cur (for record-route stamping). Reads only immutable routing state, the
-// atomic clock, and the lock-free next-hop memo.
-func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, in *Iface) (*Router, *Iface, *Iface, stepVerdict) {
-	dst := pkt.IP.Dst
-	s := n.rt.targetSubnet(dst)
+// forwardStep decides cur's next hop for pkt toward dest. It returns the
+// next router, the interface the packet enters it through, and the outgoing
+// interface on cur (for record-route stamping). Reads only published routes,
+// the atomic clock, and the lock-free next-hop memo.
+func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, dest *route) (*Router, *Iface, *Iface, stepVerdict) {
+	s := dest.subnet
 	if s == nil {
 		return nil, nil, nil, stepNoRoute
 	}
-	if out := cur.IfaceOn(s); out != nil {
+	if dest.table.dist[cur.idx] == 0 {
 		// Final subnet: deliver across the LAN.
 		if s.Unresponsive {
 			return nil, nil, nil, stepFirewalled
 		}
-		dstIface := n.Topo.IfaceByAddr(dst)
-		if dstIface == nil || dstIface.Subnet != s {
+		if dest.iface == nil {
 			return nil, nil, nil, stepUnassigned
 		}
-		return dstIface.Router, dstIface, out, stepDelivered
+		return dest.iface.Router, dest.iface, cur.IfaceOn(s), stepDelivered
 	}
-	hops := n.rt.nextHops(cur, s)
+	hops := dest.table.nextHops(cur)
 	if len(hops) == 0 {
 		return nil, nil, nil, stepNoRoute
 	}
@@ -624,13 +659,13 @@ func (n *Network) directReply(x *exchangeScratch, r *Router, iface, in *Iface, p
 	if n.blackholed(r) {
 		return nil, nil
 	}
-	if !r.RateLimit.Allow(n.clock.Load()) || !n.stormAllows(r) {
+	if !n.stormAllows(r) {
 		return nil, nil
 	}
 	if r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss) {
 		return nil, nil
 	}
-	src := n.rt.replySource(r, r.DirectPolicy, iface, in, pkt.IP.Src)
+	src := n.Topo.replySource(r, r.DirectPolicy, iface, in, pkt.IP.Src)
 	if src == nil {
 		return nil, nil
 	}
@@ -668,13 +703,13 @@ func (n *Network) ttlExceeded(x *exchangeScratch, r *Router, in *Iface, pkt *wir
 	if n.blackholed(r) {
 		return nil, nil
 	}
-	if !r.RateLimit.Allow(n.clock.Load()) || !n.stormAllows(r) {
+	if !n.stormAllows(r) {
 		return nil, nil
 	}
 	if r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss) {
 		return nil, nil
 	}
-	src := n.rt.replySource(r, r.IndirectPolicy, nil, in, pkt.IP.Src)
+	src := n.Topo.replySource(r, r.IndirectPolicy, nil, in, pkt.IP.Src)
 	if src == nil {
 		return nil, nil
 	}
@@ -705,13 +740,13 @@ func (n *Network) unreachable(x *exchangeScratch, r *Router, in *Iface, pkt *wir
 	if n.blackholed(r) {
 		return nil, nil
 	}
-	if !r.RateLimit.Allow(n.clock.Load()) || !n.stormAllows(r) {
+	if !n.stormAllows(r) {
 		return nil, nil
 	}
 	if r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss) {
 		return nil, nil
 	}
-	src := n.rt.replySource(r, r.IndirectPolicy, nil, in, pkt.IP.Src)
+	src := n.Topo.replySource(r, r.IndirectPolicy, nil, in, pkt.IP.Src)
 	if src == nil {
 		return nil, nil
 	}
@@ -722,8 +757,8 @@ func (n *Network) unreachable(x *exchangeScratch, r *Router, in *Iface, pkt *wir
 // the smallest TTL at which a lossless ICMP echo probe is answered with an
 // echo reply. It returns -1 when addr never answers (unassigned,
 // unresponsive, firewalled, or unreachable). The measurement walk shares the
-// immutable routing state but has its own scratch and random stream, so it
-// does not perturb the network's clock, counters, or configured streams.
+// topology's routes but has its own scratch and random stream, so it does
+// not perturb the network's clock, counters, or configured streams.
 // Exposed for tests and ground-truth computation.
 func (n *Network) DistanceTo(hostName string, addr ipv4.Addr) int {
 	h := n.Topo.HostByName(hostName)
@@ -733,8 +768,8 @@ func (n *Network) DistanceTo(hostName string, addr ipv4.Addr) int {
 		}
 		return -1
 	}
-	probe := &Network{Topo: n.Topo, rt: n.rt}
-	probe.initShards(0)
+	probe := &Network{Topo: n.Topo}
+	seedShards(&probe.shards, 0)
 	var x exchangeScratch
 	for ttl := 1; ttl <= maxHops; ttl++ {
 		pkt := wire.NewEchoRequest(h.Addr(), addr, uint8(ttl), 0xfffe, uint16(ttl))

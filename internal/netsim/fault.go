@@ -42,9 +42,10 @@ const (
 	// fault, included because deduplication bugs are a classic collector
 	// failure.
 	FaultDuplicate
-	// FaultRateStorm overrides the reply rate limit of the scoped routers
-	// with a much tighter token bucket (Rate tokens/tick, Burst capacity)
-	// while active. Scope: Router ("" = all routers).
+	// FaultRateStorm rate-limits the replies of the scoped routers with a
+	// token bucket (Rate tokens/tick, Burst capacity) while active; the
+	// network holds one bucket per scoped router. With no window it is a
+	// router's standing ICMP rate limit. Scope: Router ("" = all routers).
 	FaultRateStorm
 	// FaultChurn reshuffles equal-cost path choices every churnPeriod clock
 	// ticks while active, modelling mid-walk topology/routing churn even
@@ -361,14 +362,9 @@ func (n *Network) InstallFaults(plan FaultPlan) error {
 		return err
 	}
 	fs := &faultState{plan: plan}
-	for i := range fs.shards {
-		// The fault stream stays independent of the network's loss/IPID
-		// stream (same perturbed base seed as always), striped per router.
-		sh := &fs.shards[i]
-		sh.mu.Lock()
-		sh.rng = rand.New(rand.NewSource(shardSeed(plan.Seed^0x66617531, i)))
-		sh.mu.Unlock()
-	}
+	// The fault stream stays independent of the network's loss/IPID stream
+	// (same perturbed base seed as always), striped per router.
+	seedShards(&fs.shards, plan.Seed^0x66617531)
 	for i, f := range plan.Faults {
 		switch f.Kind {
 		case FaultLinkFlap:

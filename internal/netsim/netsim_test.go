@@ -315,14 +315,24 @@ func TestUnresponsiveIface(t *testing.T) {
 	}
 }
 
+// rateLimit installs a rate storm with no time window on the named router:
+// a bucket of burst tokens that never refills, owned by n.
+func rateLimit(t *testing.T, n *Network, router string, burst float64) {
+	t.Helper()
+	plan := FaultPlan{Faults: []Fault{{Kind: FaultRateStorm, Router: router, Rate: 0, Burst: burst}}}
+	if err := n.InstallFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRateLimiting(t *testing.T) {
 	topo := fig3(t)
 	r3 := topo.Routers[3]
 	if r3.Name != "R3" {
 		t.Fatal("fixture order changed")
 	}
-	r3.RateLimit = NewTokenBucket(0, 2)
 	n := New(topo, Config{})
+	rateLimit(t, n, "R3", 2)
 	p := mustPort(t, n, "vantage")
 	answered := 0
 	for i := 0; i < 5; i++ {
@@ -332,6 +342,17 @@ func TestRateLimiting(t *testing.T) {
 	}
 	if answered != 2 {
 		t.Fatalf("rate-limited router answered %d probes, want 2 (burst)", answered)
+	}
+	if got := n.FaultStats().StormDrops; got != 3 {
+		t.Fatalf("storm drops = %d, want 3", got)
+	}
+	// The bucket is the network's: a second network on the topology starts
+	// with a full one.
+	n2 := New(topo, Config{})
+	rateLimit(t, n2, "R3", 2)
+	p2 := mustPort(t, n2, "vantage")
+	if r := exchange(t, p2, wire.NewEchoRequest(p2.LocalAddr(), addr("10.0.2.2"), 8, 1, 9)); r == nil {
+		t.Fatal("a fresh network's bucket must start full")
 	}
 }
 
@@ -817,13 +838,8 @@ func TestUnreachablePolicyGates(t *testing.T) {
 }
 
 func TestTTLExceededRateLimitGate(t *testing.T) {
-	topo := fig3(t)
-	for _, r := range topo.Routers {
-		if r.Name == "R2" {
-			r.RateLimit = NewTokenBucket(0, 1)
-		}
-	}
-	n := New(topo, Config{})
+	n := New(fig3(t), Config{})
+	rateLimit(t, n, "R2", 1)
 	p := mustPort(t, n, "vantage")
 	if r := exchange(t, p, wire.NewEchoRequest(p.LocalAddr(), addr("10.0.5.2"), 2, 1, 1)); r == nil {
 		t.Fatal("first time-exceeded should pass the burst")

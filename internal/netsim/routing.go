@@ -1,138 +1,143 @@
 package netsim
 
 import (
+	"math"
 	"sync/atomic"
 
 	"tracenet/internal/ipv4"
 	"tracenet/internal/wire"
 )
 
-// unreachableDist marks a (router, subnet) pair with no route.
-const unreachableDist int32 = 1 << 30
+// unreachableDist marks a router with no route to a subnet. Distances
+// saturate below it: a router more than 32,766 forwarding steps from a
+// subnet has no route to it, a path no probe walks (maxHops is 64).
+const unreachableDist int16 = math.MaxInt16
 
-// routingState holds the precomputed hop-count distances from every router to
-// every subnet, the basis of shortest-path (and equal-cost multipath)
-// forwarding. Distances are computed with a multi-source BFS over the
-// bipartite router↔subnet graph, which stays linear in the number of
-// interfaces even when subnets are large multi-access LANs (a clique-based
-// BFS would be quadratic in LAN size).
-type routingState struct {
-	topo *Topology
-	// dist[s.idx][r.idx] = forwarding steps from router r until attached to
-	// subnet s (0 if attached). Immutable after construction.
-	dist [][]int32
-	// hops memoizes the equal-cost candidate edges per (router, subnet) pair,
-	// indexed rIdx*len(subnets)+sIdx. Each slot is an atomic pointer so the
-	// memo is lock-free on the injection path: a miss computes the slice and
-	// publishes it; racing computations produce identical slices (the scan is
-	// a pure function of immutable state), so whichever store wins is correct.
-	// Published slices are never mutated.
+// routeTable is one destination subnet's routes: every router's hop distance
+// to the subnet, the basis of shortest-path (and equal-cost multipath)
+// forwarding, and a memo of each router's equal-cost next hops. A Topology
+// builds a subnet's table when the first probe heads for it
+// (Topology.routesTo) and every Network on the topology shares it, so no
+// network pays for routes to subnets its probes never head for.
+type routeTable struct {
+	// dist[r.idx] = forwarding steps from router r until attached to the
+	// subnet (0 if attached). A host is 0 when attached and unreachableDist
+	// otherwise: it never forwards, and nextHops derives its first hop from
+	// its neighbours. Immutable after publication.
+	dist []int16
+	// hops memoizes the equal-cost candidate edges per router, indexed by
+	// r.idx. Each slot is an atomic pointer so the memo is lock-free on the
+	// injection path: a miss computes the slice and publishes it; racing
+	// computations produce identical slices (the scan is a pure function of
+	// immutable state), so whichever store wins is correct. Published
+	// slices are never mutated.
 	hops []atomic.Pointer[[]edge]
 }
 
-func newRoutingState(t *Topology) *routingState {
-	rs := &routingState{
-		topo: t,
-		dist: make([][]int32, len(t.Subnets)),
-		hops: make([]atomic.Pointer[[]edge], len(t.Routers)*len(t.Subnets)),
+// routesTo returns the route table toward s, building it on first use. A
+// hit is one atomic load; a miss builds under routeMu, so one subnet's
+// routes are computed once however many networks ask at the same time.
+func (t *Topology) routesTo(s *Subnet) *routeTable {
+	if rt := t.routes[s.idx].Load(); rt != nil {
+		return rt
 	}
-	routerQ := make([]*Router, 0, len(t.Routers))
-	subnetSeen := make([]bool, len(t.Subnets))
-	for _, s := range t.Subnets {
-		d := make([]int32, len(t.Routers))
-		for i := range d {
-			d[i] = unreachableDist
-		}
-		for i := range subnetSeen {
-			subnetSeen[i] = false
-		}
-		routerQ = routerQ[:0]
-		for _, i := range s.Ifaces {
-			if d[i.Router.idx] != 0 {
-				d[i.Router.idx] = 0
-				routerQ = append(routerQ, i.Router)
-			}
-		}
-		subnetSeen[s.idx] = true
-		// Alternating BFS: routers at distance k expand through their
-		// subnets to routers at distance k+1. Hosts never forward transit
-		// traffic, so they are sources (when attached) but never expanded.
-		for head := 0; head < len(routerQ); head++ {
-			r := routerQ[head]
-			if r.IsHost && d[r.idx] != 0 {
-				continue
-			}
-			if r.IsHost {
-				continue // hosts do not provide transit even at distance 0
-			}
-			for _, ri := range r.Ifaces {
-				sn := ri.Subnet
-				if subnetSeen[sn.idx] {
-					continue
-				}
-				subnetSeen[sn.idx] = true
-				for _, ni := range sn.Ifaces {
-					nb := ni.Router
-					if nb.IsHost {
-						continue
-					}
-					if d[nb.idx] > d[r.idx]+1 {
-						d[nb.idx] = d[r.idx] + 1
-						routerQ = append(routerQ, nb)
-					}
-				}
-			}
-		}
-		// Hosts not attached to s originate traffic through their single
-		// access subnet.
-		for _, h := range t.Hosts {
-			if d[h.idx] != unreachableDist {
-				continue
-			}
-			best := unreachableDist
-			for _, hi := range h.Ifaces {
-				for _, ni := range hi.Subnet.Ifaces {
-					nb := ni.Router
-					if nb.IsHost {
-						continue
-					}
-					if d[nb.idx] != unreachableDist && d[nb.idx]+1 < best {
-						best = d[nb.idx] + 1
-					}
-				}
-			}
-			d[h.idx] = best
-		}
-		rs.dist[s.idx] = d
-	}
-	return rs
+	return t.buildRoutes(s)
 }
 
-// distTo returns the forwarding distance from r to subnet s.
-func (rs *routingState) distTo(r *Router, s *Subnet) int32 { return rs.dist[s.idx][r.idx] }
+// buildRoutes computes and publishes s's route table unless a racing caller
+// already has. The distances come from a BFS over the bipartite
+// router-subnet graph, which stays linear in the number of interfaces even
+// when subnets are large multi-access LANs (a clique-based BFS would be
+// quadratic in LAN size). Each router enters the queue once, so the
+// topology's scratch queue never outgrows its first allocation.
+func (t *Topology) buildRoutes(s *Subnet) *routeTable {
+	t.routeMu.Lock()
+	defer t.routeMu.Unlock()
+	if rt := t.routes[s.idx].Load(); rt != nil {
+		return rt
+	}
+	if t.bfsQueue == nil {
+		t.bfsQueue = make([]int32, 0, len(t.Routers))
+		t.bfsSeen = make([]bool, len(t.Subnets))
+	}
+	queue, subnetSeen := t.bfsQueue[:0], t.bfsSeen
+	clear(subnetSeen)
+	dist := make([]int16, len(t.Routers))
+	for i := range dist {
+		dist[i] = unreachableDist
+	}
+	for _, i := range s.Ifaces {
+		if dist[i.Router.idx] != 0 {
+			dist[i.Router.idx] = 0
+			queue = append(queue, int32(i.Router.idx))
+		}
+	}
+	subnetSeen[s.idx] = true
+	// Alternating BFS: routers at distance k expand through their subnets
+	// to routers at distance k+1. Hosts never forward transit traffic, so
+	// they are sources (when attached) but never expanded.
+	for head := 0; head < len(queue); head++ {
+		r := t.Routers[queue[head]]
+		if r.IsHost {
+			continue
+		}
+		d := dist[r.idx] + 1
+		for _, ri := range r.Ifaces {
+			sn := ri.Subnet
+			if subnetSeen[sn.idx] {
+				continue
+			}
+			subnetSeen[sn.idx] = true
+			for _, ni := range sn.Ifaces {
+				nb := ni.Router
+				if !nb.IsHost && dist[nb.idx] > d {
+					dist[nb.idx] = d
+					queue = append(queue, int32(nb.idx))
+				}
+			}
+		}
+	}
+	t.bfsQueue = queue
+	rt := &routeTable{dist: dist, hops: make([]atomic.Pointer[[]edge], len(t.Routers))}
+	t.routeBuilds++
+	t.routes[s.idx].Store(rt)
+	return rt
+}
 
-// nextHops returns the equal-cost candidate edges from r toward subnet s.
-// The result is ordered as the router's edge list, so selection by flow hash
-// is deterministic. Results are memoized: the edge scan over a router with a
-// large LAN attachment would otherwise dominate every forwarding step. The
-// memo is lock-free (see routingState.hops), making nextHops safe for
-// concurrent walks; memoized slices are never mutated after publication.
-func (rs *routingState) nextHops(r *Router, s *Subnet) []edge {
-	d := rs.dist[s.idx][r.idx]
-	if d == unreachableDist || d == 0 {
+// nextHops returns the equal-cost candidate edges from r toward the table's
+// subnet. The result is ordered as the router's edge list, so selection by
+// flow hash is deterministic. Results are memoized: the edge scan over a
+// router with a large LAN attachment would otherwise dominate every
+// forwarding step. The memo is lock-free (see routeTable.hops), making
+// nextHops safe for concurrent walks; memoized slices are never mutated
+// after publication.
+func (rt *routeTable) nextHops(r *Router) []edge {
+	d := rt.dist[r.idx]
+	if d == 0 || (d == unreachableDist && !r.IsHost) {
 		return nil
 	}
-	slot := &rs.hops[r.idx*len(rs.topo.Subnets)+s.idx]
+	slot := &rt.hops[r.idx]
 	if memo := slot.Load(); memo != nil {
 		return *memo
 	}
-	var out []edge
-	for _, e := range r.edges {
-		if e.to.IsHost {
-			continue
+	// A router forwards to neighbours one step closer. A host not on the
+	// subnet originates through its access subnet: its next hops are the
+	// nearest routers there.
+	want := d - 1
+	if r.IsHost {
+		want = unreachableDist
+		for _, e := range r.edges {
+			if !e.to.IsHost && rt.dist[e.to.idx] < want {
+				want = rt.dist[e.to.idx]
+			}
 		}
-		if rs.dist[s.idx][e.to.idx] == d-1 {
-			out = append(out, e)
+	}
+	var out []edge
+	if want != unreachableDist {
+		for _, e := range r.edges {
+			if !e.to.IsHost && rt.dist[e.to.idx] == want {
+				out = append(out, e)
+			}
 		}
 	}
 	slot.Store(&out)
@@ -211,7 +216,7 @@ func ecmpIndex(p *wire.Packet, r *Router, perPacketSalt uint64, n int) int {
 // probes), in is the interface the probe arrived on, and src is the probe
 // originator (for shortest-path resolution). Returns nil when the policy
 // yields no usable interface (the router stays silent).
-func (rs *routingState) replySource(r *Router, policy ResponsePolicy, probed, in *Iface, src ipv4.Addr) *Iface {
+func (t *Topology) replySource(r *Router, policy ResponsePolicy, probed, in *Iface, src ipv4.Addr) *Iface {
 	switch policy {
 	case PolicyProbed:
 		return probed
@@ -220,22 +225,22 @@ func (rs *routingState) replySource(r *Router, policy ResponsePolicy, probed, in
 	case PolicyDefault:
 		return r.DefaultIface
 	case PolicyShortestPath:
-		return rs.shortestPathIface(r, src)
+		return t.shortestPathIface(r, src)
 	}
 	return nil
 }
 
 // shortestPathIface returns r's interface on the first hop of the shortest
 // path from r back to addr.
-func (rs *routingState) shortestPathIface(r *Router, addr ipv4.Addr) *Iface {
-	s := rs.targetSubnet(addr)
+func (t *Topology) shortestPathIface(r *Router, addr ipv4.Addr) *Iface {
+	s := t.targetSubnet(addr)
 	if s == nil {
 		return r.DefaultIface
 	}
 	if i := r.IfaceOn(s); i != nil {
 		return i
 	}
-	hops := rs.nextHops(r, s)
+	hops := t.routesTo(s).nextHops(r)
 	if len(hops) == 0 {
 		return r.DefaultIface
 	}
@@ -244,9 +249,9 @@ func (rs *routingState) shortestPathIface(r *Router, addr ipv4.Addr) *Iface {
 
 // targetSubnet resolves the subnet a destination address routes toward:
 // the assigned interface's subnet, or the longest covering prefix.
-func (rs *routingState) targetSubnet(addr ipv4.Addr) *Subnet {
-	if i := rs.topo.IfaceByAddr(addr); i != nil {
+func (t *Topology) targetSubnet(addr ipv4.Addr) *Subnet {
+	if i := t.IfaceByAddr(addr); i != nil {
 		return i.Subnet
 	}
-	return rs.topo.SubnetContaining(addr)
+	return t.SubnetContaining(addr)
 }

@@ -15,6 +15,7 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"tracenet/internal/ipv4"
@@ -128,9 +129,6 @@ type Router struct {
 	// baseline relies on compliant routers).
 	RRCompliant bool
 
-	// RateLimit optionally throttles all replies this router generates.
-	RateLimit *TokenBucket
-
 	// ReplyLoss is the probability in [0,1) that any individual reply from
 	// this router is dropped — load-dependent responsiveness, the paper's
 	// §4.2 explanation for cross-vantage disagreement ("routers or ISPs
@@ -140,25 +138,13 @@ type Router struct {
 	ReplyLoss float64
 
 	// IPIDRandom makes the router draw reply IP identifiers from the
-	// network's random stream instead of its shared per-router counter.
+	// network's random stream instead of the router's IP-ID counter.
 	// Counter-based routers are what Ally-style alias resolution relies on;
 	// random-ID routers defeat it (a known coverage limitation).
 	IPIDRandom bool
 
 	idx   int
 	edges []edge
-	// ipid is the router's shared IP-ID counter, widened to uint32 so it can
-	// be advanced atomically (the lock-free injection path increments it from
-	// concurrent probers); replies carry its low 16 bits.
-	ipid uint32
-}
-
-// nextIPID returns the router's next IP identifier. Replies from all of a
-// router's interfaces share one counter — the signal the Ally technique uses
-// to group interfaces into routers. Atomic: concurrent probers interleave
-// draws but the per-router sequence stays strictly increasing (mod 2^16).
-func (r *Router) nextIPID() uint16 {
-	return uint16(atomic.AddUint32(&r.ipid, 1))
 }
 
 // edge is a usable adjacency: a neighbouring router reachable across one
@@ -241,9 +227,12 @@ func (s *Subnet) MemberAddrs() []ipv4.Addr {
 
 func (s *Subnet) String() string { return s.Prefix.String() }
 
-// Topology is the static router-and-subnet graph plus its address indexes.
-// Build one with a Builder; a built topology is immutable and safe for
-// concurrent readers.
+// Topology is the static router-and-subnet graph plus its address indexes
+// and routes. Build one with a Builder; a built topology is immutable and
+// safe for concurrent readers. Its routes are a cache: each destination
+// subnet's route table is built when the first probe heads for it and
+// shared by every Network on the topology. Per-network state (the clock,
+// IP-ID counters, random streams, rate-limit buckets) lives on the Network.
 type Topology struct {
 	Routers []*Router
 	Subnets []*Subnet
@@ -253,6 +242,17 @@ type Topology struct {
 	subnetByBits map[int]map[ipv4.Prefix]*Subnet
 	prefixLens   []int // descending, for longest-prefix match
 	hostByName   map[string]*Router
+
+	// routes holds each subnet's route table, indexed by subnet idx; a nil
+	// slot is a subnet no probe has headed for yet (see routesTo).
+	routes []atomic.Pointer[routeTable]
+	// routeMu serializes route builds. routeBuilds counts them; bfsQueue
+	// and bfsSeen are the builds' scratch, indices and flags that pin
+	// nothing, allocated by the first build.
+	routeMu     sync.Mutex
+	routeBuilds int
+	bfsQueue    []int32
+	bfsSeen     []bool
 }
 
 // IfaceByAddr returns the interface assigned addr, or nil if unassigned.
@@ -319,6 +319,7 @@ func (t *Topology) buildIndexes() {
 		t.prefixLens = append(t.prefixLens, b)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(t.prefixLens)))
+	t.routes = make([]atomic.Pointer[routeTable], len(t.Subnets))
 
 	// Adjacency: every pair of distinct routers sharing a subnet is an edge,
 	// one edge per (subnet, interface pair).

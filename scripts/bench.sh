@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 
 DATE="${BENCH_DATE:-$(date -u +%Y%m%d)}"
 OUT="${BENCH_OUT:-BENCH_${DATE}.json}"
-PATTERN="${BENCH_PATTERN:-^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress|Scaling|10k)?$|^BenchmarkDaemonThroughput$}"
+PATTERN="${BENCH_PATTERN:-^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkTraceInternet2Cold$|^BenchmarkCampaign(Progress|Scaling|10k)?$|^BenchmarkDaemonThroughput$}"
 TIME="${BENCH_TIME:-0.5s}"
 
 tmp="$(mktemp)"

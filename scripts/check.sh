@@ -83,6 +83,14 @@ go test -count=1 -run '^TestAccuracyFloors$' ./internal/experiments/
 echo "== adversarial accuracy floors"
 go test -count=1 -run '^TestAdversarialFloors$' ./internal/experiments/
 
+# Routes are built per destination subnet on first use and shared by every
+# network on a topology, so a campaign's memory grows with the subnets it
+# reaches. On a 16,384-leaf topology (85,265 routers, 16,424 subnets) a dense
+# router x subnet table would need about 16.8 GB; netsim.New plus a
+# 64-target campaign must stay under the heap bound in the test.
+echo "== 16,384-leaf campaign heap bound"
+go test -count=1 -run '^TestSixteenThousandLeafCampaignHeap$' ./internal/netsim/
+
 # End-to-end eval smoke: a clean deterministic topology must score perfectly.
 echo "== tracenet -eval smoke (chain topology, must be exact)"
 go run ./cmd/tracenet -topo chain -eval | grep "subnet precision 1.000"
