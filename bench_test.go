@@ -529,6 +529,29 @@ func BenchmarkCampaign10k(b *testing.B) {
 	benchCampaign(b, tp, targets, 8, 0)
 }
 
+// BenchmarkCampaignISP runs the campaign `tracenet -topo isps -seed 7` runs:
+// 1,293 targets over the ISP cores at Parallel 1. Each iteration resolves
+// the Spec untimed, so it times a fresh network's route builds and the
+// merge as well as the traces. Its CPU against one core.Session over the
+// same targets measures what running targets as a campaign costs.
+func BenchmarkCampaignISP(b *testing.B) {
+	var stats collect.Stats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := (&daemon.Spec{Topology: "isps", Seed: 7, Parallel: 1}).Resolve("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rep, err := collect.Run(context.Background(), c.Config)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats = rep.Stats
+	}
+	b.ReportMetric(float64(stats.WireProbes), "wire-probes")
+}
+
 // BenchmarkCampaignProgress measures what live progress tracking costs the
 // campaign engine: the same 24-leaf collection run with and without a
 // collect.Progress attached (the state behind the observability plane's

@@ -1,9 +1,10 @@
 package collect
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"tracenet/internal/core"
@@ -95,18 +96,8 @@ func (r *Report) merge() {
 // sort is stable: ties keep their first appearance in the input-order fold,
 // which the checkpoint's subnet indices depend on.
 func sortSubnets(subs []*core.Subnet) {
-	sort.SliceStable(subs, func(i, j int) bool {
-		a, b := subs[i], subs[j]
-		if a.Prefix.Base() != b.Prefix.Base() {
-			return a.Prefix.Base() < b.Prefix.Base()
-		}
-		if a.Prefix.Bits() != b.Prefix.Bits() {
-			return a.Prefix.Bits() < b.Prefix.Bits()
-		}
-		if a.Pivot != b.Pivot {
-			return a.Pivot < b.Pivot
-		}
-		return a.PivotDist < b.PivotDist
+	slices.SortStableFunc(subs, func(a, b *core.Subnet) int {
+		return cmp.Or(a.Prefix.Compare(b.Prefix), cmp.Compare(a.Pivot, b.Pivot), cmp.Compare(a.PivotDist, b.PivotDist))
 	})
 }
 

@@ -83,12 +83,14 @@ func (t *Truth) Classify(s *Score) []Outcome {
 		row := &s.Rows[k]
 		switch row.Verdict {
 		case VerdictExact:
-			exact[t.byPrefix[row.Truth]] = true
+			i, _ := t.overlapping(row.Truth)
+			exact[i] = true
 		case VerdictSubset:
-			i := t.byPrefix[row.Truth]
+			i, _ := t.overlapping(row.Truth)
 			inside[i] = append(inside[i], row.Collected.Bits())
 		case VerdictSuperset:
-			for _, i := range t.overlapping(row.Collected) {
+			lo, hi := t.overlapping(row.Collected)
+			for i := lo; i < hi; i++ {
 				if over[i] == nil {
 					over[i] = row
 				}

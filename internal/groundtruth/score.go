@@ -167,7 +167,7 @@ func (t *Truth) Score(collected []CollectedSubnet) *Score {
 	}
 
 	exactTruth := make(map[ipv4.Prefix]bool)
-	covered := make(map[ipv4.Prefix]bool)
+	covered := make([]bool, len(t.Subnets))
 	errHist := map[int]int{}
 	collectedAddrs := make(map[ipv4.Addr]bool)
 
@@ -176,16 +176,16 @@ func (t *Truth) Score(collected []CollectedSubnet) *Score {
 			collectedAddrs[a] = true
 		}
 		row := Row{Collected: c.Prefix}
-		overlaps := t.overlapping(c.Prefix)
-		row.Overlaps = len(overlaps)
-		if len(overlaps) == 0 {
+		lo, hi := t.overlapping(c.Prefix)
+		row.Overlaps = hi - lo
+		if lo == hi {
 			row.Verdict = VerdictPhantom
 			row.MemberExtra = countExtras(c.Addrs, t)
 			s.counts[row.Verdict]++
 			s.Rows = append(s.Rows, row)
 			continue
 		}
-		primary := t.primaryMatch(c, overlaps)
+		primary := t.primaryMatch(c, lo, hi)
 		ts := &t.Subnets[primary]
 		row.Truth = ts.Prefix
 		row.PrefixErr = c.Prefix.Bits() - ts.Prefix.Bits()
@@ -201,8 +201,8 @@ func (t *Truth) Score(collected []CollectedSubnet) *Score {
 		}
 		row.MemberHits, row.MemberTotal = countHits(c.Addrs, ts)
 		row.MemberExtra = countExtras(c.Addrs, t)
-		for _, i := range overlaps {
-			covered[t.Subnets[i].Prefix] = true
+		for i := lo; i < hi; i++ {
+			covered[i] = true
 		}
 		errHist[row.PrefixErr]++
 		s.counts[row.Verdict]++
@@ -211,7 +211,7 @@ func (t *Truth) Score(collected []CollectedSubnet) *Score {
 
 	for i := range t.Subnets {
 		ts := &t.Subnets[i]
-		if covered[ts.Prefix] {
+		if covered[i] {
 			continue
 		}
 		s.counts[VerdictMissed]++
@@ -245,12 +245,13 @@ func (t *Truth) Score(collected []CollectedSubnet) *Score {
 }
 
 // primaryMatch picks the true subnet a collected observation is scored
-// against: the exact-prefix match when there is one, otherwise the
-// overlapped subnet sharing the most member addresses with the observation,
-// ties broken by subnet order (base, then bits) — all deterministic.
-func (t *Truth) primaryMatch(c CollectedSubnet, overlaps []int) int {
-	best, bestShared := overlaps[0], -1
-	for _, i := range overlaps {
+// against among the overlapped run [lo, hi): the exact-prefix match when
+// there is one, otherwise the overlapped subnet sharing the most member
+// addresses with the observation, ties broken by subnet order (base, then
+// bits) — all deterministic.
+func (t *Truth) primaryMatch(c CollectedSubnet, lo, hi int) int {
+	best, bestShared := lo, -1
+	for i := lo; i < hi; i++ {
 		ts := &t.Subnets[i]
 		if ts.Prefix == c.Prefix {
 			return i

@@ -14,8 +14,9 @@
 package groundtruth
 
 import (
-	"sort"
+	"slices"
 
+	"tracenet/internal/invariant"
 	"tracenet/internal/ipv4"
 	"tracenet/internal/netsim"
 )
@@ -52,22 +53,20 @@ type Options struct {
 }
 
 // Truth is the extracted scoring universe: the true subnets, sorted by
-// prefix, plus the union of their member addresses.
+// prefix, plus the union of their member addresses. The true prefixes are
+// pairwise disjoint, as a built netsim topology's are, so the true subnets a
+// prefix overlaps are one run of Subnets (ipv4.OverlapRun).
 type Truth struct {
 	Subnets []TrueSubnet
 
-	byPrefix map[ipv4.Prefix]int
-	addrs    map[ipv4.Addr]bool
+	addrs map[ipv4.Addr]bool
 }
 
 // FromTopology extracts the ground-truth subnet-level topology from a built
 // netsim topology. The result is deterministic: subnets are sorted by base
 // address then prefix length, members ascending.
 func FromTopology(t *netsim.Topology, opt Options) *Truth {
-	tr := &Truth{
-		byPrefix: make(map[ipv4.Prefix]int),
-		addrs:    make(map[ipv4.Addr]bool),
-	}
+	tr := &Truth{addrs: make(map[ipv4.Addr]bool)}
 	for _, s := range t.Subnets {
 		if opt.ExcludeHostSubnets && s.HostAttached() {
 			continue
@@ -87,18 +86,17 @@ func FromTopology(t *netsim.Topology, opt Options) *Truth {
 
 // FromSubnets builds a Truth directly from explicit subnets — for tests and
 // for scoring against hand-written ground truth (e.g. a parsed router
-// config).
+// config). The prefixes must be pairwise disjoint.
 func FromSubnets(subs []TrueSubnet) *Truth {
 	tr := &Truth{
-		Subnets:  make([]TrueSubnet, len(subs)),
-		byPrefix: make(map[ipv4.Prefix]int),
-		addrs:    make(map[ipv4.Addr]bool),
+		Subnets: make([]TrueSubnet, len(subs)),
+		addrs:   make(map[ipv4.Addr]bool),
 	}
 	copy(tr.Subnets, subs)
 	for i := range tr.Subnets {
 		addrs := make([]ipv4.Addr, len(tr.Subnets[i].Addrs))
 		copy(addrs, tr.Subnets[i].Addrs)
-		sort.Slice(addrs, func(a, b int) bool { return addrs[a] < addrs[b] })
+		slices.Sort(addrs)
 		tr.Subnets[i].Addrs = addrs
 	}
 	sortTrueSubnets(tr.Subnets)
@@ -108,9 +106,12 @@ func FromSubnets(subs []TrueSubnet) *Truth {
 
 func (t *Truth) reindex() {
 	for i, s := range t.Subnets {
-		t.byPrefix[s.Prefix] = i
 		for _, a := range s.Addrs {
 			t.addrs[a] = true
+		}
+		if i > 0 {
+			invariant.Assertf(!t.Subnets[i-1].Prefix.Overlaps(s.Prefix),
+				"groundtruth: true subnets %v and %v overlap", t.Subnets[i-1].Prefix, s.Prefix)
 		}
 	}
 }
@@ -123,29 +124,19 @@ func (t *Truth) HasAddr(addr ipv4.Addr) bool { return t.addrs[addr] }
 
 // ByPrefix returns the true subnet with exactly the given prefix, or nil.
 func (t *Truth) ByPrefix(p ipv4.Prefix) *TrueSubnet {
-	if i, ok := t.byPrefix[p]; ok {
-		return &t.Subnets[i]
+	if lo, hi := t.overlapping(p); lo < hi && t.Subnets[lo].Prefix == p {
+		return &t.Subnets[lo]
 	}
 	return nil
 }
 
-// overlapping returns the indices of true subnets whose address range
-// intersects p, in sorted subnet order.
-func (t *Truth) overlapping(p ipv4.Prefix) []int {
-	var out []int
-	for i := range t.Subnets {
-		if t.Subnets[i].Prefix.Overlaps(p) {
-			out = append(out, i)
-		}
-	}
-	return out
+// overlapping returns the index range [lo, hi) of the true subnets whose
+// address range intersects p. A true prefix overlaps only itself, so its run
+// starts at its own index.
+func (t *Truth) overlapping(p ipv4.Prefix) (lo, hi int) {
+	return ipv4.OverlapRun(t.Subnets, p, func(s TrueSubnet) ipv4.Prefix { return s.Prefix })
 }
 
 func sortTrueSubnets(subs []TrueSubnet) {
-	sort.Slice(subs, func(i, j int) bool {
-		if subs[i].Prefix.Base() != subs[j].Prefix.Base() {
-			return subs[i].Prefix.Base() < subs[j].Prefix.Base()
-		}
-		return subs[i].Prefix.Bits() < subs[j].Prefix.Bits()
-	})
+	slices.SortFunc(subs, func(a, b TrueSubnet) int { return a.Prefix.Compare(b.Prefix) })
 }

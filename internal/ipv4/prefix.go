@@ -1,7 +1,9 @@
 package ipv4
 
 import (
+	"cmp"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -110,6 +112,25 @@ func (p Prefix) Overlaps(q Prefix) bool {
 		return p.Contains(q.base)
 	}
 	return q.Contains(p.base)
+}
+
+// Compare orders prefixes by base address, then by length, shorter first,
+// so a prefix sorts just before the prefixes nested inside it. It returns
+// -1, 0 or +1, for slices.SortFunc.
+func (p Prefix) Compare(q Prefix) int {
+	return cmp.Or(cmp.Compare(p.base, q.base), cmp.Compare(p.bits, q.bits))
+}
+
+// OverlapRun returns the index range [lo, hi) of the elements of s whose
+// prefix, read by prefixOf, overlaps q. The elements must be sorted by
+// Compare and their prefixes pairwise disjoint: their ranges then ascend by
+// first and by last address alike, so the overlapping elements are one
+// contiguous run, found by two binary searches. Look an address up as its
+// /32.
+func OverlapRun[E any](s []E, q Prefix, prefixOf func(E) Prefix) (lo, hi int) {
+	lo = sort.Search(len(s), func(i int) bool { return prefixOf(s[i]).Last() >= q.First() })
+	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return prefixOf(s[lo+i]).First() > q.Last() })
+	return lo, hi
 }
 
 // Size returns the number of addresses covered by p (2^(32-bits)).

@@ -1,6 +1,9 @@
 package ipv4
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -244,5 +247,102 @@ func TestTopOfAddressSpace(t *testing.T) {
 	}
 	if top.Mate30() != MustParseAddr("255.255.255.253") {
 		t.Fatalf("mate30 = %v", top.Mate30())
+	}
+}
+
+func TestCompare(t *testing.T) {
+	ordered := []string{"0.0.0.0/0", "0.0.0.0/32", "10.0.0.0/8", "10.0.0.0/24", "10.0.0.0/25", "10.0.0.128/25", "10.0.1.0/24", "255.255.255.255/32"}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			got := MustParsePrefix(a).Compare(MustParsePrefix(b))
+			want := cmp.Compare(i, j)
+			if got != want {
+				t.Errorf("%s.Compare(%s) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// randomPrefix draws a prefix crowded into a few small windows (the bottom
+// and top of the address space and 10.0.0.0/20) so random sets and queries
+// overlap often; one draw in sixteen takes any length from /0 to /32.
+func randomPrefix(rng *rand.Rand) Prefix {
+	var a Addr
+	switch rng.Intn(4) {
+	case 0:
+		a = Addr(rng.Uint32())
+	case 1:
+		a = Addr(rng.Intn(1 << 12))
+	case 2:
+		a = Addr(^uint32(0) - uint32(rng.Intn(1<<12)))
+	default:
+		a = MustParseAddr("10.0.0.0") + Addr(rng.Intn(1<<12))
+	}
+	bits := 20 + rng.Intn(13)
+	if rng.Intn(16) == 0 {
+		bits = rng.Intn(33)
+	}
+	return NewPrefix(a, bits)
+}
+
+// TestOverlapRunMatchesScan checks OverlapRun against a brute-force overlap
+// scan over random disjoint ordered sets and random queries, /0, /32 and
+// both ends of the address space included. With no overlap, the empty run
+// must sit where q would be inserted.
+func TestOverlapRunMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	self := func(p Prefix) Prefix { return p }
+	fixed := []Prefix{
+		MustParsePrefix("0.0.0.0/0"), MustParsePrefix("0.0.0.0/32"), MustParsePrefix("0.0.0.0/31"),
+		MustParsePrefix("255.255.255.255/32"), MustParsePrefix("255.255.255.254/31"),
+		MustParsePrefix("128.0.0.0/1"), MustParsePrefix("10.0.0.0/8"),
+	}
+	for trial := 0; trial < 400; trial++ {
+		var set []Prefix
+		switch trial {
+		case 0: // empty
+		case 1:
+			set = []Prefix{MustParsePrefix("0.0.0.0/0")}
+		case 2:
+			set = []Prefix{MustParsePrefix("0.0.0.0/32"), MustParsePrefix("255.255.255.255/32")}
+		default:
+			for tries := rng.Intn(80); tries > 0; tries-- {
+				p := randomPrefix(rng)
+				disjoint := true
+				for _, q := range set {
+					disjoint = disjoint && !q.Overlaps(p)
+				}
+				if disjoint {
+					set = append(set, p)
+				}
+			}
+		}
+		slices.SortFunc(set, Prefix.Compare)
+		queries := append([]Prefix(nil), fixed...)
+		for _, p := range set {
+			queries = append(queries, p, p.Parent(), NewPrefix(p.First(), 32), NewPrefix(p.Last(), 32))
+			if p.Bits() < 32 {
+				lo, hi := p.Halves()
+				queries = append(queries, lo, hi)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			queries = append(queries, randomPrefix(rng))
+		}
+		for _, q := range queries {
+			lo, hi := OverlapRun(set, q, self)
+			if lo < 0 || lo > hi || hi > len(set) {
+				t.Fatalf("set %v: OverlapRun(%v) = [%d, %d)", set, q, lo, hi)
+			}
+			for i, p := range set {
+				in := i >= lo && i < hi
+				if p.Overlaps(q) != in {
+					t.Fatalf("set %v: OverlapRun(%v) = [%d, %d), but %v overlaps = %v", set, q, lo, hi, p, !in)
+				}
+				if lo == hi && (i < lo) != (p.Compare(q) < 0) {
+					t.Fatalf("set %v: empty run for %v at %d, but %v sorts on the other side", set, q, lo, p)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"tracenet/internal/ipv4"
 )
@@ -9,20 +10,18 @@ import (
 // Builder assembles a Topology incrementally and validates it on Build.
 // The zero value is not usable; call NewBuilder.
 type Builder struct {
-	topo    *Topology
-	errs    []error
-	ifaces  map[ipv4.Addr]*Iface
-	subnets map[ipv4.Prefix]*Subnet
-	names   map[string]bool
+	topo   *Topology
+	errs   []error
+	ifaces map[ipv4.Addr]*Iface
+	names  map[string]bool
 }
 
 // NewBuilder returns an empty topology builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		topo:    &Topology{},
-		ifaces:  make(map[ipv4.Addr]*Iface),
-		subnets: make(map[ipv4.Prefix]*Subnet),
-		names:   make(map[string]bool),
+		topo:   &Topology{},
+		ifaces: make(map[ipv4.Addr]*Iface),
+		names:  make(map[string]bool),
 	}
 }
 
@@ -69,13 +68,10 @@ func (b *Builder) Subnet(cidr string) *Subnet {
 	return b.SubnetP(p)
 }
 
-// SubnetP declares a LAN with the given parsed prefix.
+// SubnetP declares a LAN with the given parsed prefix. Build rejects a
+// prefix declared twice, as it rejects any overlap.
 func (b *Builder) SubnetP(p ipv4.Prefix) *Subnet {
-	if _, dup := b.subnets[p]; dup {
-		b.errorf("netsim: duplicate subnet %v", p)
-	}
 	s := &Subnet{Prefix: p}
-	b.subnets[p] = s
 	b.topo.Subnets = append(b.topo.Subnets, s)
 	return s
 }
@@ -152,18 +148,31 @@ func (b *Builder) Build() (*Topology, error) {
 			b.errorf("netsim: subnet %v has no interfaces", s.Prefix)
 		}
 	}
-	for _, s := range b.topo.Subnets {
-		for _, q := range b.topo.Subnets {
-			if s != q && s.Prefix.Overlaps(q.Prefix) {
-				b.errorf("netsim: overlapping subnets %v and %v", s.Prefix, q.Prefix)
-			}
-		}
+	var err error
+	if b.topo.byPrefix, err = prefixOrder(b.topo.Subnets); err != nil {
+		b.errs = append(b.errs, err)
 	}
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("netsim: invalid topology: %w (%d errors total)", b.errs[0], len(b.errs))
 	}
 	b.topo.buildIndexes()
 	return b.topo, nil
+}
+
+// prefixOrder returns a copy of subnets sorted by prefix
+// (ipv4.Prefix.Compare), or an error naming the first overlapping pair.
+// Sorted prefixes are pairwise disjoint exactly when every neighbouring pair
+// is: a prefix that overlaps a later one covers it and everything between.
+func prefixOrder(subnets []*Subnet) ([]*Subnet, error) {
+	sorted := make([]*Subnet, len(subnets))
+	copy(sorted, subnets)
+	slices.SortFunc(sorted, func(a, b *Subnet) int { return a.Prefix.Compare(b.Prefix) })
+	for i := 1; i < len(sorted); i++ {
+		if p, q := sorted[i-1].Prefix, sorted[i].Prefix; p.Overlaps(q) {
+			return nil, fmt.Errorf("netsim: overlapping subnets %v and %v", p, q)
+		}
+	}
+	return sorted, nil
 }
 
 // MustBuild is Build panicking on error, for fixtures and generators whose

@@ -14,3 +14,7 @@ func RouteTables(t *Topology) (builds, held int) {
 	}
 	return builds, held
 }
+
+// OverlapJSON is a topology file with overlapping subnets, for the reader's
+// fuzz seeds.
+const OverlapJSON = overlapJSON

@@ -102,24 +102,20 @@ func ReadJSON(r io.Reader) (*Topology, error) {
 		return nil, fmt.Errorf("netsim: decoding topology: %w", err)
 	}
 	b := NewBuilder()
-	subnets := map[ipv4.Prefix]*Subnet{}
 	for _, sj := range in.Subnets {
 		p, err := ipv4.ParsePrefix(sj.Prefix)
 		if err != nil {
 			return nil, fmt.Errorf("netsim: subnet %q: %w", sj.Prefix, err)
 		}
-		s := b.SubnetP(p)
-		s.Unresponsive = sj.Unresponsive
-		subnets[p] = s
+		b.SubnetP(p).Unresponsive = sj.Unresponsive
 	}
-	findSubnet := func(a ipv4.Addr) (*Subnet, error) {
-		for p, s := range subnets {
-			if p.Contains(a) {
-				return s, nil
-			}
-		}
-		return nil, fmt.Errorf("netsim: address %v not covered by any subnet", a)
+	// Check the declared subnets before attaching any interface: with
+	// overlapping subnets an address has no one subnet to attach to.
+	byPrefix, err := prefixOrder(b.topo.Subnets)
+	if err != nil {
+		return nil, err
 	}
+	b.topo.byPrefix = byPrefix
 	for _, rj := range in.Routers {
 		var r *Router
 		if rj.Host {
@@ -155,9 +151,9 @@ func ReadJSON(r io.Reader) (*Topology, error) {
 			if err != nil {
 				return nil, fmt.Errorf("netsim: router %s: %w", rj.Name, err)
 			}
-			s, err := findSubnet(a)
-			if err != nil {
-				return nil, err
+			s := b.topo.SubnetContaining(a)
+			if s == nil {
+				return nil, fmt.Errorf("netsim: address %v not covered by any subnet", a)
 			}
 			iface := b.AttachA(r, s, a)
 			iface.Responsive = !ij.Unresponsive

@@ -85,4 +85,21 @@ func TestReadJSONErrors(t *testing.T) {
 			t.Errorf("%s: ReadJSON succeeded", name)
 		}
 	}
+
+	// Overlapping subnets fail with the same named pair on every read. An
+	// address under both subnets has no one subnet to attach to, so the
+	// check must come before any interface is attached.
+	for i := 0; i < 20; i++ {
+		_, err := ReadJSON(strings.NewReader(overlapJSON))
+		if want := "netsim: overlapping subnets 10.0.0.0/24 and 10.0.0.0/30"; err == nil || err.Error() != want {
+			t.Fatalf("read %d: err = %v, want %q", i, err, want)
+		}
+	}
 }
+
+// overlapJSON declares a /24 that covers one of two /30s, with routers on
+// addresses under both.
+const overlapJSON = `{"subnets": [{"prefix": "10.0.0.0/24"}, {"prefix": "10.0.0.0/30"}, {"prefix": "10.0.1.0/30"}],
+ "routers": [{"name": "a", "ifaces": [{"addr": "10.0.0.1"}]},
+             {"name": "b", "ifaces": [{"addr": "10.0.0.2"}]},
+             {"name": "c", "ifaces": [{"addr": "10.0.0.100"}]}]}`

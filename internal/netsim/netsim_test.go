@@ -526,6 +526,11 @@ func TestBuilderValidation(t *testing.T) {
 			s := b.Subnet("10.0.0.0/29")
 			b.Attach(r, s, "10.0.0.0")
 		}},
+		{"duplicate subnet", func(b *Builder) {
+			r1, r2 := b.Router("a"), b.Router("b")
+			b.Attach(r1, b.Subnet("10.0.0.0/30"), "10.0.0.1")
+			b.Attach(r2, b.Subnet("10.0.0.0/30"), "10.0.0.2")
+		}},
 		{"overlapping subnets", func(b *Builder) {
 			r1, r2 := b.Router("a"), b.Router("b")
 			s1 := b.Subnet("10.0.0.0/24")

@@ -248,7 +248,7 @@ func (t *Topology) shortestPathIface(r *Router, addr ipv4.Addr) *Iface {
 }
 
 // targetSubnet resolves the subnet a destination address routes toward:
-// the assigned interface's subnet, or the longest covering prefix.
+// the assigned interface's subnet, or the subnet whose prefix covers it.
 func (t *Topology) targetSubnet(addr ipv4.Addr) *Subnet {
 	if i := t.IfaceByAddr(addr); i != nil {
 		return i.Subnet

@@ -238,10 +238,13 @@ type Topology struct {
 	Subnets []*Subnet
 	Hosts   []*Router // subset of Routers with IsHost set
 
-	ifaceByAddr  map[ipv4.Addr]*Iface
-	subnetByBits map[int]map[ipv4.Prefix]*Subnet
-	prefixLens   []int // descending, for longest-prefix match
-	hostByName   map[string]*Router
+	ifaceByAddr map[ipv4.Addr]*Iface
+	hostByName  map[string]*Router
+	// byPrefix holds Subnets in prefix order (ipv4.Prefix.Compare), the
+	// index SubnetContaining and SubnetByPrefix search. Build rejects
+	// overlapping subnets, so the order is one ipv4.OverlapRun needs.
+	// Subnets keeps declaration order: subnet indices follow it.
+	byPrefix []*Subnet
 
 	// routes holds each subnet's route table, indexed by subnet idx; a nil
 	// slot is a subnet no probe has headed for yet (see routesTo).
@@ -258,20 +261,25 @@ type Topology struct {
 // IfaceByAddr returns the interface assigned addr, or nil if unassigned.
 func (t *Topology) IfaceByAddr(addr ipv4.Addr) *Iface { return t.ifaceByAddr[addr] }
 
-// SubnetContaining performs longest-prefix match of addr against all subnets.
+// SubnetContaining returns the subnet whose prefix covers addr, or nil.
+// Subnets are disjoint, so at most one does.
 func (t *Topology) SubnetContaining(addr ipv4.Addr) *Subnet {
-	for _, bits := range t.prefixLens {
-		if s, ok := t.subnetByBits[bits][ipv4.NewPrefix(addr, bits)]; ok {
-			return s
-		}
+	if lo, hi := ipv4.OverlapRun(t.byPrefix, ipv4.NewPrefix(addr, 32), subnetPrefix); lo < hi {
+		return t.byPrefix[lo]
 	}
 	return nil
 }
 
 // SubnetByPrefix returns the subnet with exactly the given prefix, or nil.
 func (t *Topology) SubnetByPrefix(p ipv4.Prefix) *Subnet {
-	return t.subnetByBits[p.Bits()][p]
+	if s := t.SubnetContaining(p.Base()); s != nil && s.Prefix == p {
+		return s
+	}
+	return nil
 }
+
+// subnetPrefix reads a subnet's prefix for ipv4.OverlapRun.
+func subnetPrefix(s *Subnet) ipv4.Prefix { return s.Prefix }
 
 // HostByName returns the named host, or nil.
 func (t *Topology) HostByName(name string) *Router { return t.hostByName[name] }
@@ -293,7 +301,6 @@ func (t *Topology) CoreSubnets() []*Subnet {
 // the Builder after validation.
 func (t *Topology) buildIndexes() {
 	t.ifaceByAddr = make(map[ipv4.Addr]*Iface)
-	t.subnetByBits = make(map[int]map[ipv4.Prefix]*Subnet)
 	t.hostByName = make(map[string]*Router)
 	for idx, r := range t.Routers {
 		r.idx = idx
@@ -304,21 +311,9 @@ func (t *Topology) buildIndexes() {
 			t.ifaceByAddr[i.Addr] = i
 		}
 	}
-	lens := map[int]bool{}
 	for idx, s := range t.Subnets {
 		s.idx = idx
-		bits := s.Prefix.Bits()
-		if t.subnetByBits[bits] == nil {
-			t.subnetByBits[bits] = make(map[ipv4.Prefix]*Subnet)
-		}
-		t.subnetByBits[bits][s.Prefix] = s
-		lens[bits] = true
 	}
-	t.prefixLens = t.prefixLens[:0]
-	for b := range lens {
-		t.prefixLens = append(t.prefixLens, b)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(t.prefixLens)))
 	t.routes = make([]atomic.Pointer[routeTable], len(t.Subnets))
 
 	// Adjacency: every pair of distinct routers sharing a subnet is an edge,

@@ -11,21 +11,26 @@
 package topomap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"tracenet/internal/core"
+	"tracenet/internal/invariant"
 	"tracenet/internal/ipv4"
 )
 
 // Map is an accumulating subnet-level topology map.
 // The zero value is not usable; call New.
 type Map struct {
-	// subnets by canonical prefix.
-	subnets map[ipv4.Prefix]*Entry
-	// addrToPrefix resolves a member address to its subnet.
-	addrToPrefix map[ipv4.Addr]ipv4.Prefix
+	// entries are the subnets in prefix order (ipv4.Prefix.Compare). They
+	// are pairwise disjoint, because addSubnet folds every entry a new
+	// observation overlaps into one, and each entry's members lie inside its
+	// prefix. So the entries overlapping a prefix are one run
+	// (ipv4.OverlapRun), and an address's subnet is the entry covering it.
+	entries []*Entry
 	// hops records every trace adjacency observed: an (earlier hop, later
 	// hop) pair of responding addresses on some path.
 	hops map[[2]ipv4.Addr]int
@@ -80,7 +85,7 @@ func (e *Entry) addConflict(a, b ipv4.Prefix) {
 	}
 	// Canonical operand order keeps the note stable regardless of which
 	// observation arrived first.
-	if b.Base() < a.Base() || (b.Base() == a.Base() && b.Bits() < a.Bits()) {
+	if b.Compare(a) < 0 {
 		a, b = b, a
 	}
 	e.addNote(fmt.Sprintf("observed as %v and %v", a, b))
@@ -100,10 +105,8 @@ func (e *Entry) addNote(note string) {
 // New returns an empty map.
 func New() *Map {
 	return &Map{
-		subnets:      make(map[ipv4.Prefix]*Entry),
-		addrToPrefix: make(map[ipv4.Addr]ipv4.Prefix),
-		hops:         make(map[[2]ipv4.Addr]int),
-		anon:         make(map[[2]ipv4.Addr]int),
+		hops: make(map[[2]ipv4.Addr]int),
+		anon: make(map[[2]ipv4.Addr]int),
 	}
 }
 
@@ -151,40 +154,29 @@ func (m *Map) AddSession(res *core.Result) {
 	}
 }
 
+// entryPrefix reads an entry's prefix for ipv4.OverlapRun.
+func entryPrefix(e *Entry) ipv4.Prefix { return e.Prefix }
+
 func (m *Map) addSubnet(s *core.Subnet) {
 	// Reconcile overlapping prefixes: the same physical subnet may have been
 	// observed at different sizes from different campaigns; one entry keyed
 	// by the largest (shortest) prefix holds the union. A large observation
 	// can cover several previously separate entries, so every overlapping
-	// entry is absorbed — merging just the first one found would leave
-	// duplicate rows for the same address space (and map iteration order
-	// would make the survivor random).
-	var overlapping []*Entry
-	for _, cand := range m.subnets {
-		if cand.Prefix.Overlaps(s.Prefix) {
-			overlapping = append(overlapping, cand)
-		}
-	}
-	sort.Slice(overlapping, func(i, j int) bool {
-		if overlapping[i].Prefix.Base() != overlapping[j].Prefix.Base() {
-			return overlapping[i].Prefix.Base() < overlapping[j].Prefix.Base()
-		}
-		return overlapping[i].Prefix.Bits() < overlapping[j].Prefix.Bits()
-	})
-
-	if len(overlapping) == 0 {
+	// entry is absorbed into the first, in prefix order — merging just one
+	// would leave duplicate rows for the same address space.
+	lo, hi := ipv4.OverlapRun(m.entries, s.Prefix, entryPrefix)
+	if lo == hi {
 		e := &Entry{Prefix: s.Prefix, Confidence: 1}
-		m.subnets[e.Prefix] = e
-		m.mergeObservation(e, s)
+		m.entries = slices.Insert(m.entries, lo, e)
+		e.observe(s)
 		return
 	}
 
-	e := overlapping[0]
-	for _, o := range overlapping[1:] {
+	e := m.entries[lo]
+	for _, o := range m.entries[lo+1 : hi] {
 		// Absorb the later entry: its members, observation count, and any
 		// conflict notes it already carried move onto the survivor, and the
 		// size disagreement between the two is itself recorded.
-		delete(m.subnets, o.Prefix)
 		e.addConflict(e.Prefix, o.Prefix)
 		for _, c := range o.Conflicts {
 			e.addNote(c)
@@ -197,40 +189,29 @@ func (m *Map) addSubnet(s *core.Subnet) {
 			e.Confidence = o.Confidence
 		}
 	}
+	m.entries = slices.Delete(m.entries, lo+1, hi)
 	if s.Prefix != e.Prefix {
 		e.addConflict(e.Prefix, s.Prefix)
 	}
 	if s.Prefix.Bits() < e.Prefix.Bits() {
-		// The new observation is the largest: re-key the survivor.
-		delete(m.subnets, e.Prefix)
+		// The new observation is the largest: re-key the survivor. It
+		// covers exactly the run it replaces, so the order holds.
 		e.Prefix = s.Prefix
 	}
-	m.subnets[e.Prefix] = e
-	m.mergeObservation(e, s)
+	e.observe(s)
 }
 
-// mergeObservation unions one observation's members into e, re-points the
-// address index at e's (possibly re-keyed) prefix, and bumps its accounting.
-func (m *Map) mergeObservation(e *Entry, s *core.Subnet) {
-	have := map[ipv4.Addr]bool{}
-	deduped := e.Addrs[:0]
-	for _, a := range e.Addrs {
-		if !have[a] {
-			deduped = append(deduped, a)
-			have[a] = true
-		}
-	}
-	e.Addrs = deduped
-	for _, a := range s.Addrs {
-		if !have[a] {
-			e.Addrs = append(e.Addrs, a)
-			have[a] = true
-		}
-	}
-	sort.Slice(e.Addrs, func(i, j int) bool { return e.Addrs[i] < e.Addrs[j] })
-	for _, a := range e.Addrs {
-		m.addrToPrefix[a] = e.Prefix
-	}
+// observe unions one observation's members into e and bumps its
+// accounting.
+func (e *Entry) observe(s *core.Subnet) {
+	e.Addrs = append(e.Addrs, s.Addrs...)
+	slices.Sort(e.Addrs)
+	e.Addrs = slices.Compact(e.Addrs)
+	// Collected subnets hold only members inside their prefix (the
+	// checkpoint asserts it: core.SnapshotSubnet), so a merged entry does
+	// too; SubnetOf and AddrCount rely on it.
+	invariant.Assertf(len(e.Addrs) == 0 || e.Prefix.Contains(e.Addrs[0]) && e.Prefix.Contains(e.Addrs[len(e.Addrs)-1]),
+		"topomap: entry %v holds a member outside it: %v", e.Prefix, e.Addrs)
 	e.Observations++
 	e.OnPath = e.OnPath || s.OnPath
 	e.Degraded = e.Degraded || s.Degraded
@@ -242,30 +223,14 @@ func (m *Map) mergeObservation(e *Entry, s *core.Subnet) {
 }
 
 // Subnets returns the map's entries ordered by prefix base address.
-func (m *Map) Subnets() []*Entry {
-	out := make([]*Entry, 0, len(m.subnets))
-	for _, e := range m.subnets {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Base() != out[j].Prefix.Base() {
-			return out[i].Prefix.Base() < out[j].Prefix.Base()
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
-	})
-	return out
-}
+func (m *Map) Subnets() []*Entry { return append(make([]*Entry, 0, len(m.entries)), m.entries...) }
 
-// SubnetOf returns the map's subnet containing addr (as an observed member
-// or by prefix), or nil.
+// SubnetOf returns the map's subnet whose prefix covers addr, or nil. Members
+// lie inside their entry's prefix, so an observed member's entry is the one
+// returned.
 func (m *Map) SubnetOf(addr ipv4.Addr) *Entry {
-	if p, ok := m.addrToPrefix[addr]; ok {
-		return m.subnets[p]
-	}
-	for p, e := range m.subnets {
-		if p.Contains(addr) {
-			return e
-		}
+	if lo, hi := ipv4.OverlapRun(m.entries, ipv4.NewPrefix(addr, 32), entryPrefix); lo < hi {
+		return m.entries[lo]
 	}
 	return nil
 }
@@ -278,7 +243,14 @@ func (m *Map) SameLAN(a, b ipv4.Addr) bool {
 }
 
 // AddrCount returns the number of distinct member addresses in the map.
-func (m *Map) AddrCount() int { return len(m.addrToPrefix) }
+// Entries are disjoint and hold distinct members, so the count is their sum.
+func (m *Map) AddrCount() int {
+	n := 0
+	for _, e := range m.entries {
+		n += len(e.Addrs)
+	}
+	return n
+}
 
 // LinkDisjoint reports whether two paths (given as their responding hop
 // addresses) share no subnet: the overlay-network question of Figure 2.
@@ -319,11 +291,8 @@ func (m *Map) AdjacentSubnets() [][2]*Entry {
 		seen[key] = true
 		out = append(out, [2]*Entry{ea, eb})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0].Prefix.Base() != out[j][0].Prefix.Base() {
-			return out[i][0].Prefix.Base() < out[j][0].Prefix.Base()
-		}
-		return out[i][1].Prefix.Base() < out[j][1].Prefix.Base()
+	slices.SortFunc(out, func(a, b [2]*Entry) int {
+		return cmp.Or(a[0].Prefix.Compare(b[0].Prefix), a[1].Prefix.Compare(b[1].Prefix))
 	})
 	return out
 }

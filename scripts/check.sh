@@ -2,7 +2,8 @@
 # Full verification gate: formatting, build, vet, the project's own static
 # analysis suite (tracenetlint), race-enabled tests with runtime invariants
 # compiled in, and a short fuzz smoke over the wire decoders, ground-truth
-# scoring, fault plans, campaign specs and campaign checkpoints.
+# scoring, fault plans, topology files, campaign specs and campaign
+# checkpoints.
 # Everything here must stay green; the chaos tests (internal/netsim/chaos_test.go)
 # are deterministic, so a failure is reproducible with the same seed.
 set -eu
@@ -104,7 +105,7 @@ done
 
 echo "== bench smoke (1 iteration per benchmark) + baseline diff (gating on exact probe counts)"
 bench_tmp="$(mktemp)"
-go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
+go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress|ISP)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
 go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/telemetry/ | tee -a "$bench_tmp"
 # Diff the smoke run against the newest committed baseline. Exact probe
 # counts gate: a rise in a benchmark's wire-probes or probes/trace fails
@@ -117,16 +118,17 @@ echo "== benchjson -compare $bench_baseline (gating on wire-probes and probes/tr
 go run ./cmd/benchjson -compare "$bench_baseline" < "$bench_tmp"
 rm -f "$bench_tmp"
 
-echo "== fuzz smoke (wire decoders + groundtruth scoring + fault plans + campaign specs + checkpoints, 5s per target)"
+echo "== fuzz smoke (wire decoders + groundtruth scoring + fault plans + topology files + campaign specs + checkpoints, 5s per target)"
 for target in FuzzUnmarshalIPv4 FuzzUnmarshalICMP FuzzUnmarshalUDP FuzzUnmarshalTCP; do
     go test ./internal/wire/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 go test ./internal/groundtruth/ -run '^$' -fuzz '^FuzzScoreInvariants$' -fuzztime 5s
 go test ./internal/netsim/ -run '^$' -fuzz '^FuzzReadFaultPlan$' -fuzztime 5s
 go test ./internal/daemon/ -run '^$' -fuzz '^FuzzReadSpec$' -fuzztime 5s
-# Minimizing one of the multi-kilobyte seed checkpoints would otherwise take
-# the whole smoke (a 5 s run executed 20 inputs); 100 tries per new input
-# leaves ~14k inputs/s for fuzzing.
+# Minimizing one of the multi-kilobyte seed checkpoints or topology files
+# would otherwise take the whole smoke (a 5 s run executed 20 inputs); 100
+# tries per new input leaves ~14k inputs/s for fuzzing.
+go test ./internal/netsim/ -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s -fuzzminimizetime 100x
 go test ./internal/collect/ -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s -fuzzminimizetime 100x
 
 # govulncheck: known-vulnerability scan over the module and its (stdlib-only)
