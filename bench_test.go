@@ -552,6 +552,33 @@ func BenchmarkCampaignISP(b *testing.B) {
 	b.ReportMetric(float64(stats.WireProbes), "wire-probes")
 }
 
+// BenchmarkCampaignFaulted runs eight faulted campaigns as tracenetd runs
+// them: random seeds 1–8, each under its own chaos plan with defence and
+// back-off, at Parallel 1, the one worker count at which a faulted campaign
+// is deterministic. Each Spec is resolved untimed, as in
+// BenchmarkCampaignISP. The summed wire probes put fault injection's
+// behaviour under the baseline compare.
+func BenchmarkCampaignFaulted(b *testing.B) {
+	var wire uint64
+	for i := 0; i < b.N; i++ {
+		wire = 0
+		for seed := int64(1); seed <= 8; seed++ {
+			b.StopTimer()
+			c, err := (&daemon.Spec{Topology: "random", Seed: seed, Chaos: seed, Defend: true, Backoff: true, Parallel: 1}).Resolve("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			rep, err := collect.Run(context.Background(), c.Config)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wire += rep.Stats.WireProbes
+		}
+	}
+	b.ReportMetric(float64(wire), "wire-probes")
+}
+
 // BenchmarkCampaignProgress measures what live progress tracking costs the
 // campaign engine: the same 24-leaf collection run with and without a
 // collect.Progress attached (the state behind the observability plane's

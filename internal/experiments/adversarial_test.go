@@ -102,3 +102,19 @@ func TestAdversarialPlanRejectsUnknownRegime(t *testing.T) {
 		t.Fatal("unknown regime accepted")
 	}
 }
+
+// TestAdversarialPlansValidate checks every regime's plan over seeds 1–50:
+// none sets a field its kind ignores, which validation refuses.
+func TestAdversarialPlansValidate(t *testing.T) {
+	for _, regime := range AdversarialRegimes {
+		for seed := int64(1); seed <= 50; seed++ {
+			plan, err := AdversarialPlan(regime, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.Validate(); err != nil {
+				t.Errorf("%s seed %d: %v", regime, seed, err)
+			}
+		}
+	}
+}

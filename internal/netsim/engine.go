@@ -126,6 +126,11 @@ func seedShards(shards *[numShards]rngShard, base int64) {
 // with loss, faults, or rate limits therefore scales across cores exactly
 // like a clean one; only probes answered by the same router contend, and
 // only when they actually draw randomness or tokens.
+//
+// An injection reads the clock once: tick returns the instant it advanced
+// to, and every time-dependent decision of that injection — per-packet
+// balancing, churn, fault windows, storm buckets and recorder timestamps —
+// is taken at that instant.
 type Network struct {
 	Topo *Topology
 
@@ -158,7 +163,7 @@ type Network struct {
 	cProbes  *telemetry.Counter
 	cReplies *telemetry.Counter
 	gClock   *telemetry.Gauge
-	cFault   [12]*telemetry.Counter // indexed by FaultKind
+	cFault   [len(faultKinds)]*telemetry.Counter
 
 	// mu guards configuration (telemetry attachment). The injection path
 	// never takes it: SetTelemetry must be called before probing starts.
@@ -219,8 +224,8 @@ func (n *Network) Ticks() uint64 {
 // resolving the engine's metric handles once so the injection path never
 // touches the registry. Call it before probing starts: the injection path
 // reads the handles without synchronization. Inside the engine everything
-// records through RecordAt with the current clock — never through methods
-// that re-read the clock via Ticks.
+// records through RecordAt with the injection's instant — never through
+// methods that re-read the clock via Ticks.
 func (n *Network) SetTelemetry(tel *telemetry.Telemetry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -238,25 +243,15 @@ func (n *Network) SetTelemetry(tel *telemetry.Telemetry) {
 	}
 }
 
-// observeFault mirrors one inflicted fault onto the telemetry layer: the
-// per-kind fault counter and a flight-recorder entry at the current clock.
-// Counter and recorder are internally synchronized, so fault sites call this
-// without holding any engine lock.
-func (n *Network) observeFault(kind FaultKind, msg string) {
-	if n.tel == nil {
-		return
-	}
-	n.cFault[kind].Inc()
-	n.tel.RecordAt(n.clock.Load(), "fault", msg)
-}
-
 // exchangeScratch owns every piece of transient storage one injection needs:
 // the decode scratch for the probe, the quote buffer an ICMP error embeds,
 // the reply packet and its transport struct, and the reply's options copy.
-// Exchanges borrow a scratch from scratchPool, so the steady-state injection
-// path allocates nothing — the reply is synthesized into the scratch and
-// encoded into the caller's buffer before the scratch is returned.
+// It also carries the injection's instant. Exchanges borrow a scratch from
+// scratchPool, so the steady-state injection path allocates nothing — the
+// reply is synthesized into the scratch and encoded into the caller's buffer
+// before the scratch is returned.
 type exchangeScratch struct {
+	now   uint64 // the clock value the injection's tick returned
 	dec   wire.DecodeScratch
 	quote []byte // re-encoded probe bytes backing ICMP error quotes
 	opts  []byte // reply's copy of accumulated IP options (echo replies)
@@ -439,7 +434,7 @@ func (p *Port) ExchangeAppend(raw, dst []byte) ([]byte, error) {
 	}
 	// Mangling faults touch only the reply region, never a caller prefix; a
 	// truncation that consumed the whole datagram reads as silence.
-	mangled := p.net.mangleReply(out[start:], responder)
+	mangled := p.net.mangleReply(out[start:], responder, x.now)
 	if len(mangled) == 0 {
 		return nil, nil
 	}
@@ -456,9 +451,9 @@ func (p *Port) Wait(ticks uint64) {
 }
 
 // tick advances the clock and probe counter for one injection, maintaining
-// the clock-mirror gauge and the counter invariant. All state it touches is
-// atomic.
-func (n *Network) tick() {
+// the clock-mirror gauge and the counter invariant, and returns the instant
+// the injection is evaluated at. All state it touches is atomic.
+func (n *Network) tick() uint64 {
 	clock := n.clock.Add(1)
 	// Replies is loaded before Probes is incremented: every reply increment
 	// is preceded by its probe's increment, so this ordering can never
@@ -471,6 +466,7 @@ func (n *Network) tick() {
 		"netsim: replies %d outran probes %d", replies, probes)
 	invariant.Assertf(n.cfg.LossRate >= 0 && n.cfg.LossRate <= 1,
 		"netsim: LossRate %v escaped [0,1] after construction", n.cfg.LossRate)
+	return clock
 }
 
 // exchange walks one probe through the topology and settles its reply: loss,
@@ -478,7 +474,7 @@ func (n *Network) tick() {
 // responding router. Returns the reply synthesized in x (nil for silence)
 // and the responding router.
 func (n *Network) exchange(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin *Router) (*wire.Packet, *Router) {
-	n.tick()
+	x.now = n.tick()
 	reply, responder := n.walk(x, pkt, raw, origin)
 	if reply == nil {
 		return nil, nil
@@ -486,7 +482,7 @@ func (n *Network) exchange(x *exchangeScratch, pkt *wire.Packet, raw []byte, ori
 	if n.cfg.LossRate > 0 {
 		sh := &n.shards[shardIndex(responder)]
 		lost := sh.chance(n.cfg.LossRate)
-		if lost && n.duplicateChance(responder) {
+		if lost && n.strikes(FaultDuplicate, responder, x.now) != nil {
 			// A duplicated reply gets a second, independent draw against loss.
 			lost = sh.chance(n.cfg.LossRate)
 		}
@@ -504,7 +500,7 @@ func (n *Network) exchange(x *exchangeScratch, pkt *wire.Packet, raw []byte, ori
 			reply.IP.ID = n.nextIPID(responder)
 		}
 	}
-	if n.replyDelayed(responder) {
+	if n.strikes(FaultDelay, responder, x.now) != nil {
 		// The router answered, but the reply misses the prober's timeout
 		// window; it consumed the router's tokens and IP-ID all the same.
 		return nil, nil
@@ -527,8 +523,9 @@ type route struct {
 // walk traces one probe hop by hop until it is answered, dropped, or runs out
 // of hops, returning the reply (synthesized into x) and the router that
 // generated it. The topology and the routes it reads are immutable once
-// published; fault windows and counters are atomic; random draws lock only
-// the responding router's stripe.
+// published; every fault decision is taken at the injection's instant
+// x.now; counters are atomic; random draws lock only the responding
+// router's stripe.
 func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin *Router) (*wire.Packet, *Router) {
 	dst := pkt.IP.Dst
 	ttl := int(pkt.IP.TTL)
@@ -549,13 +546,13 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 		dest.table = n.Topo.routesTo(dest.subnet)
 	}
 
-	cur, in, _, verdict := n.forwardStep(origin, pkt, &dest)
+	cur, in, _, verdict := n.forwardStep(origin, pkt, &dest, x.now)
 	if verdict != stepForwarded && verdict != stepDelivered {
 		// The vantage itself cannot reach the destination; hosts do not
 		// generate ICMP errors for their own traffic.
 		return nil, nil
 	}
-	if n.subnetDown(in.Subnet) || n.blackholed(cur) {
+	if n.subnetDown(in.Subnet, x.now) || n.strikes(FaultBlackhole, cur, x.now) != nil {
 		return nil, nil
 	}
 	for hop := 0; hop < maxHops; hop++ {
@@ -567,9 +564,9 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 		ttl--
 		pkt.IP.TTL = uint8(ttl)
 		if ttl <= 0 {
-			return n.ttlExceeded(x, cur, in, pkt, raw)
+			return n.errorReply(x, cur, in, pkt, raw, wire.ICMPTimeExceeded, wire.CodeTTLExceeded)
 		}
-		next, nextIn, out, verdict := n.forwardStep(cur, pkt, &dest)
+		next, nextIn, out, verdict := n.forwardStep(cur, pkt, &dest, x.now)
 		if (verdict == stepForwarded || verdict == stepDelivered) &&
 			cur.RRCompliant && out != nil && len(pkt.IP.Options) > 0 {
 			// RFC 791 record route: a compliant router stamps the address
@@ -583,16 +580,16 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 			// subnet toward the hosting router. Either way the packet
 			// crosses nextIn's subnet and enters next — both of which a
 			// fault plan may have taken down.
-			if n.subnetDown(nextIn.Subnet) || n.blackholed(next) {
+			if n.subnetDown(nextIn.Subnet, x.now) || n.strikes(FaultBlackhole, next, x.now) != nil {
 				return nil, nil
 			}
 			cur, in = next, nextIn
 		case stepFirewalled:
 			return nil, nil
 		case stepUnassigned:
-			return n.unreachable(x, cur, in, pkt, raw, wire.CodeHostUnreach)
+			return n.errorReply(x, cur, in, pkt, raw, wire.ICMPDestUnreach, wire.CodeHostUnreach)
 		case stepNoRoute:
-			return n.unreachable(x, cur, in, pkt, raw, wire.CodeNetUnreach)
+			return n.errorReply(x, cur, in, pkt, raw, wire.ICMPDestUnreach, wire.CodeNetUnreach)
 		}
 	}
 	return nil, nil
@@ -608,11 +605,11 @@ const (
 	stepNoRoute
 )
 
-// forwardStep decides cur's next hop for pkt toward dest. It returns the
-// next router, the interface the packet enters it through, and the outgoing
-// interface on cur (for record-route stamping). Reads only published routes,
-// the atomic clock, and the lock-free next-hop memo.
-func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, dest *route) (*Router, *Iface, *Iface, stepVerdict) {
+// forwardStep decides cur's next hop for pkt toward dest at instant now. It
+// returns the next router, the interface the packet enters it through, and
+// the outgoing interface on cur (for record-route stamping). Reads only
+// published routes and the lock-free next-hop memo.
+func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, dest *route, now uint64) (*Router, *Iface, *Iface, stepVerdict) {
 	s := dest.subnet
 	if s == nil {
 		return nil, nil, nil, stepNoRoute
@@ -633,11 +630,11 @@ func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, dest *route) (*Rout
 	}
 	var salt uint64
 	if n.cfg.Mode == PerPacket {
-		salt = n.clock.Load()
+		salt = now
 	}
 	// An active churn fault reshuffles equal-cost choices per epoch even for
 	// per-flow balancing, modelling mid-session routing changes.
-	salt ^= n.churnSalt()
+	salt ^= n.churnSalt(now)
 	e := hops[ecmpIndex(pkt, cur, salt, len(hops))]
 	return e.to, e.remote, e.local, stepForwarded
 }
@@ -653,16 +650,7 @@ func (n *Network) directReply(x *exchangeScratch, r *Router, iface, in *Iface, p
 	if !iface.Responsive {
 		return nil, nil
 	}
-	if r.DirectPolicy == PolicyNil || !r.DirectProtos.Has(pkt.IP.Protocol) {
-		return nil, nil
-	}
-	if n.blackholed(r) {
-		return nil, nil
-	}
-	if !n.stormAllows(r) {
-		return nil, nil
-	}
-	if r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss) {
+	if r.DirectPolicy == PolicyNil || !r.DirectProtos.Has(pkt.IP.Protocol) || !n.answers(r, x.now) {
 		return nil, nil
 	}
 	src := n.Topo.replySource(r, r.DirectPolicy, iface, in, pkt.IP.Src)
@@ -683,74 +671,43 @@ func (n *Network) directReply(x *exchangeScratch, r *Router, iface, in *Iface, p
 	return nil, nil
 }
 
-// ttlExceeded answers a probe whose TTL expired at router r, returning the
-// reply (synthesized into x) and the responding router.
-func (n *Network) ttlExceeded(x *exchangeScratch, r *Router, in *Iface, pkt *wire.Packet, raw []byte) (*wire.Packet, *Router) {
+// errorReply answers a probe router r does not pass on with the ICMP error
+// icmpType/code — time exceeded when its TTL expired at r, unreachable when
+// r cannot deliver it — returning the reply (synthesized into x) and the
+// responding router.
+func (n *Network) errorReply(x *exchangeScratch, r *Router, in *Iface, pkt *wire.Packet, raw []byte, icmpType, code uint8) (*wire.Packet, *Router) {
 	// Byzantine faults come first: a transparent hidden hop never answers
 	// whatever its honest policy says, and an echo responder fabricates its
-	// lie even where the honest router would stay silent.
-	if n.hiddenHop(r) {
+	// lie even where the honest router would stay silent — about unassigned
+	// destinations too (EmitUnreachable unset), which is exactly how phantom
+	// subnet members get minted.
+	if n.strikes(FaultHiddenHop, r, x.now) != nil {
 		return nil, nil
 	}
-	if n.echoMirrors(r) {
+	if n.strikes(FaultEcho, r, x.now) != nil {
 		if fake := x.fabricateAlive(pkt, raw); fake != nil {
 			return fake, r
 		}
 	}
-	if r.IndirectPolicy == PolicyNil || !r.IndirectProtos.Has(pkt.IP.Protocol) {
+	if icmpType == wire.ICMPDestUnreach && !r.EmitUnreachable {
 		return nil, nil
 	}
-	if n.blackholed(r) {
-		return nil, nil
-	}
-	if !n.stormAllows(r) {
-		return nil, nil
-	}
-	if r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss) {
+	if r.IndirectPolicy == PolicyNil || !r.IndirectProtos.Has(pkt.IP.Protocol) || !n.answers(r, x.now) {
 		return nil, nil
 	}
 	src := n.Topo.replySource(r, r.IndirectPolicy, nil, in, pkt.IP.Src)
 	if src == nil {
 		return nil, nil
 	}
-	return x.icmpError(n.spoofSource(r, src.Addr), wire.ICMPTimeExceeded, wire.CodeTTLExceeded, pkt, raw), r
+	return x.icmpError(n.spoofSource(r, src.Addr, x.now), icmpType, code, pkt, raw), r
 }
 
-// unreachable answers a probe that cannot be delivered past router r,
-// returning the reply (synthesized into x) and the responding router.
-func (n *Network) unreachable(x *exchangeScratch, r *Router, in *Iface, pkt *wire.Packet, raw []byte, code uint8) (*wire.Packet, *Router) {
-	// Byzantine faults come first — an echo responder lies about unassigned
-	// destinations even when the honest router would drop them silently
-	// (EmitUnreachable unset). That lie is exactly how phantom subnet members
-	// get minted.
-	if n.hiddenHop(r) {
-		return nil, nil
-	}
-	if n.echoMirrors(r) {
-		if fake := x.fabricateAlive(pkt, raw); fake != nil {
-			return fake, r
-		}
-	}
-	if !r.EmitUnreachable {
-		return nil, nil
-	}
-	if r.IndirectPolicy == PolicyNil || !r.IndirectProtos.Has(pkt.IP.Protocol) {
-		return nil, nil
-	}
-	if n.blackholed(r) {
-		return nil, nil
-	}
-	if !n.stormAllows(r) {
-		return nil, nil
-	}
-	if r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss) {
-		return nil, nil
-	}
-	src := n.Topo.replySource(r, r.IndirectPolicy, nil, in, pkt.IP.Src)
-	if src == nil {
-		return nil, nil
-	}
-	return x.icmpError(n.spoofSource(r, src.Addr), wire.ICMPDestUnreach, code, pkt, raw), r
+// answers reports whether r, about to reply at now, gets its reply out: a
+// blackhole swallows it, a rate storm suppresses it, and the router's own
+// reply loss drops it.
+func (n *Network) answers(r *Router, now uint64) bool {
+	return n.strikes(FaultBlackhole, r, now) == nil && n.stormAllows(r, now) &&
+		!(r.ReplyLoss > 0 && n.shards[shardIndex(r)].chance(r.ReplyLoss))
 }
 
 // DistanceTo returns the observed hop distance from the named host to addr:

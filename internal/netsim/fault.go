@@ -82,29 +82,46 @@ const (
 	FaultEcho
 )
 
+// faultKindInfo is one row of the per-kind table: a kind's plan name, the
+// flight-recorder message of one strike, and the Fault fields and draws that
+// apply to it.
+type faultKindInfo struct {
+	name string
+	// event opens the recorder message; a router-scoped strike appends the
+	// router's name, a link flap its subnet. Churn counts no strikes and has
+	// no event.
+	event string
+	// router: Fault.Router scopes the kind ("" = every router).
+	router bool
+	// prob: the kind strikes with probability Fault.Prob per decision.
+	prob bool
+	// adversarial: the network lies rather than loses, mangles or delays.
+	adversarial bool
+}
+
+// faultKinds is the per-kind table, indexed by FaultKind.
+var faultKinds = [...]faultKindInfo{
+	FaultLinkFlap:     {name: "link-flap", event: "link-flap drop"},
+	FaultBlackhole:    {name: "blackhole", event: "blackhole drop", router: true},
+	FaultCorrupt:      {name: "corrupt", event: "corrupted reply", prob: true},
+	FaultTruncate:     {name: "truncate", event: "truncated reply", prob: true},
+	FaultDelay:        {name: "delay", event: "delayed reply (seen as silence)", prob: true},
+	FaultDuplicate:    {name: "duplicate", event: "duplicated reply", prob: true},
+	FaultRateStorm:    {name: "rate-storm", event: "rate-storm drop", router: true},
+	FaultChurn:        {name: "churn"},
+	FaultLiar:         {name: "liar", event: "liar spoofed source", router: true, prob: true, adversarial: true},
+	FaultAliasConfuse: {name: "alias-confuse", event: "alias-confuse shared source", router: true, adversarial: true},
+	FaultHiddenHop:    {name: "hidden-hop", event: "hidden-hop suppressed reply", router: true, adversarial: true},
+	FaultEcho:         {name: "echo", event: "echo fabricated alive reply", router: true, prob: true, adversarial: true},
+}
+
+// known reports whether k is a row of the per-kind table.
+func (k FaultKind) known() bool { return int(k) < len(faultKinds) }
+
 // Adversarial reports whether the kind is byzantine (the network lies) rather
 // than benign (the network loses, mangles, or delays).
 func (k FaultKind) Adversarial() bool {
-	switch k {
-	case FaultLiar, FaultAliasConfuse, FaultHiddenHop, FaultEcho:
-		return true
-	}
-	return false
-}
-
-var faultKindNames = map[FaultKind]string{
-	FaultLinkFlap:     "link-flap",
-	FaultBlackhole:    "blackhole",
-	FaultCorrupt:      "corrupt",
-	FaultTruncate:     "truncate",
-	FaultDelay:        "delay",
-	FaultDuplicate:    "duplicate",
-	FaultRateStorm:    "rate-storm",
-	FaultChurn:        "churn",
-	FaultLiar:         "liar",
-	FaultAliasConfuse: "alias-confuse",
-	FaultHiddenHop:    "hidden-hop",
-	FaultEcho:         "echo",
+	return k.known() && faultKinds[k].adversarial
 }
 
 // FaultKinds lists every known kind in enum order, for consumers that need a
@@ -116,19 +133,18 @@ var FaultKinds = []FaultKind{
 }
 
 func (k FaultKind) String() string {
-	if s, ok := faultKindNames[k]; ok {
-		return s
+	if k.known() {
+		return faultKinds[k].name
 	}
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
 // MarshalJSON renders the kind as its stable string name.
 func (k FaultKind) MarshalJSON() ([]byte, error) {
-	s, ok := faultKindNames[k]
-	if !ok {
+	if !k.known() {
 		return nil, fmt.Errorf("netsim: unknown fault kind %d", uint8(k))
 	}
-	return json.Marshal(s)
+	return json.Marshal(faultKinds[k].name)
 }
 
 // ErrUnknownFaultKind is returned when a fault plan names a kind this build
@@ -144,9 +160,9 @@ func (k *FaultKind) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	for kind, name := range faultKindNames {
-		if name == s {
-			*k = kind
+	for kind, info := range faultKinds {
+		if info.name == s {
+			*k = FaultKind(kind)
 			return nil
 		}
 	}
@@ -159,17 +175,19 @@ const churnPeriod = 16
 
 // Fault is one scheduled fault. The window [From, Until) is expressed in the
 // network's virtual clock, which ticks once per injected probe; Until == 0
-// leaves the fault active forever.
+// leaves the fault active forever. A plan that sets a field its kind ignores
+// is refused.
 type Fault struct {
 	Kind FaultKind `json:"kind"`
 	// From and Until bound the active window on the virtual clock.
 	From  uint64 `json:"from,omitempty"`
 	Until uint64 `json:"until,omitempty"`
-	// Router scopes blackholes and rate storms to one named router; empty
-	// means every router.
+	// Router scopes a router-scoped kind (blackhole, rate-storm, liar,
+	// alias-confuse, hidden-hop, echo) to one named router; empty means
+	// every router.
 	Router string `json:"router,omitempty"`
 	// Subnet scopes a link flap to one subnet by CIDR prefix (required for
-	// FaultLinkFlap, ignored otherwise).
+	// FaultLinkFlap).
 	Subnet string `json:"subnet,omitempty"`
 	// Prob is the per-reply probability for corrupt/truncate/delay/duplicate
 	// and the byzantine liar/echo kinds.
@@ -188,17 +206,32 @@ func (f Fault) active(clock uint64) bool {
 
 // validate checks the fields that can be checked without a topology.
 func (f Fault) validate(i int) error {
-	if _, ok := faultKindNames[f.Kind]; !ok {
+	if !f.Kind.known() {
 		return fmt.Errorf("netsim: fault %d: %w %d", i, ErrUnknownFaultKind, uint8(f.Kind))
 	}
 	if f.Until != 0 && f.Until <= f.From {
 		return fmt.Errorf("netsim: fault %d (%v): empty window [%d,%d)", i, f.Kind, f.From, f.Until)
 	}
-	switch f.Kind {
-	case FaultCorrupt, FaultTruncate, FaultDelay, FaultDuplicate, FaultLiar, FaultEcho:
-		if f.Prob <= 0 || f.Prob > 1 {
-			return fmt.Errorf("netsim: fault %d (%v): prob %v outside (0,1]", i, f.Kind, f.Prob)
+	k := faultKinds[f.Kind]
+	for _, field := range [...]struct {
+		name       string
+		set, known bool
+	}{
+		{"router", f.Router != "", k.router},
+		{"subnet", f.Subnet != "", f.Kind == FaultLinkFlap},
+		{"prob", f.Prob != 0, k.prob},
+		{"rate", f.Rate != 0, f.Kind == FaultRateStorm},
+		{"burst", f.Burst != 0, f.Kind == FaultRateStorm},
+		{"addr", f.Addr != "", f.Kind == FaultAliasConfuse},
+	} {
+		if field.set && !field.known {
+			return fmt.Errorf("netsim: fault %d (%v): %s does not apply to this kind", i, f.Kind, field.name)
 		}
+	}
+	if k.prob && (f.Prob <= 0 || f.Prob > 1) {
+		return fmt.Errorf("netsim: fault %d (%v): prob %v outside (0,1]", i, f.Kind, f.Prob)
+	}
+	switch f.Kind {
 	case FaultLinkFlap:
 		if f.Subnet == "" {
 			return fmt.Errorf("netsim: fault %d (link-flap): subnet prefix required", i)
@@ -291,67 +324,40 @@ func (s FaultStats) Byzantine() uint64 {
 	return s.LiarSpoofs + s.AliasShares + s.HiddenDrops + s.EchoMirrors
 }
 
-// faultCounters is the live, atomically-advanced mirror of FaultStats. It is
-// a distinct type so the exported snapshot can be read plainly: these fields
-// are only ever touched through sync/atomic, FaultStats fields never are.
-type faultCounters struct {
-	FlapDrops      uint64
-	BlackholeDrops uint64
-	Corrupted      uint64
-	Truncated      uint64
-	Delayed        uint64
-	Duplicated     uint64
-	StormDrops     uint64
-	LiarSpoofs     uint64
-	AliasShares    uint64
-	HiddenDrops    uint64
-	EchoMirrors    uint64
-}
-
-// faultState is a fault plan compiled against one network: scope names
-// resolved to topology objects, with a dedicated random stream. The stream is
-// striped by responding router exactly like the network's own (see rngShard),
-// so concurrent injections draw their pathologies without a shared lock; the
-// stats fields are advanced atomically for the same reason.
+// faultState is a fault plan compiled against one network: each fault armed
+// with its scope resolved to topology objects, the strike counts, and a
+// dedicated random stream. The stream is striped by responding router
+// exactly like the network's own (see rngShard), so concurrent injections
+// draw their pathologies without a shared lock; the counts advance
+// atomically for the same reason.
 type faultState struct {
-	plan   FaultPlan
 	shards [numShards]rngShard
-	stats  faultCounters
-	flaps  []scopedFault[*Subnet]
-	holes  []scopedFault[*Router] // nil target = every router
-	storms []stormFault
-	churns []Fault
-	// mangles are the per-reply probabilistic faults, applied in plan order.
-	mangles []Fault
-
-	// Byzantine state: lying responders, resolved against the topology.
-	liars   []scopedFault[*Router] // nil target = every router
-	aliases []aliasFault
-	hidden  []scopedFault[*Router]
-	echoes  []scopedFault[*Router]
+	counts [len(faultKinds)]atomic.Uint64
+	// armed lists each kind's faults in plan order.
+	armed [len(faultKinds)][]*armedFault
+	// mangles are the corrupt and truncate faults in plan order, the order
+	// mangleReply applies them in.
+	mangles []*armedFault
 	// ifacePool is the rotation space liar faults spoof from: every non-host
 	// interface address in topology order. Built only when a liar is armed.
 	ifacePool []ipv4.Addr
 }
 
-type scopedFault[T any] struct {
+// armedFault is one fault of an installed plan with its scope resolved.
+type armedFault struct {
 	Fault
-	target T
-}
-
-type stormFault struct {
-	Fault
-	target *Router // nil = every router
-	// buckets holds the override token bucket per router index, pre-resolved
+	router *Router   // a router-scoped kind's router; nil = every router
+	subnet *Subnet   // a link flap's subnet
+	shared ipv4.Addr // an alias-confuse fault's anycast source
+	// buckets holds a rate storm's token bucket per router index, resolved
 	// at install time so the injection path never mutates shared fault
 	// structure; nil entries are routers outside the storm's scope.
 	buckets []*TokenBucket
 }
 
-type aliasFault struct {
-	Fault
-	target *Router   // nil = every router
-	shared ipv4.Addr // the anycast source every scoped reply collapses onto
+// holds reports whether a's scope covers router r and its window holds now.
+func (a *armedFault) holds(r *Router, now uint64) bool {
+	return (a.router == nil || a.router == r) && a.active(now)
 }
 
 // InstallFaults validates plan, resolves its scopes against the network's
@@ -361,78 +367,49 @@ func (n *Network) InstallFaults(plan FaultPlan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	fs := &faultState{plan: plan}
+	fs := &faultState{}
 	// The fault stream stays independent of the network's loss/IPID stream
 	// (same perturbed base seed as always), striped per router.
 	seedShards(&fs.shards, plan.Seed^0x66617531)
+	armed := make([]armedFault, len(plan.Faults))
 	for i, f := range plan.Faults {
+		a := &armed[i]
+		a.Fault = f
+		var err error
+		if faultKinds[f.Kind].router {
+			if a.router, err = n.resolveRouter(i, f); err != nil {
+				return err
+			}
+		}
 		switch f.Kind {
 		case FaultLinkFlap:
 			// Resolve the CIDR against the topology's subnets.
-			var sub *Subnet
 			for _, s := range n.Topo.Subnets {
 				if s.Prefix.String() == f.Subnet {
-					sub = s
+					a.subnet = s
 					break
 				}
 			}
-			if sub == nil {
+			if a.subnet == nil {
 				return fmt.Errorf("netsim: fault %d (link-flap): no subnet %q in topology", i, f.Subnet)
 			}
-			fs.flaps = append(fs.flaps, scopedFault[*Subnet]{f, sub})
-		case FaultBlackhole:
-			r, err := n.resolveRouter(i, f)
-			if err != nil {
-				return err
-			}
-			fs.holes = append(fs.holes, scopedFault[*Router]{f, r})
 		case FaultRateStorm:
-			r, err := n.resolveRouter(i, f)
-			if err != nil {
-				return err
-			}
-			buckets := make([]*TokenBucket, len(n.Topo.Routers))
+			a.buckets = make([]*TokenBucket, len(n.Topo.Routers))
 			for _, tr := range n.Topo.Routers {
-				if r == nil || r == tr {
-					buckets[tr.idx] = NewTokenBucket(f.Rate, f.Burst)
+				if a.router == nil || a.router == tr {
+					a.buckets[tr.idx] = NewTokenBucket(f.Rate, f.Burst)
 				}
 			}
-			fs.storms = append(fs.storms, stormFault{f, r, buckets})
-		case FaultChurn:
-			fs.churns = append(fs.churns, f)
-		case FaultLiar:
-			r, err := n.resolveRouter(i, f)
-			if err != nil {
-				return err
-			}
-			fs.liars = append(fs.liars, scopedFault[*Router]{f, r})
 		case FaultAliasConfuse:
-			r, err := n.resolveRouter(i, f)
-			if err != nil {
+			if a.shared, err = n.resolveSharedAddr(i, f); err != nil {
 				return err
 			}
-			shared, err := n.resolveSharedAddr(i, f)
-			if err != nil {
-				return err
-			}
-			fs.aliases = append(fs.aliases, aliasFault{f, r, shared})
-		case FaultHiddenHop:
-			r, err := n.resolveRouter(i, f)
-			if err != nil {
-				return err
-			}
-			fs.hidden = append(fs.hidden, scopedFault[*Router]{f, r})
-		case FaultEcho:
-			r, err := n.resolveRouter(i, f)
-			if err != nil {
-				return err
-			}
-			fs.echoes = append(fs.echoes, scopedFault[*Router]{f, r})
-		default:
-			fs.mangles = append(fs.mangles, f)
+		case FaultCorrupt, FaultTruncate:
+			fs.mangles = append(fs.mangles, a)
 		}
+		fs.armed[f.Kind] = append(fs.armed[f.Kind], a)
 	}
-	if len(fs.liars) > 0 {
+	if len(fs.armed[FaultLiar]) > 0 {
 		// The spoof rotation space, in deterministic topology order.
 		for _, r := range n.Topo.Routers {
 			if r.IsHost {
@@ -492,88 +469,99 @@ func (n *Network) resolveSharedAddr(i int, f Fault) (ipv4.Addr, error) {
 }
 
 // FaultStats returns a snapshot of the fault accounting; zero when no plan is
-// installed. The per-field loads are individually atomic, so a snapshot taken
+// installed. The per-kind loads are individually atomic, so a snapshot taken
 // while probing is in flight is consistent per counter.
 func (n *Network) FaultStats() FaultStats {
 	fs := n.faults.Load()
 	if fs == nil {
 		return FaultStats{}
 	}
-	s := &fs.stats
+	c := &fs.counts
 	return FaultStats{
-		FlapDrops:      atomic.LoadUint64(&s.FlapDrops),
-		BlackholeDrops: atomic.LoadUint64(&s.BlackholeDrops),
-		Corrupted:      atomic.LoadUint64(&s.Corrupted),
-		Truncated:      atomic.LoadUint64(&s.Truncated),
-		Delayed:        atomic.LoadUint64(&s.Delayed),
-		Duplicated:     atomic.LoadUint64(&s.Duplicated),
-		StormDrops:     atomic.LoadUint64(&s.StormDrops),
-		LiarSpoofs:     atomic.LoadUint64(&s.LiarSpoofs),
-		AliasShares:    atomic.LoadUint64(&s.AliasShares),
-		HiddenDrops:    atomic.LoadUint64(&s.HiddenDrops),
-		EchoMirrors:    atomic.LoadUint64(&s.EchoMirrors),
+		FlapDrops:      c[FaultLinkFlap].Load(),
+		BlackholeDrops: c[FaultBlackhole].Load(),
+		Corrupted:      c[FaultCorrupt].Load(),
+		Truncated:      c[FaultTruncate].Load(),
+		Delayed:        c[FaultDelay].Load(),
+		Duplicated:     c[FaultDuplicate].Load(),
+		StormDrops:     c[FaultRateStorm].Load(),
+		LiarSpoofs:     c[FaultLiar].Load(),
+		AliasShares:    c[FaultAliasConfuse].Load(),
+		HiddenDrops:    c[FaultHiddenHop].Load(),
+		EchoMirrors:    c[FaultEcho].Load(),
 	}
 }
 
-// --- engine-side queries ---
+// --- engine-side decisions ---
 //
-// These run on the lock-free injection path. Fault windows and scope checks
-// read immutable compiled state; statistics advance atomically; probabilistic
-// draws lock only the responding router's stripe of the fault stream.
+// These run on the lock-free injection path, each at the one instant its
+// injection's tick returned. Scopes and windows read immutable compiled
+// state; counts advance atomically; probabilistic draws lock only the
+// responding router's stripe of the fault stream.
 
-// subnetDown reports whether s is currently flapped.
-func (n *Network) subnetDown(s *Subnet) bool {
+// strikes returns the first armed fault of kind, in plan order, whose scope
+// covers r, whose window holds now and, for a probabilistic kind, whose draw
+// from r's stripe falls below its Prob; nil when none does. It counts the
+// strike.
+func (n *Network) strikes(kind FaultKind, r *Router, now uint64) *armedFault {
+	fs := n.faults.Load()
+	if fs == nil {
+		return nil
+	}
+	for _, a := range fs.armed[kind] {
+		if a.holds(r, now) && (!faultKinds[kind].prob || fs.shards[shardIndex(r)].chance(a.Prob)) {
+			n.count(fs, a, r, now)
+			return a
+		}
+	}
+	return nil
+}
+
+// count records one strike of a at r: the plan's per-kind count and, with
+// telemetry attached, the kind's fault counter and a flight-recorder entry
+// stamped now.
+func (n *Network) count(fs *faultState, a *armedFault, r *Router, now uint64) {
+	fs.counts[a.Kind].Add(1)
+	if n.tel == nil {
+		return
+	}
+	n.cFault[a.Kind].Inc()
+	var key, scope string
+	switch {
+	case a.subnet != nil:
+		key, scope = " subnet=", a.subnet.Prefix.String()
+	case faultKinds[a.Kind].router:
+		key, scope = " router=", r.Name
+	}
+	n.tel.RecordAt(now, "fault", faultKinds[a.Kind].event+key+scope)
+}
+
+// subnetDown reports whether s is flapped at now.
+func (n *Network) subnetDown(s *Subnet, now uint64) bool {
 	fs := n.faults.Load()
 	if fs == nil || s == nil {
 		return false
 	}
-	for i := range fs.flaps {
-		f := &fs.flaps[i]
-		if f.target == s && f.active(n.clock.Load()) {
-			atomic.AddUint64(&fs.stats.FlapDrops, 1)
-			n.observeFault(FaultLinkFlap, "link-flap drop subnet="+s.Prefix.String())
+	for _, a := range fs.armed[FaultLinkFlap] {
+		if a.subnet == s && a.active(now) {
+			n.count(fs, a, nil, now)
 			return true
 		}
 	}
 	return false
 }
 
-// blackholed reports whether r currently swallows every packet.
-func (n *Network) blackholed(r *Router) bool {
-	fs := n.faults.Load()
-	if fs == nil {
-		return false
-	}
-	for i := range fs.holes {
-		f := &fs.holes[i]
-		if (f.target == nil || f.target == r) && f.active(n.clock.Load()) {
-			atomic.AddUint64(&fs.stats.BlackholeDrops, 1)
-			n.observeFault(FaultBlackhole, "blackhole drop router="+r.Name)
-			return true
-		}
-	}
-	return false
-}
-
-// stormAllows consults any active rate-storm bucket scoped to r; it reports
-// false when a storm suppresses the reply. The buckets were pre-resolved per
-// router at install time and synchronize internally.
-func (n *Network) stormAllows(r *Router) bool {
+// stormAllows consults every rate-storm bucket scoped to r and active at
+// now; it reports false when one suppresses the reply. The buckets were
+// resolved per router at install time and synchronize internally.
+func (n *Network) stormAllows(r *Router, now uint64) bool {
 	fs := n.faults.Load()
 	if fs == nil {
 		return true
 	}
-	for i := range fs.storms {
-		st := &fs.storms[i]
-		if st.target != nil && st.target != r {
-			continue
-		}
-		if !st.active(n.clock.Load()) {
-			continue
-		}
-		if b := st.buckets[r.idx]; b != nil && !b.Allow(n.clock.Load()) {
-			atomic.AddUint64(&fs.stats.StormDrops, 1)
-			n.observeFault(FaultRateStorm, "rate-storm drop router="+r.Name)
+	for _, a := range fs.armed[FaultRateStorm] {
+		if a.holds(r, now) && !a.buckets[r.idx].Allow(now) {
+			n.count(fs, a, r, now)
 			return false
 		}
 	}
@@ -582,164 +570,61 @@ func (n *Network) stormAllows(r *Router) bool {
 
 // churnSalt perturbs the ECMP hash while a churn fault is active: choices
 // stay stable within one churnPeriod epoch and reshuffle at epoch boundaries.
-func (n *Network) churnSalt() uint64 {
+func (n *Network) churnSalt(now uint64) uint64 {
 	fs := n.faults.Load()
 	if fs == nil {
 		return 0
 	}
-	for i := range fs.churns {
-		if fs.churns[i].active(n.clock.Load()) {
-			return (n.clock.Load()/churnPeriod + 1) * 0x9e3779b97f4a7c15
+	for _, a := range fs.armed[FaultChurn] {
+		if a.active(now) {
+			return (now/churnPeriod + 1) * 0x9e3779b97f4a7c15
 		}
 	}
 	return 0
 }
 
-// replyDelayed reports whether an otherwise-delivered reply from r misses the
-// prober's timeout window.
-func (n *Network) replyDelayed(r *Router) bool {
-	fs := n.faults.Load()
-	if fs == nil {
-		return false
-	}
-	for i := range fs.mangles {
-		f := &fs.mangles[i]
-		if f.Kind == FaultDelay && f.active(n.clock.Load()) && fs.shards[shardIndex(r)].chance(f.Prob) {
-			atomic.AddUint64(&fs.stats.Delayed, 1)
-			n.observeFault(FaultDelay, "delayed reply (seen as silence)")
-			return true
-		}
-	}
-	return false
-}
-
-// duplicateChance reports whether a reply from r about to be lost gets a
-// second delivery chance from a duplication fault.
-func (n *Network) duplicateChance(r *Router) bool {
-	fs := n.faults.Load()
-	if fs == nil {
-		return false
-	}
-	for i := range fs.mangles {
-		f := &fs.mangles[i]
-		if f.Kind == FaultDuplicate && f.active(n.clock.Load()) && fs.shards[shardIndex(r)].chance(f.Prob) {
-			atomic.AddUint64(&fs.stats.Duplicated, 1)
-			n.observeFault(FaultDuplicate, "duplicated reply")
-			return true
-		}
-	}
-	return false
-}
-
 // mangleReply applies corruption and truncation faults to a reply encoded
 // from router r. It may return the bytes modified in place, a shorter slice,
 // or nil when truncation consumed the whole datagram.
-func (n *Network) mangleReply(raw []byte, r *Router) []byte {
+func (n *Network) mangleReply(raw []byte, r *Router, now uint64) []byte {
 	fs := n.faults.Load()
 	if fs == nil || len(raw) == 0 {
 		return raw
 	}
 	sh := &fs.shards[shardIndex(r)]
-	for i := range fs.mangles {
-		f := &fs.mangles[i]
-		if !f.active(n.clock.Load()) {
+	for _, a := range fs.mangles {
+		if !a.active(now) || !sh.chance(a.Prob) {
 			continue
 		}
-		switch f.Kind {
-		case FaultCorrupt:
-			if sh.chance(f.Prob) {
-				// Flip 1–3 bytes with non-zero masks; checksums are left
-				// stale, so the prober's decoder rejects the reply.
-				flips := 1 + sh.intn(3)
-				for j := 0; j < flips; j++ {
-					raw[sh.intn(len(raw))] ^= byte(1 + sh.intn(255))
-				}
-				atomic.AddUint64(&fs.stats.Corrupted, 1)
-				n.observeFault(FaultCorrupt, "corrupted reply")
+		n.count(fs, a, r, now)
+		if a.Kind == FaultTruncate {
+			if raw = raw[:sh.intn(len(raw))]; len(raw) == 0 {
+				return nil
 			}
-		case FaultTruncate:
-			if sh.chance(f.Prob) {
-				raw = raw[:sh.intn(len(raw))]
-				atomic.AddUint64(&fs.stats.Truncated, 1)
-				n.observeFault(FaultTruncate, "truncated reply")
-				if len(raw) == 0 {
-					return nil
-				}
-			}
+			continue
+		}
+		// Flip 1–3 bytes with non-zero masks; checksums are left stale, so
+		// the prober's decoder rejects the reply.
+		flips := 1 + sh.intn(3)
+		for j := 0; j < flips; j++ {
+			raw[sh.intn(len(raw))] ^= byte(1 + sh.intn(255))
 		}
 	}
 	return raw
-}
-
-// hiddenHop reports whether r currently forwards transparently: it keeps
-// decrementing TTL and forwarding, but generates no ICMP of any kind while
-// the fault is active. Called only at a point where r was about to generate
-// a reply — so every true return is one suppressed answer.
-func (n *Network) hiddenHop(r *Router) bool {
-	fs := n.faults.Load()
-	if fs == nil {
-		return false
-	}
-	for i := range fs.hidden {
-		f := &fs.hidden[i]
-		if (f.target == nil || f.target == r) && f.active(n.clock.Load()) {
-			atomic.AddUint64(&fs.stats.HiddenDrops, 1)
-			n.observeFault(FaultHiddenHop, "hidden-hop suppressed reply router="+r.Name)
-			return true
-		}
-	}
-	return false
 }
 
 // spoofSource applies the lying-responder faults (alias-confuse, then liar)
 // to the source address r is about to answer an indirect probe with,
 // returning the possibly rewritten address. Alias-confuse wins when both are
 // armed: the anycast collapse is deterministic, the liar draw is not.
-func (n *Network) spoofSource(r *Router, src ipv4.Addr) ipv4.Addr {
-	fs := n.faults.Load()
-	if fs == nil {
-		return src
+func (n *Network) spoofSource(r *Router, src ipv4.Addr, now uint64) ipv4.Addr {
+	if a := n.strikes(FaultAliasConfuse, r, now); a != nil {
+		return a.shared
 	}
-	clock := n.clock.Load()
-	for i := range fs.aliases {
-		f := &fs.aliases[i]
-		if (f.target == nil || f.target == r) && f.active(clock) {
-			atomic.AddUint64(&fs.stats.AliasShares, 1)
-			n.observeFault(FaultAliasConfuse, "alias-confuse shared source router="+r.Name)
-			return f.shared
-		}
-	}
-	for i := range fs.liars {
-		f := &fs.liars[i]
-		if (f.target == nil || f.target == r) && f.active(clock) &&
-			len(fs.ifacePool) > 0 && fs.shards[shardIndex(r)].chance(f.Prob) {
-			spoofed := fs.ifacePool[fs.shards[shardIndex(r)].intn(len(fs.ifacePool))]
-			atomic.AddUint64(&fs.stats.LiarSpoofs, 1)
-			n.observeFault(FaultLiar, "liar spoofed source router="+r.Name)
-			return spoofed
-		}
+	if fs := n.faults.Load(); fs != nil && len(fs.ifacePool) > 0 && n.strikes(FaultLiar, r, now) != nil {
+		return fs.ifacePool[fs.shards[shardIndex(r)].intn(len(fs.ifacePool))]
 	}
 	return src
-}
-
-// echoMirrors reports whether r, about to answer a probe with an ICMP error,
-// instead fabricates an alive reply mirroring the probe's destination back as
-// its source.
-func (n *Network) echoMirrors(r *Router) bool {
-	fs := n.faults.Load()
-	if fs == nil {
-		return false
-	}
-	for i := range fs.echoes {
-		f := &fs.echoes[i]
-		if (f.target == nil || f.target == r) && f.active(n.clock.Load()) &&
-			fs.shards[shardIndex(r)].chance(f.Prob) {
-			atomic.AddUint64(&fs.stats.EchoMirrors, 1)
-			n.observeFault(FaultEcho, "echo fabricated alive reply router="+r.Name)
-			return true
-		}
-	}
-	return false
 }
 
 // RandomFaultPlan generates a deterministic, seed-dependent fault plan over

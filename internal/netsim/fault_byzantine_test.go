@@ -226,7 +226,7 @@ func TestRandomAdversarialPlanDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, RandomAdversarialPlan(topo, 8)) {
 		t.Error("different seeds produced identical adversarial plans")
 	}
-	for seed := int64(1); seed <= 20; seed++ {
+	for seed := int64(1); seed <= 50; seed++ {
 		plan := RandomAdversarialPlan(topo, seed)
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -88,6 +89,28 @@ func TestFaultPlanValidate(t *testing.T) {
 			t.Errorf("%s: plan validated", name)
 		}
 	}
+	// A field the kind ignores is refused with an error naming the fault,
+	// its kind and the field.
+	for _, tc := range []struct {
+		f     Fault
+		field string
+	}{
+		{Fault{Kind: FaultCorrupt, Prob: 0.3, Router: "bb1"}, "router"},
+		{Fault{Kind: FaultChurn, Router: "R2"}, "router"},
+		{Fault{Kind: FaultBlackhole, Router: "bb1", Prob: 0.01}, "prob"},
+		{Fault{Kind: FaultAliasConfuse, Prob: 0.5}, "prob"},
+		{Fault{Kind: FaultHiddenHop, Subnet: "10.0.2.0/24"}, "subnet"},
+		{Fault{Kind: FaultDelay, Prob: 0.1, Rate: 1}, "rate"},
+		{Fault{Kind: FaultBlackhole, Burst: 2}, "burst"},
+		{Fault{Kind: FaultLiar, Prob: 0.5, Addr: "10.0.3.0"}, "addr"},
+	} {
+		plan := FaultPlan{Faults: []Fault{{Kind: FaultChurn}, tc.f}}
+		err := plan.Validate()
+		want := fmt.Sprintf("fault 1 (%v): %s does not apply", tc.f.Kind, tc.field)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: err = %v, want one containing %q", tc.f, err, want)
+		}
+	}
 	good := FaultPlan{Seed: 5, Faults: []Fault{
 		{Kind: FaultLinkFlap, Subnet: "10.0.2.0/24", From: 5, Until: 50},
 		{Kind: FaultBlackhole, Router: "R2"},
@@ -97,6 +120,23 @@ func TestFaultPlanValidate(t *testing.T) {
 	}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good plan rejected: %v", err)
+	}
+}
+
+// TestFaultKindsTable checks that FaultKinds lists the per-kind table's
+// kinds in enum order, and that each name reads back as its kind.
+func TestFaultKindsTable(t *testing.T) {
+	if len(FaultKinds) != len(faultKinds) {
+		t.Fatalf("FaultKinds lists %d kinds, the table has %d", len(FaultKinds), len(faultKinds))
+	}
+	for i, k := range FaultKinds {
+		if int(k) != i {
+			t.Errorf("FaultKinds[%d] = %v, want kind %d", i, k, i)
+		}
+		var back FaultKind
+		if err := back.UnmarshalJSON([]byte(`"` + k.String() + `"`)); err != nil || back != k {
+			t.Errorf("%v reads back as %v (%v)", k, back, err)
+		}
 	}
 }
 
@@ -436,7 +476,7 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical plans")
 	}
-	for seed := int64(0); seed < 50; seed++ {
+	for seed := int64(0); seed <= 50; seed++ {
 		plan := RandomFaultPlan(topo, seed)
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("seed %d: invalid plan: %v", seed, err)

@@ -8,6 +8,53 @@ import (
 	"testing"
 )
 
+// faultPlanSeeds are FuzzReadFaultPlan's seeds that decode and install on
+// fuzzTopology: between them they arm every kind, one seed per byzantine
+// kind so the corpus always exercises the adversarial decode paths.
+var faultPlanSeeds = []string{
+	`{}`,
+	`{"seed": 1, "faults": []}`,
+	`{"seed": 3, "faults": [{"kind": "corrupt", "prob": 0.4}]}`,
+	`{"seed": 5, "faults": [
+		{"kind": "link-flap", "subnet": "10.0.1.0/30", "from": 5, "until": 50},
+		{"kind": "blackhole", "router": "R2"},
+		{"kind": "rate-storm", "rate": 0.5, "burst": 2},
+		{"kind": "churn", "from": 1}
+	]}`,
+	`{"seed": 7, "faults": [{"kind": "liar", "prob": 0.35}]}`,
+	`{"seed": 7, "faults": [{"kind": "alias-confuse", "addr": "10.0.3.0"}]}`,
+	`{"seed": 7, "faults": [{"kind": "hidden-hop", "router": "R2"}]}`,
+	`{"seed": 7, "faults": [{"kind": "echo", "prob": 0.5}]}`,
+}
+
+// unknownKindSeeds name kinds ReadFaultPlan refuses.
+var unknownKindSeeds = []string{
+	`{"seed": 9, "faults": [{"kind": "gremlin"}]}`,
+	`{"seed": 9, "faults": [{"kind": 42}]}`,
+}
+
+// TestFaultPlanSeedsInstall checks that every fuzz seed but the unknown
+// kinds decodes and installs on fuzzTopology, so the corpus starts from
+// plans that reach the install path.
+func TestFaultPlanSeedsInstall(t *testing.T) {
+	topo := fuzzTopology()
+	for _, seed := range faultPlanSeeds {
+		plan, err := ReadFaultPlan(strings.NewReader(seed))
+		if err != nil {
+			t.Errorf("seed %s: %v", seed, err)
+			continue
+		}
+		if err := New(topo, Config{Seed: 1}).InstallFaults(plan); err != nil {
+			t.Errorf("seed %s: install: %v", seed, err)
+		}
+	}
+	for _, seed := range unknownKindSeeds {
+		if _, err := ReadFaultPlan(strings.NewReader(seed)); err == nil {
+			t.Errorf("seed %s decoded", seed)
+		}
+	}
+}
+
 // FuzzReadFaultPlan throws arbitrary bytes at the fault-plan decoder. The
 // invariants for ANY input: a decode error never panics; unknown kinds fail
 // with the named ErrUnknownFaultKind (never a silent zero-value fault); and
@@ -16,23 +63,9 @@ import (
 // without panicking (scope errors are fine — they name a missing router or
 // subnet, they do not corrupt the network).
 func FuzzReadFaultPlan(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"seed": 1, "faults": []}`))
-	f.Add([]byte(`{"seed": 3, "faults": [{"kind": "corrupt", "prob": 0.4}]}`))
-	f.Add([]byte(`{"seed": 5, "faults": [
-		{"kind": "flap", "subnet": "10.0.2.0/29", "from": 5, "until": 50},
-		{"kind": "blackhole", "router": "R2"},
-		{"kind": "storm", "rate": 0.5, "burst": 2},
-		{"kind": "churn", "from": 1}
-	]}`))
-	// One seed per byzantine kind, so the corpus always exercises the
-	// adversarial decode paths.
-	f.Add([]byte(`{"seed": 7, "faults": [{"kind": "liar", "prob": 0.35}]}`))
-	f.Add([]byte(`{"seed": 7, "faults": [{"kind": "alias-confuse", "addr": "10.0.3.0"}]}`))
-	f.Add([]byte(`{"seed": 7, "faults": [{"kind": "hidden-hop", "router": "R2"}]}`))
-	f.Add([]byte(`{"seed": 7, "faults": [{"kind": "echo", "prob": 0.5}]}`))
-	f.Add([]byte(`{"seed": 9, "faults": [{"kind": "gremlin"}]}`))
-	f.Add([]byte(`{"seed": 9, "faults": [{"kind": 42}]}`))
+	for _, seed := range append(faultPlanSeeds, unknownKindSeeds...) {
+		f.Add([]byte(seed))
+	}
 
 	topo := fuzzTopology()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -105,7 +105,7 @@ done
 
 echo "== bench smoke (1 iteration per benchmark) + baseline diff (gating on exact probe counts)"
 bench_tmp="$(mktemp)"
-go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress|ISP)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
+go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress|ISP|Faulted)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
 go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/telemetry/ | tee -a "$bench_tmp"
 # Diff the smoke run against the newest committed baseline. Exact probe
 # counts gate: a rise in a benchmark's wire-probes or probes/trace fails
