@@ -31,7 +31,7 @@
 //	GET    /api/v1/campaigns/{id}            status + live progress
 //	GET    /api/v1/campaigns/{id}/report     byte-stable final report
 //	GET    /api/v1/campaigns/{id}/eval       ground-truth evaluation JSON
-//	GET    /api/v1/campaigns/{id}/checkpoint campaign checkpoint (v1)
+//	GET    /api/v1/campaigns/{id}/checkpoint campaign checkpoint (schema collect.CheckpointVersion)
 //	DELETE /api/v1/campaigns/{id}            cancel
 //
 // SIGINT/SIGTERM drains: running campaigns are cancelled and checkpointed

@@ -16,7 +16,7 @@ import (
 //	GET    /api/v1/campaigns/{id}           one status document + live progress
 //	GET    /api/v1/campaigns/{id}/report    the byte-stable final report
 //	GET    /api/v1/campaigns/{id}/eval      the ground-truth evaluation JSON
-//	GET    /api/v1/campaigns/{id}/checkpoint the collect checkpoint v3
+//	GET    /api/v1/campaigns/{id}/checkpoint the collect checkpoint (schema collect.CheckpointVersion)
 //	DELETE /api/v1/campaigns/{id}           cancel (queued or running)
 //
 // Artifacts stream straight from the spool, so a GET observes exactly the

@@ -69,19 +69,27 @@ func (c *schedClock) Ticks() uint64    { return c.ticks.Load() }
 func (c *schedClock) advance(d uint64) { c.ticks.Add(d) }
 func (c *schedClock) restore(v uint64) { c.ticks.Store(v) }
 
-// campaignState is one campaign's in-memory record, mirrored to the spool.
+// campaignState is one campaign's in-memory record, mirrored to the spool;
+// the scheduler's queue holds the records of the campaigns waiting to run.
 type campaignState struct {
 	id     string
-	seq    uint64
-	rescan int
+	seq    uint64 // admission order, the FIFO key within a priority
+	rescan int    // the re-scan generation (0 = the original submission)
 	tenant *tenantState
 	spec   *Spec
 
 	// Mutable fields below are guarded by the daemon mutex. finish keeps
-	// the final snapshot and drops prog, wd, tel, ctx and cancel.
-	status     string
-	errText    string
-	notBefore  uint64
+	// the final snapshot and drops resume, prog, wd, tel, ctx and cancel.
+	status  string
+	errText string
+	// notBefore is the freshness deadline in scheduler ticks: the campaign
+	// may not run until the daemon clock reaches it (0 = at once). Re-scan
+	// generations are deferred this way.
+	notBefore uint64
+	// resume carries an interrupted campaign's checkpoint into its resumed
+	// run: its rows restore the completed targets' traces, and their hop
+	// contexts seed the shared cache.
+	resume     *collect.Checkpoint
 	prog       *collect.Progress
 	final      *collect.Snapshot
 	wd         *collect.Watchdog
@@ -123,13 +131,9 @@ type Daemon struct {
 	cRescans     *telemetry.Counter
 	cReplayed    *telemetry.Counter
 
-	// testTargetDone, when set before Start, is invoked synchronously from
-	// every campaign's OnTargetDone with the campaign ID and the number of
-	// rows completed so far — the deterministic interrupt point the
-	// lifecycle tests hang their SIGTERM off. testCampaignFinished fires
-	// after a campaign's outcome (and artifacts) land in the spool, so tests
-	// wait on completion without polling a clock.
-	testTargetDone       func(id string, done int)
+	// testCampaignFinished fires after a campaign's outcome (and
+	// artifacts) land in the spool, so tests wait on completion without
+	// polling a clock.
 	testCampaignFinished func(id, status string)
 }
 
@@ -260,21 +264,20 @@ func (d *Daemon) replay() error {
 		d.campaigns = append(d.campaigns, cs)
 		switch st.Status {
 		case stateQueued:
-			d.q.push(d.entryFor(cs, nil))
+			d.q.push(cs)
 			d.cReplayed.Inc()
 		case stateRunning, stateInterrupted:
 			// The previous process died (or drained) mid-campaign: resume
 			// from its checkpoint, completed-target paths and all.
-			e := d.entryFor(cs, nil)
 			if d.sp.exists(st.ID + ".checkpoint.json") {
 				cp, err := d.sp.readCheckpoint(st.ID + ".checkpoint.json")
 				if err != nil {
 					return err
 				}
-				e.resume = cp
+				cs.resume = cp
 			}
 			cs.status = stateQueued
-			d.q.push(e)
+			d.q.push(cs)
 			d.cReplayed.Inc()
 			if err := d.sp.writeJSON(st.ID+".state.json", d.stateOf(cs)); err != nil {
 				return err
@@ -282,20 +285,6 @@ func (d *Daemon) replay() error {
 		}
 	}
 	return nil
-}
-
-// entryFor builds the queue entry for a campaign record.
-func (d *Daemon) entryFor(cs *campaignState, resume *collect.Checkpoint) *queueEntry {
-	return &queueEntry{
-		id:        cs.id,
-		seq:       cs.seq,
-		priority:  cs.spec.Priority,
-		tenant:    cs.tenant,
-		spec:      cs.spec,
-		notBefore: cs.notBefore,
-		resume:    resume,
-		rescan:    cs.rescan,
-	}
 }
 
 // stateOf snapshots a campaign record for the spool. Caller holds d.mu (or
@@ -370,7 +359,7 @@ func (d *Daemon) Submit(sp *Spec) (string, error) {
 	d.lg.Info("campaign accepted", "campaign", cs.id, "tenant", sp.Tenant)
 
 	d.mu.Lock()
-	d.q.push(d.entryFor(cs, nil))
+	d.q.push(cs)
 	d.gQueued.Set(int64(d.q.len()))
 	d.cond.Broadcast()
 	d.mu.Unlock()
@@ -414,39 +403,39 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	}
 }
 
-// runner is one scheduler worker: pull the next runnable entry, run it to
-// its outcome, release the tenant slot, repeat until draining.
+// runner is one scheduler worker: pull the next runnable campaign, run it
+// to its outcome, release the tenant slot, repeat until draining.
 func (d *Daemon) runner() {
 	defer d.wg.Done()
 	for {
-		e := d.nextEntry()
-		if e == nil {
+		cs := d.next()
+		if cs == nil {
 			return
 		}
-		d.runCampaign(e)
-		d.tenants.release(e.tenant)
+		d.runCampaign(cs)
+		d.tenants.release(cs.tenant)
 		d.mu.Lock()
 		d.cond.Broadcast()
 		d.mu.Unlock()
 	}
 }
 
-// nextEntry blocks until an entry is runnable (freshness deadline passed,
-// tenant below its concurrency cap) or the daemon drains (nil). The tenant
-// slot is acquired before returning.
-func (d *Daemon) nextEntry() *queueEntry {
+// next blocks until a queued campaign is runnable (freshness deadline
+// passed, tenant below its concurrency cap) or the daemon drains (nil). The
+// tenant slot is acquired before returning.
+func (d *Daemon) next() *campaignState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		if d.draining {
 			return nil
 		}
-		if e := d.q.pop(d.now(), d.tenants.hasSlot); e != nil {
-			if d.tenants.tryAcquire(e.tenant) {
+		if cs := d.q.pop(d.now(), d.tenants.hasSlot); cs != nil {
+			if d.tenants.tryAcquire(cs.tenant) {
 				d.gQueued.Set(int64(d.q.len()))
-				return e
+				return cs
 			}
-			d.q.push(e) // lost the slot between pop and acquire; requeue
+			d.q.push(cs) // lost the slot between pop and acquire; requeue
 		}
 		d.cond.Wait()
 	}
@@ -459,27 +448,21 @@ func (ts *tenants) hasSlot(t *tenantState) bool {
 	return t.cfg.MaxConcurrent == 0 || t.running < t.cfg.MaxConcurrent
 }
 
-// runCampaign executes one queue entry end to end: resolve the spec into a
+// runCampaign executes one campaign end to end: resolve the spec into a
 // fresh seeded substrate, run the collect engine under the tenant's budget
 // and pacer, then land the outcome — artifacts, journal, accounting, and
 // possibly the next re-scan generation — in the spool.
-func (d *Daemon) runCampaign(e *queueEntry) {
-	cs := d.campaign(e.id)
-	if cs == nil {
-		return // cancelled out of the registry between pop and run
-	}
-
-	c, err := e.spec.Resolve(e.id)
+func (d *Daemon) runCampaign(cs *campaignState) {
+	c, err := cs.spec.Resolve(cs.id)
 	if err != nil {
-		d.finish(cs, e, nil, nil, err)
+		d.finish(cs, nil, nil, err)
 		return
 	}
 	net := c.Net
 	ccfg := c.Config
-	ccfg.BudgetParent = e.tenant.budget
-	ccfg.Resume = e.resume
-	if e.tenant.pacer != nil {
-		ccfg.Probe.Pacer = e.tenant.pacer
+	ccfg.BudgetParent = cs.tenant.budget
+	if cs.tenant.pacer != nil {
+		ccfg.Probe.Pacer = cs.tenant.pacer
 	}
 
 	// The campaign's telemetry rides the fresh substrate's virtual clock but
@@ -491,24 +474,19 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 	net.SetTelemetry(ctel)
 
 	prog := collect.NewProgress()
-	wd := collect.NewWatchdog(prog, ctel, d.cfg.StallWindow, e.id)
+	wd := collect.NewWatchdog(prog, ctel, d.cfg.StallWindow, cs.id)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	ccfg.Telemetry = ctel
 	ccfg.Progress = prog
 
-	hook := d.testTargetDone
-	var completed atomic.Int64
 	ccfg.OnTargetDone = func(r collect.TargetResult) {
-		n := completed.Add(1)
-		d.lg.Debug("target done", "campaign", e.id, "dst", r.Dst.String(), "status", string(r.Status))
-		if hook != nil {
-			hook(e.id, int(n))
-		}
+		d.lg.Debug("target done", "campaign", cs.id, "dst", r.Dst.String(), "status", string(r.Status))
 	}
 
 	d.mu.Lock()
+	ccfg.Resume = cs.resume
 	cs.status = stateRunning
 	cs.prog = prog
 	cs.wd = wd
@@ -539,7 +517,7 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 	d.mu.Lock()
 	d.gRunning.Add(-1)
 	d.mu.Unlock()
-	d.finish(cs, e, c.Scenario.Topo, rep, err)
+	d.finish(cs, c.Scenario.Topo, rep, err)
 }
 
 // finish lands a campaign's outcome: classify it, journal the checkpoint,
@@ -549,7 +527,7 @@ func (d *Daemon) runCampaign(e *queueEntry) {
 // outcome is announced.
 // top is the campaign's topology, for the evaluation (nil when the spec
 // never resolved).
-func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, rep *collect.Report, runErr error) {
+func (d *Daemon) finish(cs *campaignState, top *netsim.Topology, rep *collect.Report, runErr error) {
 	d.mu.Lock()
 	status := stateDone
 	switch {
@@ -614,7 +592,7 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, 
 		snap := cs.prog.Snapshot()
 		cs.final = &snap
 	}
-	cs.prog, cs.wd, cs.tel, cs.ctx, cs.cancel = nil, nil, nil, nil, nil
+	cs.resume, cs.prog, cs.wd, cs.tel, cs.ctx, cs.cancel = nil, nil, nil, nil, nil, nil
 	st := d.stateOf(cs)
 	d.mu.Unlock()
 	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
@@ -634,8 +612,8 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, 
 	}
 	d.lg.Info("campaign finished", "campaign", cs.id, "status", status)
 
-	if status == stateDone && cs.spec.RescanInterval > 0 && e.rescan < cs.spec.MaxRescans {
-		d.enqueueRescan(cs, e)
+	if status == stateDone && cs.spec.RescanInterval > 0 && cs.rescan < cs.spec.MaxRescans {
+		d.enqueueRescan(cs)
 	}
 	if err := d.persistDaemonState(); err != nil {
 		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
@@ -648,13 +626,13 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, top *netsim.Topology, 
 // enqueueRescan enrolls the next re-scan generation: a fresh campaign over
 // the same spec, deferred until the freshness deadline on the scheduler
 // clock.
-func (d *Daemon) enqueueRescan(cs *campaignState, e *queueEntry) {
+func (d *Daemon) enqueueRescan(cs *campaignState) {
 	d.mu.Lock()
 	if d.draining {
 		d.mu.Unlock()
 		return
 	}
-	gen := e.rescan + 1
+	gen := cs.rescan + 1
 	seq := d.nextSeq
 	d.nextSeq++
 	next := &campaignState{
@@ -667,7 +645,7 @@ func (d *Daemon) enqueueRescan(cs *campaignState, e *queueEntry) {
 		notBefore: d.now() + cs.spec.RescanInterval,
 	}
 	d.campaigns = append(d.campaigns, next)
-	d.q.push(d.entryFor(next, nil))
+	d.q.push(next)
 	d.gQueued.Set(int64(d.q.len()))
 	st := d.stateOf(next)
 	d.cond.Broadcast()
@@ -715,7 +693,7 @@ func (d *Daemon) Cancel(id string) (string, error) {
 	switch cs.status {
 	case stateQueued:
 		if d.q.remove(id) == nil {
-			// A runner popped the entry but has not marked it running yet:
+			// A runner popped the campaign but has not marked it running yet:
 			// flag the cancel for runCampaign to honour once it has a context.
 			cs.userCancel = true
 			d.mu.Unlock()

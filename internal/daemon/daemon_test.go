@@ -10,19 +10,16 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
-	"tracenet/internal/cli"
-	"tracenet/internal/collect"
 	"tracenet/internal/obs"
 )
 
 // The daemon tests are in-package on purpose: internal/daemon is inside the
 // determinism lint scope, so its tests may not import the time package. All
-// waiting is done on channels fed by the test hooks (testTargetDone,
-// testCampaignFinished) — never by polling a clock.
+// waiting is done on a channel fed by the testCampaignFinished hook — never
+// by polling a clock.
 
 // atomicClock is a race-safe manual scheduler clock for freshness tests
 // (telemetry.ManualClock is deliberately unsynchronized).
@@ -123,161 +120,6 @@ func (h *harness) await(t *testing.T, ids ...string) map[string]string {
 		}
 	}
 	return got
-}
-
-// firstTargets renders the first n destination addresses of a built-in
-// scenario, for specs that pin explicit targets.
-func firstTargets(t *testing.T, topology string, seed int64, n int) []string {
-	t.Helper()
-	sc, err := cli.Load(topology, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Destinations) < n {
-		t.Fatalf("scenario %s has %d destinations, want >= %d", topology, len(sc.Destinations), n)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = sc.Destinations[i].String()
-	}
-	return out
-}
-
-// TestDaemonLifecycleResumeByteIdentity is the crash-resume acceptance
-// test: a daemon drained (the SIGTERM path) mid-campaign and restarted
-// against the same spool produces final artifacts — report, eval and
-// checkpoint — byte-identical to an uninterrupted control run, for both the
-// interrupted campaign and the one that was still queued behind it. The
-// random seed 4 case grows two identical subnets at different hop contexts,
-// which a resume must keep apart.
-func TestDaemonLifecycleResumeByteIdentity(t *testing.T) {
-	bob := &Spec{Tenant: "bob", Topology: "figure3", Eval: true}
-	for _, tc := range []struct {
-		name  string
-		first *Spec
-		cut   int // drain once this many of the first campaign's targets are done
-	}{
-		{"random42-p2", &Spec{Tenant: "alice", Topology: "random", Seed: 42,
-			Targets: firstTargets(t, "random", 42, 6), Parallel: 2}, 2},
-		{"random4-p1", &Spec{Tenant: "carol", Topology: "random", Seed: 4, Parallel: 1, Eval: true}, 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			artifacts := func(h *harness, id string) map[string][]byte {
-				out := map[string][]byte{}
-				for _, a := range []string{"report", "eval", "checkpoint"} {
-					code, body := h.do(t, "GET", "/api/v1/campaigns/"+id+"/"+a, nil)
-					if code == http.StatusOK {
-						out[a] = body
-					} else if a == "report" || a == "checkpoint" {
-						t.Fatalf("%s %s fetch: status %d", id, a, code)
-					}
-				}
-				return out
-			}
-
-			// Control: uninterrupted run of both campaigns.
-			control := startDaemon(t, t.TempDir(), Config{}, nil)
-			a := control.submit(t, tc.first)
-			b := control.submit(t, bob)
-			if a != "c0001" || b != "c0002" {
-				t.Fatalf("assigned ids %s, %s", a, b)
-			}
-			st := control.await(t, a, b)
-			if st[a] != stateDone || st[b] != stateDone {
-				t.Fatalf("control outcomes: %v", st)
-			}
-			want := map[string]map[string][]byte{a: artifacts(control, a), b: artifacts(control, b)}
-
-			// Interrupted run: block the first campaign's workers once cut
-			// targets are done, then drain — the daemon-side half of a
-			// SIGTERM.
-			dir := t.TempDir()
-			hit := make(chan struct{})
-			hold := make(chan struct{})
-			var once sync.Once
-			h2 := startDaemon(t, dir, Config{}, func(d *Daemon) {
-				d.testTargetDone = func(id string, done int) {
-					if id != "c0001" || done < tc.cut {
-						return
-					}
-					once.Do(func() { close(hit) })
-					<-hold
-				}
-			})
-			if id := h2.submit(t, tc.first); id != "c0001" {
-				t.Fatalf("assigned id %s", id)
-			}
-			if id := h2.submit(t, bob); id != "c0002" {
-				t.Fatalf("assigned id %s", id)
-			}
-			<-hit
-			drained := make(chan error, 1)
-			go func() { drained <- h2.d.Drain(context.Background()) }()
-			// Drain cancels the running campaign's context before waiting;
-			// release the blocked workers once the cancellation is
-			// observable.
-			cs := h2.d.campaign("c0001")
-			h2.d.mu.Lock()
-			cctx := cs.ctx
-			h2.d.mu.Unlock()
-			<-cctx.Done()
-			close(hold)
-			if err := <-drained; err != nil {
-				t.Fatal(err)
-			}
-
-			var persisted State
-			if err := (spool{dir: dir}).readJSON("c0001.state.json", &persisted); err != nil {
-				t.Fatal(err)
-			}
-			if persisted.Status != stateInterrupted {
-				t.Fatalf("after drain, c0001 state = %s, want interrupted", persisted.Status)
-			}
-			journal, err := (spool{dir: dir}).readCheckpoint("c0001.checkpoint.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(journal.Rows) < tc.cut {
-				t.Fatalf("interrupted campaign journaled %d rows, want at least %d", len(journal.Rows), tc.cut)
-			}
-			if bytes.Equal(mustCheckpointBytes(t, journal), want[a]["checkpoint"]) {
-				t.Fatal("interrupt left no work to resume")
-			}
-
-			// Restart against the same spool: the interrupted campaign
-			// resumes from its checkpoint, the queued one runs for the first
-			// time.
-			h3 := startDaemon(t, dir, Config{}, nil)
-			if got := h3.d.cReplayed.Value(); got != 2 {
-				t.Fatalf("spool replayed %d campaigns, want 2", got)
-			}
-			st = h3.await(t, "c0001", "c0002")
-			if st["c0001"] != stateDone || st["c0002"] != stateDone {
-				t.Fatalf("resumed outcomes: %v", st)
-			}
-			for _, id := range []string{a, b} {
-				got := artifacts(h3, id)
-				for name, w := range want[id] {
-					if !bytes.Equal(got[name], w) {
-						t.Errorf("%s %s differs from control:\n--- control\n%s\n--- resumed\n%s", id, name, w, got[name])
-					}
-				}
-				if len(got) != len(want[id]) {
-					t.Errorf("%s served artifacts %d, control %d", id, len(got), len(want[id]))
-				}
-			}
-		})
-	}
-}
-
-// mustCheckpointBytes encodes cp as the spool journals it.
-func mustCheckpointBytes(t *testing.T, cp *collect.Checkpoint) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := collect.WriteCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestRescanFreshness: a completed campaign with a rescan interval enrolls

@@ -1,55 +1,35 @@
 package daemon
 
-import "tracenet/internal/collect"
-
-// queueEntry is one campaign waiting to run.
-type queueEntry struct {
-	id       string
-	seq      uint64 // admission order, the FIFO key within a priority
-	priority int
-	tenant   *tenantState
-	spec     *Spec
-	// notBefore is the freshness deadline in scheduler ticks: the entry is
-	// ineligible until the daemon clock reaches it (0 = ready immediately).
-	// Re-scan generations are deferred this way.
-	notBefore uint64
-	// resume carries an interrupted campaign's checkpoint back into its
-	// resumed run: its rows restore the completed targets' traces, and
-	// their hop contexts seed the shared cache.
-	resume *collect.Checkpoint
-	// rescan is the re-scan generation (0 = the original submission).
-	rescan int
-}
-
-// queue is the scheduler's pending set. It is a plain slice scanned
-// linearly: selection must be deterministic and the pending set is small,
-// so ordering logic beats heap bookkeeping. Not self-locking — the daemon's
-// mutex guards it.
+// queue is the scheduler's pending set: the records of the campaigns
+// waiting to run. It is a plain slice scanned linearly: selection must be
+// deterministic and the pending set is small, so ordering logic beats heap
+// bookkeeping. Not self-locking — the daemon's mutex guards it and the
+// fields of the records it reads.
 type queue struct {
-	entries []*queueEntry
+	entries []*campaignState
 }
 
-func (q *queue) push(e *queueEntry) {
-	q.entries = append(q.entries, e)
+func (q *queue) push(cs *campaignState) {
+	q.entries = append(q.entries, cs)
 }
 
 func (q *queue) len() int { return len(q.entries) }
 
-// pop removes and returns the next runnable entry at tick now: among
-// entries whose freshness deadline has passed and whose tenant has a free
+// pop removes and returns the next runnable campaign at tick now: among
+// campaigns whose freshness deadline has passed and whose tenant has a free
 // concurrency slot, the highest priority wins and ties break FIFO by
 // admission sequence. Returns nil when nothing is runnable.
-func (q *queue) pop(now uint64, eligible func(*tenantState) bool) *queueEntry {
+func (q *queue) pop(now uint64, eligible func(*tenantState) bool) *campaignState {
 	best := -1
-	for i, e := range q.entries {
-		if e.notBefore > now {
+	for i, cs := range q.entries {
+		if cs.notBefore > now {
 			continue
 		}
-		if eligible != nil && !eligible(e.tenant) {
+		if eligible != nil && !eligible(cs.tenant) {
 			continue
 		}
-		if best < 0 || e.priority > q.entries[best].priority ||
-			(e.priority == q.entries[best].priority && e.seq < q.entries[best].seq) {
+		if best < 0 || cs.spec.Priority > q.entries[best].spec.Priority ||
+			(cs.spec.Priority == q.entries[best].spec.Priority && cs.seq < q.entries[best].seq) {
 			best = i
 		}
 	}
@@ -59,10 +39,10 @@ func (q *queue) pop(now uint64, eligible func(*tenantState) bool) *queueEntry {
 	return q.removeAt(best)
 }
 
-// remove extracts the entry with the given campaign ID, or nil.
-func (q *queue) remove(id string) *queueEntry {
-	for i, e := range q.entries {
-		if e.id == id {
+// remove extracts the campaign with the given ID, or nil.
+func (q *queue) remove(id string) *campaignState {
+	for i, cs := range q.entries {
+		if cs.id == id {
 			return q.removeAt(i)
 		}
 	}
@@ -72,13 +52,13 @@ func (q *queue) remove(id string) *queueEntry {
 // removeAt deletes and returns entries[i], zeroing the vacated tail slot: the
 // compacting copy leaves the last element duplicated in the slice's spare
 // capacity, and a long-lived daemon queue that merely truncated would keep
-// that *queueEntry — and its checkpoint, journal rows, and Spec — reachable
-// until the slot is overwritten by a future push.
-func (q *queue) removeAt(i int) *queueEntry {
-	e := q.entries[i]
+// that *campaignState — and its checkpoint, journal rows, and Spec —
+// reachable until the slot is overwritten by a future push.
+func (q *queue) removeAt(i int) *campaignState {
+	cs := q.entries[i]
 	last := len(q.entries) - 1
 	copy(q.entries[i:], q.entries[i+1:])
 	q.entries[last] = nil
 	q.entries = q.entries[:last]
-	return e
+	return cs
 }

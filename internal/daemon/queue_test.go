@@ -2,8 +2,8 @@ package daemon
 
 import "testing"
 
-func entry(id string, seq uint64, prio int, notBefore uint64, t *tenantState) *queueEntry {
-	return &queueEntry{id: id, seq: seq, priority: prio, notBefore: notBefore, tenant: t}
+func entry(id string, seq uint64, prio int, notBefore uint64, t *tenantState) *campaignState {
+	return &campaignState{id: id, seq: seq, spec: &Spec{Priority: prio}, notBefore: notBefore, tenant: t}
 }
 
 // TestQueueOrdering: highest priority first, FIFO by admission sequence

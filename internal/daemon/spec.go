@@ -146,7 +146,9 @@ func WriteSpec(w io.Writer, sp *Spec) error {
 }
 
 // Validate checks the spec's internal consistency without touching the
-// network substrate; Resolve performs the full (deterministic) resolution.
+// network substrate: the checks Resolve runs for every tool, plus the
+// daemon's own — a tenant, a built-in topology (a submitted spec must not
+// read server files) and rescans paired with an interval.
 func (sp *Spec) Validate() error {
 	if sp.Tenant == "" {
 		return fmt.Errorf("daemon: spec: tenant is required")
@@ -161,23 +163,43 @@ func (sp *Spec) Validate() error {
 	if _, err := parseProto(sp.Proto); err != nil {
 		return err
 	}
-	if sp.MaxTTL < 0 || sp.Parallel < 0 || sp.MaxRescans < 0 {
-		return fmt.Errorf("daemon: spec: max_ttl, parallel, and max_rescans must be non-negative")
+	if _, err := sp.targets(); err != nil {
+		return err
+	}
+	if sp.MaxRescans < 0 {
+		return fmt.Errorf("daemon: spec: max_rescans must be non-negative, got %d", sp.MaxRescans)
 	}
 	if sp.RescanInterval == 0 && sp.MaxRescans > 0 {
 		return fmt.Errorf("daemon: spec: max_rescans without rescan_interval")
 	}
-	seen := make(map[string]bool, len(sp.Targets))
-	for _, t := range sp.Targets {
-		if _, err := ipv4.ParseAddr(t); err != nil {
-			return fmt.Errorf("daemon: spec: target %q: %w", t, err)
-		}
-		if seen[t] {
-			return fmt.Errorf("daemon: spec: duplicate target %q", t)
-		}
-		seen[t] = true
-	}
 	return nil
+}
+
+// targets runs the checks every campaign passes, whichever tool resolves
+// it — max_ttl and parallel non-negative, each target a distinct address (a
+// resumed campaign restores its checkpoint's rows by destination) — and
+// returns the parsed targets.
+func (sp *Spec) targets() ([]ipv4.Addr, error) {
+	if sp.MaxTTL < 0 {
+		return nil, fmt.Errorf("daemon: spec: max_ttl must be non-negative, got %d", sp.MaxTTL)
+	}
+	if sp.Parallel < 0 {
+		return nil, fmt.Errorf("daemon: spec: parallel must be non-negative, got %d", sp.Parallel)
+	}
+	targets := make([]ipv4.Addr, 0, len(sp.Targets))
+	seen := make(map[ipv4.Addr]bool, len(sp.Targets))
+	for _, t := range sp.Targets {
+		a, err := ipv4.ParseAddr(t)
+		if err != nil {
+			return nil, fmt.Errorf("daemon: spec: target %q: %w", t, err)
+		}
+		if seen[a] {
+			return nil, fmt.Errorf("daemon: spec: duplicate target %q", t)
+		}
+		seen[a] = true
+		targets = append(targets, a)
+	}
+	return targets, nil
 }
 
 // validName reports whether s is safe as a tenant identity and a metric
@@ -301,11 +323,15 @@ func digest(parts ...string) string {
 }
 
 // Resolve turns the spec into a runnable campaign identified as id ("" for
-// an anonymous run). It does not Validate: the daemon validates every spec
-// it admits or replays, while the command-line tools also resolve
+// an anonymous run). It runs the checks every campaign passes but not the
+// daemon's own (see Validate): the command-line tools also resolve
 // flag-built specs that name a topology file.
 func (sp *Spec) Resolve(id string) (*Campaign, error) {
 	proto, err := parseProto(sp.Proto)
+	if err != nil {
+		return nil, err
+	}
+	targets, err := sp.targets()
 	if err != nil {
 		return nil, err
 	}
@@ -317,16 +343,8 @@ func (sp *Spec) Resolve(id string) (*Campaign, error) {
 	if vantage == "" {
 		vantage = sc.Vantage
 	}
-	targets := sc.Destinations
-	if len(sp.Targets) > 0 {
-		targets = make([]ipv4.Addr, 0, len(sp.Targets))
-		for _, t := range sp.Targets {
-			a, err := ipv4.ParseAddr(t)
-			if err != nil {
-				return nil, err
-			}
-			targets = append(targets, a)
-		}
+	if len(targets) == 0 {
+		targets = sc.Destinations
 	}
 	if len(targets) == 0 {
 		return nil, errors.New("daemon: spec resolves to no targets")

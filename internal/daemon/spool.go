@@ -19,9 +19,9 @@ import (
 //
 //	<id>.spec.json        the accepted submission, canonical encoding
 //	<id>.state.json       lifecycle state only (queue position, status)
-//	<id>.checkpoint.json  collect checkpoint v3 (interrupted and final): the
-//	                      campaign's one resume journal, each completed
-//	                      target's hop path included
+//	<id>.checkpoint.json  collect checkpoint, schema collect.CheckpointVersion
+//	                      (interrupted and final): the campaign's one resume
+//	                      journal, each completed target's hop path included
 //	<id>.report.txt       the byte-stable final report (Report.WriteTo)
 //	<id>.eval.json        ground-truth evaluation (when the spec asks)
 //	tracenetd.json        daemon-level state: scheduler clock, next sequence

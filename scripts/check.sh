@@ -58,16 +58,27 @@ go run ./cmd/tracenetlint -allocbudget
 echo "== go test -race -tags invariants ./..."
 go test -race -tags invariants ./...
 
-# The campaign engine's determinism contract (identical merged topology and
-# metrics at -parallel 1 and 8) is its core guarantee, the observability
-# plane reads live Progress state while campaign workers mutate it, every
-# tracenet CLI run goes through the worker pool while its -serve handlers
-# read that state, and the daemon's tenant registry and scheduler are
-# hammered from concurrent HTTP submissions (the tenant-budget invariant
-# test); exercise all of them explicitly under the race detector even when
-# the full suite above is trimmed.
+# The campaign engine's determinism contract is its core guarantee: the
+# campaign contract harness (TestCampaignContract, in ./cmd/tracenet/) runs
+# collect.Run's worker pool, the CLI, and tracenetd's scheduler, drain and
+# restart on one set of campaigns. The observability plane reads live
+# Progress state while campaign workers mutate it, every tracenet CLI run
+# goes through the worker pool while its -serve handlers read that state,
+# and the daemon's tenant registry and scheduler are hammered from
+# concurrent HTTP submissions (the tenant-budget invariant test); exercise
+# all of them explicitly under the race detector even when the full suite
+# above is trimmed.
 echo "== go test -race ./internal/collect/ ./internal/obs/ ./internal/daemon/ ./cmd/tracenetd/ ./cmd/tracenet/ (campaign engine + observability plane + daemon + CLI)"
 go test -race -count=1 ./internal/collect/ ./internal/obs/ ./internal/daemon/ ./cmd/tracenetd/ ./cmd/tracenet/
+
+# The campaign contract harness checks every way tracenet runs a campaign —
+# collect.Run at several worker counts, a cut and its resume, the CLI with
+# flags and -spec, tracenetd's submit, drain and restart, a resume under
+# another spec — against one oracle per row, pinned in
+# cmd/tracenet/testdata/contract.golden. The full suite above already runs
+# it; the explicit invocation makes a broken contract its own gate failure.
+echo "== campaign contract harness"
+go test -count=1 -run '^TestCampaignContract$' ./cmd/tracenet/
 
 # The ground-truth accuracy floors (internal/experiments/accuracy.go) are the
 # regression gate for collector accuracy: the seeded ensemble must stay at or
