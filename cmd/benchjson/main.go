@@ -11,10 +11,10 @@
 // keeping the conversion itself a pure function of its input.
 //
 // -compare diffs the piped run against a committed baseline and prints one
-// line per benchmark metric that moved. It gates only on exact probe counts
-// (the wire-probes and probes/trace units): they move when the collector's
-// behaviour does, never with the machine or the iteration count, so a rise
-// in one exits non-zero. Every other metric is warn-only — timings from
+// line per benchmark metric that moved. It gates only on exact counts (the
+// wire-probes, probes/trace and spool-files/campaign units): they move when
+// the collector's or the daemon's behaviour does, never with the machine or
+// the iteration count, so a rise in one exits non-zero. Every other metric is warn-only — timings from
 // single-run benchmarks on shared hardware are too noisy to gate on, and
 // allocs/op at one iteration includes warm-up. The hard allocation gate is
 // the allocation-budget check (tracenetlint -allocbudget).
@@ -56,7 +56,7 @@ type Baseline struct {
 func main() {
 	date := flag.String("date", "", "baseline date stamp (e.g. 20260805), supplied by the caller")
 	baseline := flag.String("compare", "",
-		"diff the piped bench output against this baseline JSON (exits 1 when an exact probe count rose)")
+		"diff the piped bench output against this baseline JSON (exits 1 when an exact count rose)")
 	flag.Parse()
 	if *baseline != "" {
 		f, err := os.Open(*baseline)
@@ -130,15 +130,16 @@ func parse(r io.Reader, date string) (Baseline, error) {
 // exact, so any increase at all is flagged.
 const regressThreshold = 0.10
 
-// gatedUnits are the exact, lower-is-better probe counts compare gates on.
-var gatedUnits = map[string]bool{"wire-probes": true, "probes/trace": true}
+// gatedUnits are the exact, lower-is-better counts compare gates on: probe
+// counts, and the files tracenetd's spool holds per campaign.
+var gatedUnits = map[string]bool{"wire-probes": true, "probes/trace": true, "spool-files/campaign": true}
 
-// errCountsRose is compare's error when a gated probe count rose.
-var errCountsRose = errors.New("exact probe counts rose")
+// errCountsRose is compare's error when a gated count rose.
+var errCountsRose = errors.New("exact counts rose")
 
 // compare diffs the bench output on cur against the baseline JSON on base,
 // writing a per-metric report to w. It fails with errCountsRose when a gated
-// probe count rose; every other movement is advisory, and the only other
+// count rose; every other movement is advisory, and the only other
 // errors are parse failures.
 func compare(cur io.Reader, base io.Reader, w io.Writer) error {
 	var baseline Baseline

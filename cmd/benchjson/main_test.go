@@ -106,13 +106,14 @@ func TestCompareClean(t *testing.T) {
 	}
 }
 
-// TestCompareGatesProbeCounts: a rise in an exact probe count (wire-probes,
-// probes/trace) fails the compare, whatever else moved; a fall, or a rise
-// in a warn-only count such as allocs/op, does not.
+// TestCompareGatesProbeCounts: a rise in an exact count (wire-probes,
+// probes/trace, spool-files/campaign) fails the compare, whatever else
+// moved; a fall, or a rise in a warn-only count such as allocs/op, does not.
 func TestCompareGatesProbeCounts(t *testing.T) {
 	baseline := `{"date": "20260805", "benchmarks": [
 	  {"name": "BenchmarkSingleTrace-8", "iterations": 1, "metrics": {"probes/trace": 63, "allocs/op": 161}},
-	  {"name": "BenchmarkCampaign/rtt=0s/parallel=4-8", "iterations": 1, "metrics": {"wire-probes": 574, "probes-saved": 832}}]}`
+	  {"name": "BenchmarkCampaign/rtt=0s/parallel=4-8", "iterations": 1, "metrics": {"wire-probes": 574, "probes-saved": 832}},
+	  {"name": "BenchmarkDaemonThroughput-8", "iterations": 1, "metrics": {"spool-files/campaign": 3, "campaigns/op": 8}}]}`
 	for _, tc := range []struct {
 		name, current string
 		gate          bool
@@ -121,6 +122,8 @@ func TestCompareGatesProbeCounts(t *testing.T) {
 		{"more wire probes", "BenchmarkCampaign/rtt=0s/parallel=4-8 1 100 ns/op 575.0 wire-probes 832.0 probes-saved\n", true},
 		{"fewer wire probes", "BenchmarkCampaign/rtt=0s/parallel=4-8 1 100 ns/op 500.0 wire-probes 700.0 probes-saved\n", false},
 		{"more allocs", "BenchmarkSingleTrace-8 1 100 ns/op 63.00 probes/trace 170 allocs/op\n", false},
+		{"more spool files", "BenchmarkDaemonThroughput-8 1 100 ns/op 8.000 campaigns/op 4.125 spool-files/campaign\n", true},
+		{"fewer spool files", "BenchmarkDaemonThroughput-8 1 100 ns/op 8.000 campaigns/op 2.000 spool-files/campaign\n", false},
 	} {
 		var out strings.Builder
 		err := compare(strings.NewReader(tc.current), strings.NewReader(baseline), &out)

@@ -10,7 +10,7 @@
 //	                  geant, isps, random) or a topology JSON file; default figure3
 //	-vantage host     vantage host name (default: the topology's default)
 //	-proto p          probe protocol: icmp (default), udp, tcp
-//	-maxttl n         maximum trace length (default 30)
+//	-maxttl n         maximum trace length, at least 1 (default 30)
 //	-seed n           simulation seed (default 1; 0 also selects 1, as an
 //	                  unset Spec seed does)
 //	-subnets          print the collected subnet inventory, with the hop,
@@ -220,6 +220,11 @@ func (o options) campaignSpec() (*daemon.Spec, error) {
 			return nil, err
 		}
 		return sp, sp.Validate()
+	}
+	// The flag defaults to 30, so a 0 was typed; the Spec would read it as
+	// unset and trace with 30. Resolve refuses a negative bound.
+	if o.maxTTL == 0 {
+		return nil, fmt.Errorf("-maxttl must be at least 1")
 	}
 	sp := &daemon.Spec{
 		Topology:     o.topo,

@@ -45,7 +45,8 @@ func TestRunExplicitDestination(t *testing.T) {
 // TestRunErrors: bad input fails the run with an error naming it. A
 // flag-built spec passes the checks a -spec file does, so a negative
 // -maxttl or -parallel and a repeated destination (which would write a
-// checkpoint no resume accepts) are refused before anything is traced.
+// checkpoint no resume accepts) are refused before anything is traced. A
+// -maxttl of 0 is refused too: the flag defaults to 30, so it was typed.
 func TestRunErrors(t *testing.T) {
 	checkpoint := filepath.Join(t.TempDir(), "cp.json")
 	for name, tc := range map[string]struct {
@@ -58,6 +59,7 @@ func TestRunErrors(t *testing.T) {
 		"bad destination":    {func(o *options) { o.dests = []string{"not-an-ip"} }, "not-an-ip"},
 		"missing fault plan": {func(o *options) { o.faults = filepath.Join(t.TempDir(), "missing.json") }, "missing.json"},
 		"negative -maxttl":   {func(o *options) { o.maxTTL = -5 }, "max_ttl must be non-negative"},
+		"zero -maxttl":       {func(o *options) { o.maxTTL = 0 }, "-maxttl must be at least 1"},
 		"negative -parallel": {func(o *options) { o.parallel = -3 }, "parallel must be non-negative"},
 		"repeated destination": {func(o *options) {
 			o.campaignOut, o.dests = checkpoint, []string{"10.0.5.2", "10.0.5.2"}

@@ -10,7 +10,7 @@
 //	-topo name|file   built-in topology or a topology JSON file (default figure3)
 //	-vantage host     vantage host name
 //	-proto p          probe protocol: icmp (default), udp, tcp
-//	-maxttl n         maximum trace length (default 30)
+//	-maxttl n         maximum trace length, at least 1 (default 30)
 //	-classic          vary the flow identifier per probe (non-Paris behaviour)
 //	-rr               set the record-route option (DisCarte-style two addresses per hop)
 //	-seed n           simulation seed
@@ -45,11 +45,17 @@ func main() {
 }
 
 func run(w io.Writer, topoName, vantage, protoStr string, maxTTL int, classic, rr bool, seed int64, args []string) error {
-	sp := &daemon.Spec{Topology: topoName, Seed: seed, Vantage: vantage, Proto: protoStr, Targets: args}
+	// The flag defaults to 30, so a 0 was typed; the Spec would read it as
+	// unset and trace with 30. Resolve refuses a negative bound.
+	if maxTTL == 0 {
+		return fmt.Errorf("-maxttl must be at least 1")
+	}
+	sp := &daemon.Spec{Topology: topoName, Seed: seed, Vantage: vantage, Proto: protoStr, MaxTTL: maxTTL, Targets: args}
 	c, err := sp.Resolve("")
 	if err != nil {
 		return err
 	}
+	maxTTL = c.Config.Session.MaxTTL
 	opts := c.Config.Probe
 	opts.VaryFlow = classic
 	opts.RecordRoute = rr

@@ -39,4 +39,11 @@ func TestRunBadInputs(t *testing.T) {
 	if err := run(&b, "figure3", "", "icmp", 30, false, false, 1, []string{"zz"}); err == nil {
 		t.Error("bad destination accepted")
 	}
+	for maxTTL, want := range map[int]string{0: "-maxttl must be at least 1", -5: "max_ttl must be non-negative"} {
+		for _, rr := range []bool{false, true} {
+			if err := run(&b, "figure3", "", "icmp", maxTTL, false, rr, 1, nil); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("-maxttl %d (rr %v): err = %v, want one naming %q", maxTTL, rr, err, want)
+			}
+		}
+	}
 }

@@ -20,7 +20,9 @@ import (
 //	DELETE /api/v1/campaigns/{id}           cancel (queued or running)
 //
 // Artifacts stream straight from the spool, so a GET observes exactly the
-// bytes a restart would resume from.
+// bytes a restart would resume from. The campaign's record
+// (<id>.state.json) is not served: the status document reads the same
+// lifecycle state from memory.
 
 // apiHandler builds the /api/v1/ mux.
 func (d *Daemon) apiHandler() http.Handler {
@@ -126,7 +128,7 @@ func (d *Daemon) artifactHandler(suffix, contentType string) http.HandlerFunc {
 			writeJSON(w, http.StatusNotFound, errorDoc{Error: ErrUnknownCampaign.Error()})
 			return
 		}
-		data, err := os.ReadFile(d.sp.path(cs.id + suffix))
+		data, err := os.ReadFile(d.sp.path(cs.ID + suffix))
 		if err != nil {
 			writeJSON(w, http.StatusNotFound, errorDoc{Error: "artifact not available"})
 			return

@@ -33,11 +33,6 @@ type Config struct {
 	Concurrent int
 	// StallWindow configures each campaign's stall watchdog (0 = default).
 	StallWindow uint64
-	// Clock overrides the scheduler clock (tests inject a ManualClock to
-	// drive freshness deadlines). Default: the daemon's cumulative clock,
-	// which advances by each finished campaign's virtual-tick span — so
-	// scheduling time, like everything else, is derived from the seeds.
-	Clock telemetry.Clock
 }
 
 // Submission errors the API maps to status codes.
@@ -54,38 +49,35 @@ var (
 	// ErrSpecTooLarge: a spec body exceeds maxSpecBytes (1 MiB).
 	ErrSpecTooLarge = errors.New("daemon: spec exceeds 1 MiB")
 	// ErrCorruptSpool: Start found a spool file it cannot trust — one that
-	// does not decode, or a spec that fails Validate. The wrapped error
-	// names the file; the daemon refuses to start rather than guess.
+	// does not decode, a record whose spec fails Validate or whose status is
+	// not a lifecycle state. The wrapped error names the file; the daemon
+	// refuses to start rather than guess.
 	ErrCorruptSpool = errors.New("daemon: corrupt spool file")
 )
 
-// schedClock is the daemon's own deterministic scheduler clock: a monotone
-// counter advanced by each finished campaign's virtual-tick span.
+// schedClock is the daemon's own deterministic scheduler clock, in the
+// campaigns' virtual time: a monotone counter advanced by each finished
+// campaign's virtual-tick span, and moved to the next freshness deadline
+// when the scheduler is idle.
 type schedClock struct {
 	ticks atomic.Uint64
 }
 
 func (c *schedClock) Ticks() uint64    { return c.ticks.Load() }
 func (c *schedClock) advance(d uint64) { c.ticks.Add(d) }
-func (c *schedClock) restore(v uint64) { c.ticks.Store(v) }
+func (c *schedClock) set(v uint64)     { c.ticks.Store(v) }
 
-// campaignState is one campaign's in-memory record, mirrored to the spool;
-// the scheduler's queue holds the records of the campaigns waiting to run.
+// campaignState is one campaign in memory: its journaled record and what a
+// run needs beside it. The scheduler's queue holds the states of the
+// campaigns waiting to run.
 type campaignState struct {
-	id     string
-	seq    uint64 // admission order, the FIFO key within a priority
-	rescan int    // the re-scan generation (0 = the original submission)
+	// record's Status and Error change as the campaign runs; they and the
+	// fields below are guarded by the daemon mutex. land keeps the final
+	// snapshot and drops resume, prog, wd, tel, ctx and cancel.
+	record
 	tenant *tenantState
-	spec   *Spec
+	spec   *Spec // the decoded record.Spec
 
-	// Mutable fields below are guarded by the daemon mutex. finish keeps
-	// the final snapshot and drops resume, prog, wd, tel, ctx and cancel.
-	status  string
-	errText string
-	// notBefore is the freshness deadline in scheduler ticks: the campaign
-	// may not run until the daemon clock reaches it (0 = at once). Re-scan
-	// generations are deferred this way.
-	notBefore uint64
 	// resume carries an interrupted campaign's checkpoint into its resumed
 	// run: its rows restore the completed targets' traces, and their hop
 	// contexts seed the shared cache.
@@ -115,6 +107,7 @@ type Daemon struct {
 	q         queue
 	campaigns []*campaignState // admission (seq) order
 	nextSeq   uint64
+	running   int // campaigns popped by a runner and not yet landed
 	started   bool
 	replaying bool
 	draining  bool
@@ -130,11 +123,6 @@ type Daemon struct {
 	cInterrupted *telemetry.Counter
 	cRescans     *telemetry.Counter
 	cReplayed    *telemetry.Counter
-
-	// testCampaignFinished fires after a campaign's outcome (and
-	// artifacts) land in the spool, so tests wait on completion without
-	// polling a clock.
-	testCampaignFinished func(id, status string)
 }
 
 // New builds a Daemon over the spool directory. The daemon owns a fresh
@@ -152,7 +140,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{cfg: cfg, sp: spool{dir: cfg.Spool}, clock: &schedClock{}, nextSeq: 1}
 	d.cond = sync.NewCond(&d.mu)
-	d.tel = telemetry.New(d.Clock())
+	d.tel = telemetry.New(d.clock)
 	d.tenants = newTenants(d.tel, cfg.TenantDefaults, cfg.Tenants)
 
 	// Register every tracenet_daemon_* family up front so the exposition
@@ -175,22 +163,17 @@ func New(cfg Config) (*Daemon, error) {
 // daemon, tenant, and campaign families together.
 func (d *Daemon) Telemetry() *telemetry.Telemetry { return d.tel }
 
-// Clock returns the scheduler clock (the injected one, if any).
-func (d *Daemon) Clock() telemetry.Clock {
-	if d.cfg.Clock != nil {
-		return d.cfg.Clock
-	}
-	return d.clock
-}
+// Clock returns the scheduler clock.
+func (d *Daemon) Clock() telemetry.Clock { return d.clock }
 
 // SetLogger installs the structured logger. Call before Start.
 func (d *Daemon) SetLogger(lg *obs.Logger) { d.lg = lg }
 
-func (d *Daemon) now() uint64 { return d.Clock().Ticks() }
+func (d *Daemon) now() uint64 { return d.clock.Ticks() }
 
-// Start replays the spool — re-admitting queued campaigns and resuming
-// interrupted ones — and launches the scheduler runners. Readiness checks
-// report not-ready until the replay completes.
+// Start replays the spool — registering final campaigns, re-queueing every
+// other one — and launches the scheduler runners. Readiness checks report
+// not-ready until the replay completes.
 func (d *Daemon) Start() error {
 	d.mu.Lock()
 	if d.started || d.replaying {
@@ -220,94 +203,68 @@ func (d *Daemon) Start() error {
 	return nil
 }
 
-// replay reconstructs the daemon from the spool: the scheduler clock and ID
-// sequence, every campaign's record, and the queue — queued entries
-// re-admitted as they were, running/interrupted ones re-queued with their
-// checkpoint, whose journaled paths let the resumed run render the report,
-// checkpoint and eval an uninterrupted run renders.
+// replay reconstructs the daemon from the spool's records with one rule: a
+// final record (done, failed, cancelled) is registered as it is, and every
+// other one is queued, resuming from its checkpoint when one exists — the
+// checkpoint's journaled paths let the resumed run render the report,
+// checkpoint and eval an uninterrupted run renders. The ID sequence
+// continues after the highest seq, and the scheduler clock resumes at the
+// highest clock stamp. Replay writes nothing.
 func (d *Daemon) replay() error {
-	var ds daemonState
-	if d.sp.exists("tracenetd.json") {
-		if err := d.sp.readJSON("tracenetd.json", &ds); err != nil {
-			return err
-		}
-		d.clock.restore(ds.Clock)
-		d.gClock.Set(int64(ds.Clock))
-	}
-	states, err := d.sp.loadStates()
+	states, err := d.sp.loadRecords()
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if ds.NextSeq > d.nextSeq {
-		d.nextSeq = ds.NextSeq
-	}
-	for _, st := range states {
-		sp, err := d.sp.readSpec(st.ID + ".spec.json")
-		if err != nil {
-			return err
-		}
-		cs := &campaignState{
-			id:        st.ID,
-			seq:       st.Seq,
-			rescan:    st.Rescan,
-			tenant:    d.tenants.get(st.Tenant),
-			spec:      sp,
-			status:    st.Status,
-			errText:   st.Error,
-			notBefore: st.NotBefore,
-		}
-		if cs.seq >= d.nextSeq {
-			d.nextSeq = cs.seq + 1
-		}
-		d.campaigns = append(d.campaigns, cs)
-		switch st.Status {
-		case stateQueued:
-			d.q.push(cs)
-			d.cReplayed.Inc()
-		case stateRunning, stateInterrupted:
-			// The previous process died (or drained) mid-campaign: resume
-			// from its checkpoint, completed-target paths and all.
-			if d.sp.exists(st.ID + ".checkpoint.json") {
-				cp, err := d.sp.readCheckpoint(st.ID + ".checkpoint.json")
-				if err != nil {
+	for _, cs := range states {
+		switch cs.Status {
+		case stateDone, stateFailed, stateCancelled:
+		case stateQueued, stateRunning, stateInterrupted:
+			if name := cs.ID + ".checkpoint.json"; d.sp.exists(name) {
+				if cs.resume, err = d.sp.readCheckpoint(name); err != nil {
 					return err
 				}
-				cs.resume = cp
 			}
-			cs.status = stateQueued
+			cs.Status = stateQueued
 			d.q.push(cs)
 			d.cReplayed.Inc()
-			if err := d.sp.writeJSON(st.ID+".state.json", d.stateOf(cs)); err != nil {
-				return err
-			}
+		default:
+			return fmt.Errorf("%w %s.state.json: unknown status %q", ErrCorruptSpool, cs.ID, cs.Status)
+		}
+		cs.tenant = d.tenants.get(cs.Tenant)
+		d.campaigns = append(d.campaigns, cs)
+		d.nextSeq = max(d.nextSeq, cs.Seq+1)
+		if cs.Clock > d.now() {
+			d.clock.set(cs.Clock)
 		}
 	}
+	d.gClock.Set(int64(d.now()))
 	return nil
 }
 
-// stateOf snapshots a campaign record for the spool. Caller holds d.mu (or
-// exclusive access during replay).
-func (d *Daemon) stateOf(cs *campaignState) *State {
-	return &State{
-		ID:        cs.id,
-		Seq:       cs.seq,
-		Tenant:    cs.tenant.cfg.Name,
-		Status:    cs.status,
-		Priority:  cs.spec.Priority,
-		Rescan:    cs.rescan,
-		NotBefore: cs.notBefore,
-		Error:     cs.errText,
-	}
+// journal writes a campaign's record, stamped with the scheduler clock.
+// Callers copy the record under the daemon mutex.
+func (d *Daemon) journal(rec record) error {
+	rec.Clock = d.now()
+	return d.sp.writeRecord(&rec)
 }
 
-// persistDaemonState journals the scheduler clock and ID sequence.
-func (d *Daemon) persistDaemonState() error {
+// enqueue journals a newly accepted campaign's record, then queues the
+// campaign. The caller has registered it in d.campaigns.
+func (d *Daemon) enqueue(cs *campaignState) error {
 	d.mu.Lock()
-	ds := daemonState{Clock: d.clock.Ticks(), NextSeq: d.nextSeq}
+	rec := cs.record
 	d.mu.Unlock()
-	return d.sp.writeJSON("tracenetd.json", &ds)
+	if err := d.journal(rec); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.q.push(cs)
+	d.gQueued.Set(int64(d.q.len()))
+	d.cond.Broadcast()
+	d.mu.Unlock()
+	return nil
 }
 
 // Submit validates and admits a campaign spec, journals it, and queues it.
@@ -335,43 +292,20 @@ func (d *Daemon) Submit(sp *Spec) (string, error) {
 	seq := d.nextSeq
 	d.nextSeq++
 	cs := &campaignState{
-		id:     fmt.Sprintf("c%04d", seq),
-		seq:    seq,
+		record: record{ID: fmt.Sprintf("c%04d", seq), Seq: seq, Tenant: sp.Tenant, Status: stateQueued, Spec: spec.Bytes()},
 		tenant: t,
 		spec:   sp,
-		status: stateQueued,
 	}
 	d.campaigns = append(d.campaigns, cs)
-	st := d.stateOf(cs)
 	d.mu.Unlock()
 
-	if err := d.sp.writeFile(cs.id+".spec.json", spec.Bytes()); err != nil {
-		return "", err
-	}
-	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
-		return "", err
-	}
-	if err := d.persistDaemonState(); err != nil {
+	if err := d.enqueue(cs); err != nil {
 		return "", err
 	}
 	t.cAccepted.Inc()
 	d.cAccepted.Inc()
-	d.lg.Info("campaign accepted", "campaign", cs.id, "tenant", sp.Tenant)
-
-	d.mu.Lock()
-	d.q.push(cs)
-	d.gQueued.Set(int64(d.q.len()))
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return cs.id, nil
-}
-
-// Nudge wakes the scheduler so it re-evaluates freshness deadlines — for
-// callers that advanced an injected Clock.
-func (d *Daemon) Nudge() {
-	d.mu.Lock()
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	d.lg.Info("campaign accepted", "campaign", cs.ID, "tenant", sp.Tenant)
+	return cs.ID, nil
 }
 
 // Drain stops the daemon: submissions are refused, queued campaigns stay
@@ -383,7 +317,7 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	d.draining = true
 	for _, cs := range d.campaigns {
-		if cs.status == stateRunning && cs.cancel != nil {
+		if cs.Status == stateRunning && cs.cancel != nil {
 			cs.cancel()
 		}
 	}
@@ -415,6 +349,8 @@ func (d *Daemon) runner() {
 		d.runCampaign(cs)
 		d.tenants.release(cs.tenant)
 		d.mu.Lock()
+		d.running--
+		d.gRunning.Set(int64(d.running))
 		d.cond.Broadcast()
 		d.mu.Unlock()
 	}
@@ -422,7 +358,10 @@ func (d *Daemon) runner() {
 
 // next blocks until a queued campaign is runnable (freshness deadline
 // passed, tenant below its concurrency cap) or the daemon drains (nil). The
-// tenant slot is acquired before returning.
+// tenant slot is acquired before returning. When no campaign is running and
+// none is due, the scheduler clock moves to the earliest deadline: the
+// clock is the campaigns' own virtual time, and an idle daemon has nothing
+// else to wait for.
 func (d *Daemon) next() *campaignState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -430,8 +369,16 @@ func (d *Daemon) next() *campaignState {
 		if d.draining {
 			return nil
 		}
-		if cs := d.q.pop(d.now(), d.tenants.hasSlot); cs != nil {
+		cs := d.q.pop(d.now(), d.tenants.hasSlot)
+		if cs == nil && d.running == 0 && d.q.len() > 0 {
+			d.clock.set(max(d.now(), d.q.earliest()))
+			d.gClock.Set(int64(d.now()))
+			cs = d.q.pop(d.now(), d.tenants.hasSlot)
+		}
+		if cs != nil {
 			if d.tenants.tryAcquire(cs.tenant) {
+				d.running++
+				d.gRunning.Set(int64(d.running))
 				d.gQueued.Set(int64(d.q.len()))
 				return cs
 			}
@@ -453,7 +400,7 @@ func (ts *tenants) hasSlot(t *tenantState) bool {
 // and pacer, then land the outcome — artifacts, journal, accounting, and
 // possibly the next re-scan generation — in the spool.
 func (d *Daemon) runCampaign(cs *campaignState) {
-	c, err := cs.spec.Resolve(cs.id)
+	c, err := cs.spec.Resolve(cs.ID)
 	if err != nil {
 		d.finish(cs, nil, nil, err)
 		return
@@ -474,7 +421,7 @@ func (d *Daemon) runCampaign(cs *campaignState) {
 	net.SetTelemetry(ctel)
 
 	prog := collect.NewProgress()
-	wd := collect.NewWatchdog(prog, ctel, d.cfg.StallWindow, cs.id)
+	wd := collect.NewWatchdog(prog, ctel, d.cfg.StallWindow, cs.ID)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -482,49 +429,37 @@ func (d *Daemon) runCampaign(cs *campaignState) {
 	ccfg.Progress = prog
 
 	ccfg.OnTargetDone = func(r collect.TargetResult) {
-		d.lg.Debug("target done", "campaign", cs.id, "dst", r.Dst.String(), "status", string(r.Status))
+		d.lg.Debug("target done", "campaign", cs.ID, "dst", r.Dst.String(), "status", string(r.Status))
 	}
 
 	d.mu.Lock()
 	ccfg.Resume = cs.resume
-	cs.status = stateRunning
+	cs.Status = stateRunning
 	cs.prog = prog
 	cs.wd = wd
 	cs.tel = ctel
 	cs.ctx = ctx
 	cs.cancel = cancel
 	preCancelled := cs.userCancel || d.draining
-	st := d.stateOf(cs)
-	d.gRunning.Add(1)
 	d.mu.Unlock()
 	if preCancelled {
 		cancel() // a Cancel raced the pop; land the campaign as cancelled
 	}
-	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
-		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
-	}
-	d.lg.Info("campaign started", "campaign", cs.id, "tenant", cs.tenant.cfg.Name,
+	d.lg.Info("campaign started", "campaign", cs.ID, "tenant", cs.Tenant,
 		"targets", fmt.Sprint(len(ccfg.Targets)))
 
 	startTick := net.Ticks()
 	rep, err := collect.Run(ctx, ccfg)
-	elapsed := net.Ticks() - startTick
-	if d.cfg.Clock == nil {
-		d.clock.advance(elapsed)
-		d.gClock.Set(int64(d.clock.Ticks()))
-	}
-
-	d.mu.Lock()
-	d.gRunning.Add(-1)
-	d.mu.Unlock()
+	d.clock.advance(net.Ticks() - startTick)
+	d.gClock.Set(int64(d.now()))
 	d.finish(cs, c.Scenario.Topo, rep, err)
 }
 
 // finish lands a campaign's outcome: classify it, journal the checkpoint,
 // write the artifacts a completed campaign owes, account the tenant's
-// spend, enroll the next re-scan generation when the spec asks for one, and
-// journal the advanced scheduler clock — every spool write before the
-// outcome is announced.
+// spend, land the record, and enroll the next re-scan generation when the
+// spec asks for one — every artifact written before the outcome is
+// announced.
 // top is the campaign's topology, for the evaluation (nil when the spec
 // never resolved).
 func (d *Daemon) finish(cs *campaignState, top *netsim.Topology, rep *collect.Report, runErr error) {
@@ -547,12 +482,12 @@ func (d *Daemon) finish(cs *campaignState, top *netsim.Topology, rep *collect.Re
 		if cap := cs.tenant.cfg.ProbeBudget; cap > 0 {
 			invariant.Assertf(cs.tenant.budget.Used() <= cap,
 				"daemon: tenant %s overspent aggregate budget: %d of %d",
-				cs.tenant.cfg.Name, cs.tenant.budget.Used(), cap)
+				cs.Tenant, cs.tenant.budget.Used(), cap)
 		}
 		var cp bytes.Buffer
 		if err := collect.WriteCheckpoint(&cp, rep.Checkpoint()); err == nil {
-			if err := d.sp.writeFile(cs.id+".checkpoint.json", cp.Bytes()); err != nil {
-				d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
+			if err := d.sp.writeFile(cs.ID+".checkpoint.json", cp.Bytes()); err != nil {
+				d.lg.Error("spool write failed", "campaign", cs.ID, "err", err.Error())
 			}
 		}
 	}
@@ -562,21 +497,21 @@ func (d *Daemon) finish(cs *campaignState, top *netsim.Topology, rep *collect.Re
 		// targets (done 6, ..."), the header perfbench's daemon workload
 		// parses.
 		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "campaign %s tenant %s: ", cs.id, cs.tenant.cfg.Name)
+		fmt.Fprintf(&buf, "campaign %s tenant %s: ", cs.ID, cs.Tenant)
 		head := buf.Len()
 		rep.WriteTo(&buf)
 		report := buf.Bytes()
 		report = append(report[:head], report[head+len("campaign: "):]...)
-		if err := d.sp.writeFile(cs.id+".report.txt", report); err != nil {
-			d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
+		if err := d.sp.writeFile(cs.ID+".report.txt", report); err != nil {
+			d.lg.Error("spool write failed", "campaign", cs.ID, "err", err.Error())
 		}
 		if cs.spec.Eval && top != nil {
 			truth := groundtruth.FromTopology(top, groundtruth.Options{})
 			score := truth.Score(groundtruth.FromCoreSubnets(rep.Subnets()))
 			var buf bytes.Buffer
 			if err := score.WriteJSON(&buf); err == nil {
-				if err := d.sp.writeFile(cs.id+".eval.json", buf.Bytes()); err != nil {
-					d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
+				if err := d.sp.writeFile(cs.ID+".eval.json", buf.Bytes()); err != nil {
+					d.lg.Error("spool write failed", "campaign", cs.ID, "err", err.Error())
 				}
 			}
 		}
@@ -584,21 +519,34 @@ func (d *Daemon) finish(cs *campaignState, top *netsim.Topology, rep *collect.Re
 	// Publish the outcome only once its artifacts are in the spool: a client
 	// that sees a final status can fetch the report it implies.
 	d.mu.Lock()
-	cs.status = status
+	d.land(cs, status, runErr)
+
+	if status == stateDone && cs.spec.RescanInterval > 0 && cs.Rescan < cs.spec.MaxRescans {
+		d.enqueueRescan(cs)
+	}
+}
+
+// land publishes a campaign's final status: it sets the status, keeps the
+// final progress snapshot and drops the run's state, journals the record,
+// counts the outcome for the daemon and the tenant, and logs "campaign
+// finished" with the status. Called with d.mu held; land releases it before
+// journaling.
+func (d *Daemon) land(cs *campaignState, status string, runErr error) {
+	cs.Status = status
 	if runErr != nil {
-		cs.errText = runErr.Error()
+		cs.Error = runErr.Error()
 	}
 	if cs.prog != nil {
 		snap := cs.prog.Snapshot()
 		cs.final = &snap
 	}
 	cs.resume, cs.prog, cs.wd, cs.tel, cs.ctx, cs.cancel = nil, nil, nil, nil, nil, nil
-	st := d.stateOf(cs)
+	rec := cs.record
 	d.mu.Unlock()
-	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
-		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
-	}
 
+	if err := d.journal(rec); err != nil {
+		d.lg.Error("spool write failed", "campaign", cs.ID, "err", err.Error())
+	}
 	cs.tenant.countOutcome(status)
 	switch status {
 	case stateDone:
@@ -610,17 +558,7 @@ func (d *Daemon) finish(cs *campaignState, top *netsim.Topology, rep *collect.Re
 	case stateInterrupted:
 		d.cInterrupted.Inc()
 	}
-	d.lg.Info("campaign finished", "campaign", cs.id, "status", status)
-
-	if status == stateDone && cs.spec.RescanInterval > 0 && cs.rescan < cs.spec.MaxRescans {
-		d.enqueueRescan(cs)
-	}
-	if err := d.persistDaemonState(); err != nil {
-		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
-	}
-	if d.testCampaignFinished != nil {
-		d.testCampaignFinished(cs.id, status)
-	}
+	d.lg.Info("campaign finished", "campaign", cs.ID, "status", status)
 }
 
 // enqueueRescan enrolls the next re-scan generation: a fresh campaign over
@@ -632,33 +570,31 @@ func (d *Daemon) enqueueRescan(cs *campaignState) {
 		d.mu.Unlock()
 		return
 	}
-	gen := cs.rescan + 1
+	gen := cs.Rescan + 1
 	seq := d.nextSeq
 	d.nextSeq++
 	next := &campaignState{
-		id:        fmt.Sprintf("%s.r%d", baseID(cs.id), gen),
-		seq:       seq,
-		rescan:    gen,
-		tenant:    cs.tenant,
-		spec:      cs.spec,
-		status:    stateQueued,
-		notBefore: d.now() + cs.spec.RescanInterval,
+		record: record{
+			ID:        fmt.Sprintf("%s.r%d", baseID(cs.ID), gen),
+			Seq:       seq,
+			Tenant:    cs.Tenant,
+			Status:    stateQueued,
+			Rescan:    gen,
+			NotBefore: d.now() + cs.spec.RescanInterval,
+			Spec:      cs.record.Spec,
+		},
+		tenant: cs.tenant,
+		spec:   cs.spec,
 	}
 	d.campaigns = append(d.campaigns, next)
-	d.q.push(next)
-	d.gQueued.Set(int64(d.q.len()))
-	st := d.stateOf(next)
-	d.cond.Broadcast()
 	d.mu.Unlock()
 
 	d.cRescans.Inc()
-	if err := d.sp.writeJSON(next.id+".spec.json", next.spec); err != nil {
-		d.lg.Error("spool write failed", "campaign", next.id, "err", err.Error())
+	if err := d.enqueue(next); err != nil {
+		d.lg.Error("spool write failed", "campaign", next.ID, "err", err.Error())
+		return
 	}
-	if err := d.sp.writeJSON(next.id+".state.json", st); err != nil {
-		d.lg.Error("spool write failed", "campaign", next.id, "err", err.Error())
-	}
-	d.lg.Info("rescan enrolled", "campaign", next.id, "not_before", fmt.Sprint(next.notBefore))
+	d.lg.Info("rescan enrolled", "campaign", next.ID, "not_before", fmt.Sprint(next.NotBefore))
 }
 
 // campaign looks up a campaign record by ID.
@@ -666,7 +602,7 @@ func (d *Daemon) campaign(id string) *campaignState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, cs := range d.campaigns {
-		if cs.id == id {
+		if cs.ID == id {
 			return cs
 		}
 	}
@@ -674,14 +610,14 @@ func (d *Daemon) campaign(id string) *campaignState {
 }
 
 // Cancel cancels a campaign: a queued one is removed from the queue and
-// journaled cancelled; a running one has its context cancelled (in-flight
+// lands cancelled; a running one has its context cancelled (in-flight
 // targets finish, then the campaign lands as cancelled). Returns the
 // campaign's resulting status.
 func (d *Daemon) Cancel(id string) (string, error) {
 	d.mu.Lock()
 	var cs *campaignState
 	for _, c := range d.campaigns {
-		if c.id == id {
+		if c.ID == id {
 			cs = c
 			break
 		}
@@ -690,29 +626,19 @@ func (d *Daemon) Cancel(id string) (string, error) {
 		d.mu.Unlock()
 		return "", ErrUnknownCampaign
 	}
-	switch cs.status {
+	switch cs.Status {
 	case stateQueued:
 		if d.q.remove(id) == nil {
-			// A runner popped the campaign but has not marked it running yet:
-			// flag the cancel for runCampaign to honour once it has a context.
+			// A runner popped the campaign but has not marked it running yet,
+			// or it is not queued yet: flag the cancel for runCampaign to
+			// honour once it has a context.
 			cs.userCancel = true
 			d.mu.Unlock()
 			d.lg.Info("campaign cancelling", "campaign", id)
 			return stateRunning, nil
 		}
 		d.gQueued.Set(int64(d.q.len()))
-		cs.status = stateCancelled
-		st := d.stateOf(cs)
-		d.mu.Unlock()
-		if err := d.sp.writeJSON(id+".state.json", st); err != nil {
-			d.lg.Error("spool write failed", "campaign", id, "err", err.Error())
-		}
-		cs.tenant.countOutcome(stateCancelled)
-		d.cCancelled.Inc()
-		d.lg.Info("campaign cancelled", "campaign", id)
-		if d.testCampaignFinished != nil {
-			d.testCampaignFinished(id, stateCancelled)
-		}
+		d.land(cs, stateCancelled, nil)
 		return stateCancelled, nil
 	case stateRunning:
 		cs.userCancel = true
@@ -724,7 +650,7 @@ func (d *Daemon) Cancel(id string) (string, error) {
 		d.lg.Info("campaign cancelling", "campaign", id)
 		return stateRunning, nil
 	default:
-		st := cs.status
+		st := cs.Status
 		d.mu.Unlock()
 		return st, fmt.Errorf("%w: %s is %s", ErrCampaignFinal, id, st)
 	}
@@ -750,14 +676,14 @@ type StatusDoc struct {
 // docOf renders a campaign's status document. Caller holds d.mu.
 func docOf(cs *campaignState) StatusDoc {
 	doc := StatusDoc{
-		ID:        cs.id,
-		Tenant:    cs.tenant.cfg.Name,
+		ID:        cs.ID,
+		Tenant:    cs.Tenant,
 		Name:      cs.spec.Name,
-		Status:    cs.status,
+		Status:    cs.Status,
 		Priority:  cs.spec.Priority,
-		Rescan:    cs.rescan,
-		NotBefore: cs.notBefore,
-		Error:     cs.errText,
+		Rescan:    cs.Rescan,
+		NotBefore: cs.NotBefore,
+		Error:     cs.Error,
 	}
 	switch {
 	case cs.final != nil:
@@ -775,7 +701,7 @@ func (d *Daemon) Status(id string) (StatusDoc, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, cs := range d.campaigns {
-		if cs.id == id {
+		if cs.ID == id {
 			return docOf(cs), nil
 		}
 	}
@@ -825,7 +751,7 @@ func (d *Daemon) readinessChecks() []obs.Check {
 		checks = append(checks, obs.Check{Name: "scheduler", Probe: func() error { return nil }})
 	}
 	for _, cs := range d.campaigns {
-		if cs.status == stateRunning && cs.wd != nil {
+		if cs.Status == stateRunning && cs.wd != nil {
 			checks = append(checks, obs.StallCheck(cs.wd, cs.tel))
 		}
 	}
@@ -839,8 +765,8 @@ func (d *Daemon) liveCampaigns() []obs.CampaignEntry {
 	defer d.mu.Unlock()
 	var entries []obs.CampaignEntry
 	for _, cs := range d.campaigns {
-		if cs.status == stateRunning && cs.prog != nil {
-			entries = append(entries, obs.CampaignEntry{Name: cs.id, Prog: cs.prog})
+		if cs.Status == stateRunning && cs.prog != nil {
+			entries = append(entries, obs.CampaignEntry{Name: cs.ID, Prog: cs.prog})
 		}
 	}
 	return entries

@@ -10,47 +10,78 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
+	"tracenet/internal/collect"
 	"tracenet/internal/obs"
 )
 
 // The daemon tests are in-package on purpose: internal/daemon is inside the
-// determinism lint scope, so its tests may not import the time package. All
-// waiting is done on a channel fed by the testCampaignFinished hook — never
-// by polling a clock.
+// determinism lint scope, so its tests may not import the time package.
+// They wait for a campaign's "campaign finished" log record, which the
+// daemon's logger hands to a logSink — never by polling a clock.
 
-// atomicClock is a race-safe manual scheduler clock for freshness tests
-// (telemetry.ManualClock is deliberately unsynchronized).
-type atomicClock struct{ v atomic.Uint64 }
+// logSink is the daemon logger's writer in the tests: it keeps the tick of
+// each "campaign started" record and the status of each "campaign finished"
+// record, and wakes await. The logger calls it under its lock, so Write
+// never blocks.
+type logSink struct {
+	mu       sync.Mutex
+	partial  []byte            // a line the logger has not finished writing
+	started  map[string]uint64 // campaign → its "campaign started" tick
+	finished map[string]string // campaign → its "campaign finished" status
+	wake     chan struct{}     // capacity 1, so a wake-up is never lost
+}
 
-func (c *atomicClock) Ticks() uint64 { return c.v.Load() }
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	s.partial = append(s.partial, p...)
+	for {
+		line, rest, ok := bytes.Cut(s.partial, []byte("\n"))
+		if !ok {
+			break
+		}
+		var r struct {
+			Tick                  uint64
+			Msg, Campaign, Status string
+		}
+		if json.Unmarshal(line, &r) == nil {
+			switch r.Msg {
+			case "campaign started":
+				s.started[r.Campaign] = r.Tick
+			case "campaign finished":
+				s.finished[r.Campaign] = r.Status
+			}
+		}
+		s.partial = rest
+	}
+	s.mu.Unlock()
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+	return len(p), nil
+}
 
-// harness is one live daemon with its HTTP front end and a channel of
-// finished-campaign events.
+// harness is one live daemon with its HTTP front end and its log sink.
 type harness struct {
 	d   *Daemon
 	url string
-	fin chan finEvent
+	log *logSink
 }
 
-type finEvent struct{ id, status string }
-
-// startDaemon builds a daemon over dir, applies mod (for test hooks) before
-// Start, then mounts the API on an httptest server.
-func startDaemon(t *testing.T, dir string, cfg Config, mod func(*Daemon)) *harness {
+// startDaemon builds a daemon over dir, logging into a logSink, starts it,
+// then mounts the API on an httptest server.
+func startDaemon(t *testing.T, dir string, cfg Config) *harness {
 	t.Helper()
 	cfg.Spool = dir
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin := make(chan finEvent, 64)
-	d.testCampaignFinished = func(id, status string) { fin <- finEvent{id, status} }
-	if mod != nil {
-		mod(d)
-	}
+	sink := &logSink{started: map[string]uint64{}, finished: map[string]string{}, wake: make(chan struct{}, 1)}
+	d.SetLogger(obs.NewLogger(d.Clock(), sink, obs.LevelInfo, 0))
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +89,7 @@ func startDaemon(t *testing.T, dir string, cfg Config, mod func(*Daemon)) *harne
 	d.Attach(osrv)
 	ts := httptest.NewServer(osrv.Handler())
 	t.Cleanup(ts.Close)
-	return &harness{d: d, url: ts.URL, fin: fin}
+	return &harness{d: d, url: ts.URL, log: sink}
 }
 
 // submit POSTs the spec and returns the assigned campaign ID.
@@ -104,48 +135,53 @@ func (h *harness) do(t *testing.T, method, path string, sp *Spec) (int, []byte) 
 	return resp.StatusCode, data
 }
 
-// await blocks until every listed campaign has reached a final state,
+// await blocks until every listed campaign has logged "campaign finished",
 // returning each campaign's final status.
 func (h *harness) await(t *testing.T, ids ...string) map[string]string {
 	t.Helper()
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	got := map[string]string{}
-	for len(got) < len(ids) {
-		ev := <-h.fin
-		if want[ev.id] {
-			got[ev.id] = ev.status
+	for {
+		got := make(map[string]string, len(ids))
+		h.log.mu.Lock()
+		for _, id := range ids {
+			if st, ok := h.log.finished[id]; ok {
+				got[id] = st
+			}
 		}
+		h.log.mu.Unlock()
+		if len(got) == len(ids) {
+			return got
+		}
+		<-h.log.wake
 	}
-	return got
 }
 
 // TestRescanFreshness: a completed campaign with a rescan interval enrolls
-// its next generation behind a freshness deadline on the scheduler clock,
-// and the scheduler holds it until the deadline passes.
+// its next generation behind a freshness deadline on the scheduler clock.
+// That clock is the campaigns' own virtual time, so an idle daemon moves it
+// to the deadline and runs the rescan there: it starts exactly interval
+// ticks after its parent finished, and no earlier.
 func TestRescanFreshness(t *testing.T) {
-	clk := &atomicClock{}
-	h := startDaemon(t, t.TempDir(), Config{Clock: clk}, nil)
-	id := h.submit(t, &Spec{Tenant: "alice", Topology: "figure3", RescanInterval: 100, MaxRescans: 1})
-	if st := h.await(t, id); st[id] != stateDone {
-		t.Fatalf("outcome: %v", st)
+	const interval = 100
+	h := startDaemon(t, t.TempDir(), Config{})
+	id := h.submit(t, &Spec{Tenant: "alice", Topology: "figure3", RescanInterval: interval, MaxRescans: 1})
+	rescan := id + ".r1"
+	if st := h.await(t, id, rescan); st[id] != stateDone || st[rescan] != stateDone {
+		t.Fatalf("outcomes: %v", st)
 	}
 
-	rescan := id + ".r1"
 	doc, err := h.d.Status(rescan)
 	if err != nil {
-		t.Fatalf("rescan not enrolled: %v", err)
+		t.Fatal(err)
 	}
-	if doc.Status != stateQueued || doc.NotBefore != 100 {
-		t.Fatalf("rescan doc = %+v, want queued at tick 100", doc)
-	}
-
-	clk.v.Store(150)
-	h.d.Nudge()
-	if st := h.await(t, rescan); st[rescan] != stateDone {
-		t.Fatalf("rescan outcome: %v", st)
+	// Both generations run the same seeded campaign, so they span the same
+	// ticks: the parent ends at span, the rescan runs from span+interval.
+	span := doc.NotBefore - interval
+	h.log.mu.Lock()
+	started := h.log.started[rescan]
+	h.log.mu.Unlock()
+	if span == 0 || started != doc.NotBefore || h.d.Clock().Ticks() != doc.NotBefore+span {
+		t.Fatalf("rescan due at tick %d started at tick %d, clock now %d; want a start at the deadline and a %d-tick run",
+			doc.NotBefore, started, h.d.Clock().Ticks(), span)
 	}
 	if got := h.d.cRescans.Value(); got != 1 {
 		t.Fatalf("rescans_total = %d, want 1 (max_rescans honoured)", got)
@@ -155,11 +191,72 @@ func TestRescanFreshness(t *testing.T) {
 	}
 }
 
+// TestReplayResumesNonFinalRecords: replay queues every record that is not
+// final and resumes it from its checkpoint, whatever status the record was
+// left in. A campaign cut after five targets then spends on restart only
+// the wire probes the cut did not (random seed 3: 677 of 850, the cut
+// having spent 173).
+func TestReplayResumesNonFinalRecords(t *testing.T) {
+	sp := &Spec{Tenant: "alice", Topology: "random", Seed: 3}
+	run := func(cut int) *collect.Report {
+		c, err := sp.Resolve("c0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg, done := c.Config, 0
+		cfg.OnTargetDone = func(collect.TargetResult) {
+			if done++; done == cut {
+				cancel()
+			}
+		}
+		rep, err := collect.Run(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	full, cut := run(0).Stats.WireProbes, run(5)
+	var checkpoint, spec bytes.Buffer
+	if err := collect.WriteCheckpoint(&checkpoint, cut.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSpec(&spec, sp); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, status := range []string{stateQueued, stateRunning, stateInterrupted} {
+		t.Run(status, func(t *testing.T) {
+			dir := t.TempDir()
+			s := spool{dir: dir}
+			if err := s.writeRecord(&record{ID: "c0001", Seq: 1, Tenant: "alice", Status: status, Spec: spec.Bytes()}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.writeFile("c0001.checkpoint.json", checkpoint.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			h := startDaemon(t, dir, Config{})
+			if st := h.await(t, "c0001"); st["c0001"] != stateDone {
+				t.Fatalf("outcome: %v", st)
+			}
+			doc, err := h.d.Status("c0001")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := doc.Progress.WireProbes, full-cut.Stats.WireProbes; got != want {
+				t.Errorf("the resumed campaign spent %d wire probes, want %d (%d uninterrupted, %d before the cut)",
+					got, want, full, cut.Stats.WireProbes)
+			}
+		})
+	}
+}
+
 // TestAPIErrors covers the API's error mapping: 400 for a bad spec, 404 for
 // unknown campaigns and missing artifacts, 409 for cancelling a final
 // campaign, 503 before the daemon starts.
 func TestAPIErrors(t *testing.T) {
-	h := startDaemon(t, t.TempDir(), Config{}, nil)
+	h := startDaemon(t, t.TempDir(), Config{})
 
 	if code, _ := h.do(t, "POST", "/api/v1/campaigns", &Spec{}); code != http.StatusBadRequest {
 		t.Errorf("invalid spec: status %d, want 400", code)
@@ -231,7 +328,7 @@ func TestAPIErrors(t *testing.T) {
 func TestFinishedCampaignsReleaseMemory(t *testing.T) {
 	const campaigns = 40
 	const maxPerCampaign = 32 << 10
-	h := startDaemon(t, t.TempDir(), Config{Concurrent: 2}, nil)
+	h := startDaemon(t, t.TempDir(), Config{Concurrent: 2})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -320,57 +417,85 @@ func TestReadinessLifecycle(t *testing.T) {
 	}
 }
 
+// spoolRecord renders c0001's record (tenant alice) with the given status
+// and spec.
+func spoolRecord(status, spec string) string {
+	return `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "` + status + `", "spec": ` + spec + `}`
+}
+
+// goodSpec is a spec Submit accepts.
+const goodSpec = `{"tenant": "alice", "topology": "figure3"}`
+
+// corruptSpools are hand-corrupted one-campaign spools: a record, written
+// as c0001.state.json, and its checkpoint when one is set. Each fails
+// Start with ErrCorruptSpool naming the file bad and, when set, the fault.
+var corruptSpools = []struct {
+	name               string
+	record, checkpoint string
+	bad, fault         string
+}{
+	{name: "unknown protocol", record: spoolRecord("queued", `{"tenant": "alice", "proto": "xyz"}`),
+		bad: "c0001.state.json", fault: `unknown protocol "xyz"`},
+	{name: "file topology", record: spoolRecord("queued", `{"tenant": "alice", "topology": "/etc/passwd"}`),
+		bad: "c0001.state.json", fault: "not a built-in generator"},
+	{name: "unknown field", record: spoolRecord("queued", `{"tenant": "alice", "bogus_knob": 1}`),
+		bad: "c0001.state.json", fault: "bogus_knob"},
+	{name: "trailing data", record: spoolRecord("queued", goodSpec) + "\n" + `{"tenant": "evil"}`,
+		bad: "c0001.state.json"},
+	{name: "truncated spec", record: spoolRecord("queued", `{"tenant": "ali`), bad: "c0001.state.json"},
+	{name: "missing spec", record: `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "queued"}`,
+		bad: "c0001.state.json", fault: "EOF"},
+	{name: "truncated state", record: `{"id": "c00`, bad: "c0001.state.json"},
+	{name: "tenant mismatch", record: spoolRecord("queued", `{"tenant": "mallory", "topology": "figure3"}`),
+		bad: "c0001.state.json", fault: `record tenant "alice", spec tenant "mallory"`},
+	{name: "unknown status", record: spoolRecord("paused", goodSpec),
+		bad: "c0001.state.json", fault: `unknown status "paused"`},
+	// A state file as the daemon wrote it before records held the spec:
+	// lifecycle state only, the spec in a file of its own. There is no
+	// migration.
+	{name: "spool from before records held the spec",
+		record: "{\n  \"id\": \"c0001\",\n  \"seq\": 1,\n  \"tenant\": \"alice\",\n  \"status\": \"interrupted\",\n  \"priority\": 2\n}\n",
+		bad:    "c0001.state.json", fault: "EOF"},
+	{name: "v1 checkpoint", record: spoolRecord("interrupted", goodSpec),
+		checkpoint: `{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"]}`,
+		bad:        "c0001.checkpoint.json", fault: "version 1"},
+	{name: "checkpoint subnet prefix", record: spoolRecord("interrupted", goodSpec),
+		checkpoint: `{"version": 4, "subnets": [{"prefix": "nope", "pivot": "10.0.0.1"}]}`,
+		bad:        "c0001.checkpoint.json", fault: `invalid prefix "nope"`},
+	{name: "checkpoint row destination", record: spoolRecord("queued", goodSpec),
+		checkpoint: `{"version": 4, "rows": [{"dst": "x"}]}`,
+		bad:        "c0001.checkpoint.json", fault: `invalid address "x"`},
+	{name: "checkpoint path index", record: spoolRecord("running", goodSpec),
+		checkpoint: `{"version": 4, "rows": [{"dst": "10.0.5.2",
+			"path_addrs": [167772418], "path_subnets": [4], "path_marks": [2]}]}`,
+		bad: "c0001.checkpoint.json", fault: "subnet index 4 outside"},
+}
+
+// writeSpool writes a one-campaign spool into dir: the record, and the
+// checkpoint when it is not empty.
+func writeSpool(t testing.TB, dir string, record, checkpoint []byte) {
+	sp := spool{dir: dir}
+	if err := sp.writeFile("c0001.state.json", record); err != nil {
+		t.Fatal(err)
+	}
+	if len(checkpoint) > 0 {
+		if err := sp.writeFile("c0001.checkpoint.json", checkpoint); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestReplayRejectsCorruptSpool: Start trusts nothing it reads back from the
-// spool. A hand-corrupted file — a spec POST would refuse, an undecodable
-// state, a retired checkpoint version, a checkpoint that decodes but does
-// not validate — fails Start with ErrCorruptSpool naming the file (and, for
-// a checkpoint, the fault), instead of running something the API never
-// admitted.
+// spool. A hand-corrupted file — a record that does not decode, names an
+// unknown status, or holds a spec POST would refuse, a retired checkpoint
+// version, a checkpoint that decodes but does not validate — fails Start
+// with ErrCorruptSpool naming the file and the fault, instead of running
+// something the API never admitted.
 func TestReplayRejectsCorruptSpool(t *testing.T) {
-	const queued = `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "queued"}`
-	const interrupted = `{"id": "c0001", "seq": 1, "tenant": "alice", "status": "interrupted"}`
-	const good = `{"tenant": "alice", "topology": "figure3"}`
-	checkpoint := func(body string) map[string]string {
-		return map[string]string{"c0001.state.json": interrupted, "c0001.spec.json": good, "c0001.checkpoint.json": body}
-	}
-	cases := []struct {
-		name  string
-		files map[string]string
-		bad   string // the file the error must name
-		fault string // what the error must say is wrong with it, if set
-	}{
-		{"unknown protocol", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "proto": "xyz"}`}, "c0001.spec.json", ""},
-		{"file topology", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "topology": "/etc/passwd"}`}, "c0001.spec.json", ""},
-		{"unknown field", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "alice", "bogus_knob": 1}`}, "c0001.spec.json", ""},
-		{"trailing data", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": good + "\n" + `{"tenant": "evil"}`}, "c0001.spec.json", ""},
-		{"truncated spec", map[string]string{
-			"c0001.state.json": queued, "c0001.spec.json": `{"tenant": "ali`}, "c0001.spec.json", ""},
-		{"missing spec", map[string]string{"c0001.state.json": queued}, "c0001.spec.json", ""},
-		{"truncated state", map[string]string{
-			"c0001.state.json": `{"id": "c00`, "c0001.spec.json": good}, "c0001.state.json", ""},
-		{"v1 checkpoint", checkpoint(`{"version": 1, "targets": ["10.0.5.2"], "done": ["10.0.5.2"]}`),
-			"c0001.checkpoint.json", "version 1"},
-		{"checkpoint subnet prefix", checkpoint(`{"version": 4, "subnets": [{"prefix": "nope", "pivot": "10.0.0.1"}]}`),
-			"c0001.checkpoint.json", `invalid prefix "nope"`},
-		{"checkpoint row destination", checkpoint(`{"version": 4, "rows": [{"dst": "x"}]}`),
-			"c0001.checkpoint.json", `invalid address "x"`},
-		{"checkpoint path index", checkpoint(`{"version": 4, "rows": [{"dst": "10.0.5.2",
-			"path_addrs": [167772418], "path_subnets": [4], "path_marks": [2]}]}`),
-			"c0001.checkpoint.json", "subnet index 4 outside"},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptSpools {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			sp := spool{dir: dir}
-			for name, body := range tc.files {
-				if err := sp.writeFile(name, []byte(body)); err != nil {
-					t.Fatal(err)
-				}
-			}
+			writeSpool(t, dir, []byte(tc.record), []byte(tc.checkpoint))
 			d, err := New(Config{Spool: dir})
 			if err != nil {
 				t.Fatal(err)

@@ -22,14 +22,14 @@ func (q *queue) len() int { return len(q.entries) }
 func (q *queue) pop(now uint64, eligible func(*tenantState) bool) *campaignState {
 	best := -1
 	for i, cs := range q.entries {
-		if cs.notBefore > now {
+		if cs.NotBefore > now {
 			continue
 		}
 		if eligible != nil && !eligible(cs.tenant) {
 			continue
 		}
 		if best < 0 || cs.spec.Priority > q.entries[best].spec.Priority ||
-			(cs.spec.Priority == q.entries[best].spec.Priority && cs.seq < q.entries[best].seq) {
+			(cs.spec.Priority == q.entries[best].spec.Priority && cs.Seq < q.entries[best].Seq) {
 			best = i
 		}
 	}
@@ -39,10 +39,22 @@ func (q *queue) pop(now uint64, eligible func(*tenantState) bool) *campaignState
 	return q.removeAt(best)
 }
 
+// earliest returns the earliest freshness deadline among the queued
+// campaigns (0 when the queue is empty).
+func (q *queue) earliest() uint64 {
+	var at uint64
+	for i, cs := range q.entries {
+		if i == 0 || cs.NotBefore < at {
+			at = cs.NotBefore
+		}
+	}
+	return at
+}
+
 // remove extracts the campaign with the given ID, or nil.
 func (q *queue) remove(id string) *campaignState {
 	for i, cs := range q.entries {
-		if cs.id == id {
+		if cs.ID == id {
 			return q.removeAt(i)
 		}
 	}

@@ -3,7 +3,7 @@ package daemon
 import "testing"
 
 func entry(id string, seq uint64, prio int, notBefore uint64, t *tenantState) *campaignState {
-	return &campaignState{id: id, seq: seq, spec: &Spec{Priority: prio}, notBefore: notBefore, tenant: t}
+	return &campaignState{record: record{ID: id, Seq: seq, NotBefore: notBefore}, spec: &Spec{Priority: prio}, tenant: t}
 }
 
 // TestQueueOrdering: highest priority first, FIFO by admission sequence
@@ -21,7 +21,7 @@ func TestQueueOrdering(t *testing.T) {
 		if e == nil {
 			break
 		}
-		got = append(got, e.id)
+		got = append(got, e.ID)
 	}
 	want := []string{"b", "c", "a"}
 	if len(got) != len(want) {
@@ -36,9 +36,9 @@ func TestQueueOrdering(t *testing.T) {
 		t.Fatalf("deferred entry should remain queued, len = %d", q.len())
 	}
 	if e := q.pop(99, nil); e != nil {
-		t.Fatalf("entry ran before its freshness deadline: %s", e.id)
+		t.Fatalf("entry ran before its freshness deadline: %s", e.ID)
 	}
-	if e := q.pop(100, nil); e == nil || e.id != "d" {
+	if e := q.pop(100, nil); e == nil || e.ID != "d" {
 		t.Fatalf("deadline reached but pop = %v", e)
 	}
 }
@@ -53,11 +53,11 @@ func TestQueueTenantEligibility(t *testing.T) {
 	q.push(entry("f1", 2, 0, 0, free))
 
 	eligible := func(t *tenantState) bool { return t != busy }
-	if e := q.pop(0, eligible); e == nil || e.id != "f1" {
+	if e := q.pop(0, eligible); e == nil || e.ID != "f1" {
 		t.Fatalf("pop with busy tenant blocked = %v, want f1", e)
 	}
 	// Once eligible again, the blocked entry still wins on priority.
-	if e := q.pop(0, nil); e == nil || e.id != "b1" {
+	if e := q.pop(0, nil); e == nil || e.ID != "b1" {
 		t.Fatalf("pop after unblock = %v, want b1", e)
 	}
 }
@@ -67,13 +67,13 @@ func TestQueueRemove(t *testing.T) {
 	var q queue
 	q.push(entry("a", 1, 0, 0, nil))
 	q.push(entry("b", 2, 0, 0, nil))
-	if e := q.remove("a"); e == nil || e.id != "a" {
+	if e := q.remove("a"); e == nil || e.ID != "a" {
 		t.Fatalf("remove(a) = %v", e)
 	}
 	if e := q.remove("a"); e != nil {
 		t.Fatalf("second remove(a) = %v, want nil", e)
 	}
-	if e := q.pop(0, nil); e == nil || e.id != "b" {
+	if e := q.pop(0, nil); e == nil || e.ID != "b" {
 		t.Fatalf("pop after remove = %v, want b", e)
 	}
 }
@@ -89,15 +89,15 @@ func TestQueueReleasesRemovedEntries(t *testing.T) {
 	q.push(entry("b", 2, 9, 0, nil)) // popped first (priority), vacating a mid slot
 	q.push(entry("c", 3, 0, 0, nil))
 
-	if e := q.pop(0, nil); e == nil || e.id != "b" {
+	if e := q.pop(0, nil); e == nil || e.ID != "b" {
 		t.Fatalf("pop = %v, want b", e)
 	}
-	if e := q.remove("c"); e == nil || e.id != "c" {
+	if e := q.remove("c"); e == nil || e.ID != "c" {
 		t.Fatalf("remove(c) = %v", e)
 	}
 	for _, stale := range q.entries[len(q.entries):cap(q.entries)] {
 		if stale != nil {
-			t.Fatalf("vacated slot still pins entry %q", stale.id)
+			t.Fatalf("vacated slot still pins entry %q", stale.ID)
 		}
 	}
 }

@@ -7,9 +7,10 @@
 // accepted spec so queued and in-flight campaigns survive a restart.
 //
 // Determinism contract: the daemon never reads the wall clock. Scheduling
-// time is an injected telemetry.Clock — by default a cumulative clock that
-// advances by each finished campaign's virtual-tick span — and every
-// campaign runs on its own seeded netsim substrate, so a same-seed daemon
+// time is the campaigns' own virtual time — a clock that advances by each
+// finished campaign's virtual-tick span and, when the scheduler is idle,
+// moves to the next freshness deadline — and every campaign runs on its own
+// seeded netsim substrate, so a same-seed daemon
 // fed the same submissions produces byte-identical reports, checkpoints,
 // and metric expositions. The final report (collect.Report.WriteTo), the
 // checkpoint and the eval document are additionally resume-invariant on a
@@ -37,7 +38,7 @@ import (
 )
 
 // Spec is one campaign submission: the JSON body of POST /api/v1/campaigns,
-// also written to the spool as the accepted campaign's journal entry. It is
+// also written into the accepted campaign's spool record. It is
 // tracenet's one campaign config surface: cmd/tracenet builds a Spec from
 // its flags (or reads one with -spec), cmd/subnetmap and cmd/traceroute
 // from theirs, and every tool runs it through Resolve. A zero field takes
@@ -95,6 +96,8 @@ type Spec struct {
 	// after the campaign completes, a fresh campaign over the same spec is
 	// queued with a freshness deadline RescanInterval scheduler ticks in the
 	// future, up to MaxRescans generations. 0 disables re-scanning.
+	// Scheduler ticks are the campaigns' virtual time, not wall time: on an
+	// idle daemon the rescans run back to back, each at its own deadline.
 	RescanInterval uint64 `json:"rescan_interval,omitempty"`
 	MaxRescans     int    `json:"max_rescans,omitempty"`
 }
@@ -128,9 +131,10 @@ func ReadSpec(r io.Reader) (*Spec, error) {
 	return &sp, nil
 }
 
-// WriteSpec serializes a spec as indented JSON — the spool's canonical form —
-// or fails with ErrSpecTooLarge when ReadSpec would refuse that form (it can
+// WriteSpec serializes a spec as indented JSON — its canonical form — or
+// fails with ErrSpecTooLarge when ReadSpec would refuse that form (it can
 // outgrow the body it was decoded from: indentation, '<' escaped as \u003c).
+// A spool record holds the canonical form compacted, never larger.
 func WriteSpec(w io.Writer, sp *Spec) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

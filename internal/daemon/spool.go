@@ -13,24 +13,25 @@ import (
 )
 
 // The spool directory is the daemon's journal: every accepted campaign
-// leaves a spec file and a state file, and completed or interrupted
-// campaigns add their artifacts. File names are derived only from
-// daemon-generated campaign IDs, never from client input.
+// leaves one record, and completed or interrupted campaigns add their
+// artifacts. File names are derived only from daemon-generated campaign
+// IDs, never from client input.
 //
-//	<id>.spec.json        the accepted submission, canonical encoding
-//	<id>.state.json       lifecycle state only (queue position, status)
+//	<id>.state.json       the campaign's record: lifecycle state, the
+//	                      accepted spec, and the scheduler clock when written
 //	<id>.checkpoint.json  collect checkpoint, schema collect.CheckpointVersion
 //	                      (interrupted and final): the campaign's one resume
 //	                      journal, each completed target's hop path included
 //	<id>.report.txt       the byte-stable final report (Report.WriteTo)
 //	<id>.eval.json        ground-truth evaluation (when the spec asks)
-//	tracenetd.json        daemon-level state: scheduler clock, next sequence
 //
-// Writes are atomic (temp file + rename) so a SIGTERM racing a write never
-// leaves a half-journaled campaign for the next start to trip over. Replay
-// trusts nothing it reads back: a spec is decoded and validated as strictly
-// as a submission, a checkpoint is validated by collect.ReadCheckpoint,
-// every other file must decode, and a file that fails fails Start with
+// A record is written when its campaign is accepted (a submission or a
+// rescan's enrolment) and when it lands (done, failed, cancelled,
+// interrupted). Writes are atomic (temp file + rename) so a SIGTERM racing a
+// write never leaves a half-journaled campaign for the next start to trip
+// over. Replay trusts nothing it reads back: a record's spec is decoded and
+// validated as strictly as a submission, a checkpoint is validated by
+// collect.ReadCheckpoint, and a file that fails fails Start with
 // ErrCorruptSpool naming it.
 
 // Campaign lifecycle states as persisted and served by the API.
@@ -43,26 +44,24 @@ const (
 	stateInterrupted = "interrupted"
 )
 
-// State is one campaign's persisted lifecycle record.
-type State struct {
-	ID       string `json:"id"`
-	Seq      uint64 `json:"seq"`
-	Tenant   string `json:"tenant"`
-	Status   string `json:"status"`
-	Priority int    `json:"priority,omitempty"`
-	// Rescan is the re-scan generation; NotBefore its freshness deadline in
-	// scheduler ticks.
+// record is one campaign's journal entry, <id>.state.json: everything
+// replay needs to register or re-queue the campaign.
+type record struct {
+	ID     string `json:"id"`
+	Seq    uint64 `json:"seq"` // admission order, the FIFO key within a priority
+	Tenant string `json:"tenant"`
+	Status string `json:"status"`
+	// Rescan is the re-scan generation (0 = the original submission);
+	// NotBefore its freshness deadline in scheduler ticks (0 = at once).
 	Rescan    int    `json:"rescan,omitempty"`
 	NotBefore uint64 `json:"not_before,omitempty"`
 	Error     string `json:"error,omitempty"`
-}
-
-// daemonState is the spool's daemon-level record, persisted so the
-// scheduler clock and ID sequence survive restarts (freshness deadlines are
-// measured on that clock).
-type daemonState struct {
-	Clock   uint64 `json:"clock"`
-	NextSeq uint64 `json:"next_seq"`
+	// Spec is the accepted spec as WriteSpec encoded it. The record is
+	// written compact, so the spec it holds is never larger than the form
+	// Submit bounded, and replay reads it back through ReadSpec.
+	Spec json.RawMessage `json:"spec"`
+	// Clock is the scheduler clock when the record was written.
+	Clock uint64 `json:"clock"`
 }
 
 // spool wraps the directory with atomic read/write helpers.
@@ -94,46 +93,42 @@ func (s spool) writeFile(name string, data []byte) error {
 	return nil
 }
 
-// writeJSON atomically writes v as indented JSON.
-func (s spool) writeJSON(name string, v any) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// writeRecord atomically writes rec as one line of compact JSON.
+func (s spool) writeRecord(rec *record) error {
+	data, err := json.Marshal(rec)
+	if err != nil {
 		return err
 	}
-	return s.writeFile(name, buf.Bytes())
+	return s.writeFile(rec.ID+".state.json", append(data, '\n'))
 }
 
-// readJSON decodes name into v.
-func (s spool) readJSON(name string, v any) error {
+// readRecord decodes one campaign record and its spec. The spec is read and
+// validated exactly as a submission is: a record edited or corrupted into
+// something POST would refuse (an unknown protocol, a file-path topology)
+// is never run.
+func (s spool) readRecord(name string) (*campaignState, error) {
 	data, err := os.ReadFile(s.path(name))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
-	}
-	return nil
-}
-
-// readSpec decodes and validates a journaled spec exactly as a submission
-// is: a spool file edited or corrupted into something POST would refuse
-// (an unknown protocol, a file-path topology) is never run.
-func (s spool) readSpec(name string) (*Spec, error) {
-	f, err := os.Open(s.path(name))
-	if err != nil {
+	var rec record
+	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
 	}
-	defer f.Close()
-	sp, err := ReadSpec(f)
+	if rec.ID == "" || rec.ID+".state.json" != name {
+		return nil, fmt.Errorf("%w %s: record names campaign %q", ErrCorruptSpool, name, rec.ID)
+	}
+	sp, err := ReadSpec(bytes.NewReader(rec.Spec))
 	if err == nil {
 		err = sp.Validate()
 	}
+	if err == nil && sp.Tenant != rec.Tenant {
+		err = fmt.Errorf("record tenant %q, spec tenant %q", rec.Tenant, sp.Tenant)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w %s: %w", ErrCorruptSpool, name, err)
 	}
-	return sp, nil
+	return &campaignState{record: rec, spec: sp}, nil
 }
 
 // readCheckpoint decodes and validates a journaled campaign checkpoint.
@@ -156,26 +151,22 @@ func (s spool) exists(name string) bool {
 	return err == nil
 }
 
-// loadStates reads every campaign state file in the spool, ordered by
+// loadRecords reads every campaign record in the spool, ordered by
 // admission sequence (ties — impossible in a well-formed spool — break by
 // ID) so replay re-admits campaigns in their original order.
-func (s spool) loadStates() ([]*State, error) {
+func (s spool) loadRecords() ([]*campaignState, error) {
 	names, err := filepath.Glob(s.path("*.state.json"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(names)
-	var states []*State
+	var states []*campaignState
 	for _, path := range names {
-		name := filepath.Base(path)
-		var st State
-		if err := s.readJSON(name, &st); err != nil {
+		cs, err := s.readRecord(filepath.Base(path))
+		if err != nil {
 			return nil, err
 		}
-		if st.ID == "" || st.ID+".state.json" != name {
-			return nil, fmt.Errorf("%w %s: state names campaign %q", ErrCorruptSpool, name, st.ID)
-		}
-		states = append(states, &st)
+		states = append(states, cs)
 	}
 	sort.SliceStable(states, func(i, j int) bool {
 		if states[i].Seq != states[j].Seq {

@@ -14,7 +14,7 @@ func TestTenantBudgetReject(t *testing.T) {
 	const cap = 10 // far below one figure3 campaign's wire spend
 	h := startDaemon(t, t.TempDir(), Config{
 		Tenants: []TenantConfig{{Name: "alice", ProbeBudget: cap}},
-	}, nil)
+	})
 
 	id := h.submit(t, &Spec{Tenant: "alice", Topology: "figure3"})
 	h.await(t, id)
@@ -62,7 +62,7 @@ func TestTenantHammer(t *testing.T) {
 			RateInterval:  1,
 			RateBurst:     8,
 		}},
-	}, nil)
+	})
 
 	var mu sync.Mutex
 	var accepted []string

@@ -2,8 +2,8 @@
 # Full verification gate: formatting, build, vet, the project's own static
 # analysis suite (tracenetlint), race-enabled tests with runtime invariants
 # compiled in, and a short fuzz smoke over the wire decoders, ground-truth
-# scoring, fault plans, topology files, campaign specs and campaign
-# checkpoints.
+# scoring, fault plans, topology files, campaign specs, tracenetd spools and
+# campaign checkpoints.
 # Everything here must stay green; the chaos tests (internal/netsim/chaos_test.go)
 # are deterministic, so a failure is reproducible with the same seed.
 set -eu
@@ -114,28 +114,32 @@ for d in examples/*/; do
     go run "./$d" >/dev/null
 done
 
-echo "== bench smoke (1 iteration per benchmark) + baseline diff (gating on exact probe counts)"
+echo "== bench smoke (1 iteration per benchmark) + baseline diff (gating on exact counts)"
 bench_tmp="$(mktemp)"
 go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress|ISP|Faulted)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
 go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/telemetry/ | tee -a "$bench_tmp"
-# Diff the smoke run against the newest committed baseline. Exact probe
-# counts gate: a rise in a benchmark's wire-probes or probes/trace fails
-# here, since they move only when the collector's behaviour does. The rest
+# Diff the smoke run against the newest committed baseline. Exact counts
+# gate: a rise in a benchmark's wire-probes, probes/trace or
+# spool-files/campaign fails here, since they move only when the collector's
+# or the daemon's behaviour does. The rest
 # of the report is advisory: 1x timing numbers are noise, and allocs/op at
 # one iteration includes warm-up, so an allocation regression shows here
 # before the hard allocbudget gate pins down which function caused it.
 bench_baseline="$(ls BENCH_*.json | sort | tail -1)"
-echo "== benchjson -compare $bench_baseline (gating on wire-probes and probes/trace)"
+echo "== benchjson -compare $bench_baseline (gating on wire-probes, probes/trace and spool-files/campaign)"
 go run ./cmd/benchjson -compare "$bench_baseline" < "$bench_tmp"
 rm -f "$bench_tmp"
 
-echo "== fuzz smoke (wire decoders + groundtruth scoring + fault plans + topology files + campaign specs + checkpoints, 5s per target)"
+echo "== fuzz smoke (wire decoders + groundtruth scoring + fault plans + topology files + campaign specs + tracenetd spools + checkpoints, 5s per target)"
 for target in FuzzUnmarshalIPv4 FuzzUnmarshalICMP FuzzUnmarshalUDP FuzzUnmarshalTCP; do
     go test ./internal/wire/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 go test ./internal/groundtruth/ -run '^$' -fuzz '^FuzzScoreInvariants$' -fuzztime 5s
 go test ./internal/netsim/ -run '^$' -fuzz '^FuzzReadFaultPlan$' -fuzztime 5s
 go test ./internal/daemon/ -run '^$' -fuzz '^FuzzReadSpec$' -fuzztime 5s
+# Each FuzzStart input is a one-campaign spool: a record and a checkpoint,
+# which minimize as slowly as FuzzReadCheckpoint's inputs below.
+go test ./internal/daemon/ -run '^$' -fuzz '^FuzzStart$' -fuzztime 5s -fuzzminimizetime 100x
 # Minimizing one of the multi-kilobyte seed checkpoints or topology files
 # would otherwise take the whole smoke (a 5 s run executed 20 inputs); 100
 # tries per new input leaves ~14k inputs/s for fuzzing.
