@@ -343,6 +343,33 @@ func BenchmarkSingleTraceTelemetry(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleTraceMetrics is BenchmarkSingleTrace with a registry-only
+// Telemetry, tracenetd's arrangement: one registry outlives the loop, and
+// each trace runs a Telemetry derived from it on its own network's clock.
+// The delta against the bare benchmark is the cost of metrics left on.
+func BenchmarkSingleTraceMetrics(b *testing.B) {
+	top := topo.Figure3()
+	dst := ipv4.MustParseAddr("10.0.5.2")
+	metrics := telemetry.New(nil)
+	b.ResetTimer()
+	var probes uint64
+	for i := 0; i < b.N; i++ {
+		n := netsim.New(top, netsim.Config{})
+		port, err := n.PortFor("vantage")
+		if err != nil {
+			b.Fatal(err)
+		}
+		tel := metrics.WithClock(n)
+		n.SetTelemetry(tel)
+		pr := probe.New(port, port.LocalAddr(), probe.Options{Cache: true, Telemetry: tel})
+		if _, err := core.Trace(pr, dst, core.Config{}); err != nil {
+			b.Fatal(err)
+		}
+		probes = pr.Stats().Sent
+	}
+	b.ReportMetric(float64(probes), "probes/trace")
+}
+
 // BenchmarkProbeExchangeTelemetry is BenchmarkProbeExchange with telemetry
 // enabled on the probe hot path.
 func BenchmarkProbeExchangeTelemetry(b *testing.B) {

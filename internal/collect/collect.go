@@ -245,10 +245,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	end := c.tel.Ticks()
-	c.tel.Complete("campaign", start, end,
-		"targets", strconv.Itoa(len(cfg.Targets)),
-		"parallel", strconv.Itoa(parallel))
+	if c.tel.HasTracer() {
+		c.tel.Complete("campaign", start, c.tel.Ticks(),
+			"targets", strconv.Itoa(len(cfg.Targets)),
+			"parallel", strconv.Itoa(parallel))
+	}
 
 	rep := c.buildReport(results)
 	invariant.Assertf(cfg.Budget == 0 || rep.Stats.WireProbes <= cfg.Budget,
@@ -381,9 +382,11 @@ func (c *campaign) collectOne(ctx context.Context, w int, dst ipv4.Addr, out *Ta
 		out.Status = StatusFailed
 		out.Note = err.Error()
 	}
-	c.tel.Complete("target", start, end,
-		"dst", dst.String(),
-		"status", string(out.Status))
+	if c.tel.HasTracer() {
+		c.tel.Complete("target", start, end,
+			"dst", dst.String(),
+			"status", string(out.Status))
+	}
 }
 
 // buildReport assembles the deterministic campaign report from the

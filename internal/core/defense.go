@@ -60,7 +60,7 @@ func (s *Session) quarantineAddr(a ipv4.Addr, reason string) {
 	}
 	s.quarantined[a] = reason
 	s.cQuarantined.Inc()
-	if s.tel != nil {
+	if s.tel.HasRecorder() {
 		s.tel.Record("defense", fmt.Sprintf("quarantine %v: %s", a, reason))
 	}
 	delete(s.collected, a)

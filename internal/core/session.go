@@ -34,7 +34,8 @@ type Session struct {
 	quarantined map[ipv4.Addr]string
 
 	// Telemetry handles, resolved once from the prober's layer and nil-safe,
-	// so an uninstrumented session pays only nil checks. Phase accounting
+	// so an uninstrumented session pays only nil checks; span arguments are
+	// rendered only when a tracer is attached. Phase accounting
 	// (trace/position/explore probes) comes from probe.Scope deltas, which
 	// also ride on the spans as scoped counters.
 	tel             *telemetry.Telemetry
@@ -116,7 +117,10 @@ func recoverable(err error) bool {
 // annotated as degraded, and the partial result stays usable.
 func (s *Session) Trace(dst ipv4.Addr) (*Result, error) {
 	s.cTraces.Inc()
-	span := s.tel.StartSpan("trace", "dst", dst.String())
+	var span *telemetry.Span
+	if s.tel.HasTracer() {
+		span = s.tel.StartSpan("trace", "dst", dst.String())
+	}
 	scope := s.pr.Scope()
 	res, err := s.trace(dst)
 	scope.CountInto(span)
@@ -141,7 +145,10 @@ func (s *Session) trace(dst ipv4.Addr) (*Result, error) {
 
 	for d := 1; d <= s.cfg.MaxTTL; d++ {
 		hopScope := s.pr.Scope()
-		hopSpan := s.tel.StartSpan("hop", "ttl", strconv.Itoa(d))
+		var hopSpan *telemetry.Span
+		if s.tel.HasTracer() {
+			hopSpan = s.tel.StartSpan("hop", "ttl", strconv.Itoa(d))
+		}
 		stop, err := s.traceHop(dst, d, &u, &gaps, seen, res)
 		s.cHops.Inc()
 		hopScope.CountInto(hopSpan)
@@ -317,7 +324,10 @@ func (s *Session) growSubnet(hop *Hop, u, v ipv4.Addr, d int, res *Result) (Grow
 	work := s.pr.Scope()
 
 	ps := s.pr.Scope()
-	posSpan := s.tel.StartSpan("position", "pivot", v.String())
+	var posSpan *telemetry.Span
+	if s.tel.HasTracer() {
+		posSpan = s.tel.StartSpan("position", "pivot", v.String())
+	}
 	pos, err := findPosition(s.pr, u, v, d, s.cfg)
 	ps.CountInto(posSpan)
 	posSpan.End()
@@ -347,7 +357,10 @@ func (s *Session) growSubnet(hop *Hop, u, v ipv4.Addr, d int, res *Result) (Grow
 		quar = s.isQuarantined
 	}
 	es := s.pr.Scope()
-	expSpan := s.tel.StartSpan("explore", "pivot", v.String())
+	var expSpan *telemetry.Span
+	if s.tel.HasTracer() {
+		expSpan = s.tel.StartSpan("explore", "pivot", v.String())
+	}
 	sub, err := explore(s.pr, pos, u, s.cfg, quar)
 	es.CountInto(expSpan)
 	expSpan.End()

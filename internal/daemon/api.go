@@ -77,6 +77,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusServiceUnavailable
 		case errors.Is(err, ErrBudgetExhausted):
 			code = http.StatusTooManyRequests
+		case errors.Is(err, ErrSpool):
+			code = http.StatusInternalServerError
 		}
 		writeJSON(w, code, errorDoc{Error: err.Error()})
 		return

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -48,6 +50,10 @@ var (
 	ErrCampaignFinal = errors.New("daemon: campaign already final")
 	// ErrSpecTooLarge: a spec body exceeds maxSpecBytes (1 MiB).
 	ErrSpecTooLarge = errors.New("daemon: spec exceeds 1 MiB")
+	// ErrSpool: the campaign's record could not be written to the spool, so
+	// the campaign was not accepted — a fault of the daemon's disk, not of
+	// the submission.
+	ErrSpool = errors.New("daemon: spool write failed")
 	// ErrCorruptSpool: Start found a spool file it cannot trust — one that
 	// does not decode, a record whose spec fails Validate or whose status is
 	// not a lifecycle state. The wrapped error names the file; the daemon
@@ -250,16 +256,17 @@ func (d *Daemon) journal(rec record) error {
 	return d.sp.writeRecord(&rec)
 }
 
-// enqueue journals a newly accepted campaign's record, then queues the
-// campaign. The caller has registered it in d.campaigns.
+// enqueue journals a newly accepted campaign's record, then registers the
+// campaign in d.campaigns (in seq order) and queues it. A campaign whose
+// record could not be written fails with ErrSpool and is never registered:
+// no status, list or cancel sees it.
 func (d *Daemon) enqueue(cs *campaignState) error {
-	d.mu.Lock()
-	rec := cs.record
-	d.mu.Unlock()
-	if err := d.journal(rec); err != nil {
-		return err
+	if err := d.journal(cs.record); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrSpool, cs.ID, err)
 	}
 	d.mu.Lock()
+	i := sort.Search(len(d.campaigns), func(i int) bool { return d.campaigns[i].Seq > cs.Seq })
+	d.campaigns = slices.Insert(d.campaigns, i, cs)
 	d.q.push(cs)
 	d.gQueued.Set(int64(d.q.len()))
 	d.cond.Broadcast()
@@ -269,7 +276,7 @@ func (d *Daemon) enqueue(cs *campaignState) error {
 
 // Submit validates and admits a campaign spec, journals it, and queues it.
 // Returns the assigned campaign ID; a spec too large to journal fails with
-// ErrSpecTooLarge.
+// ErrSpecTooLarge, and a record the spool cannot take with ErrSpool.
 func (d *Daemon) Submit(sp *Spec) (string, error) {
 	if err := sp.Validate(); err != nil {
 		return "", err
@@ -296,7 +303,6 @@ func (d *Daemon) Submit(sp *Spec) (string, error) {
 		tenant: t,
 		spec:   sp,
 	}
-	d.campaigns = append(d.campaigns, cs)
 	d.mu.Unlock()
 
 	if err := d.enqueue(cs); err != nil {
@@ -413,11 +419,10 @@ func (d *Daemon) runCampaign(cs *campaignState) {
 	}
 
 	// The campaign's telemetry rides the fresh substrate's virtual clock but
-	// shares the daemon's registry and flight recorder, so every campaign's
-	// labeled series land in one exposition.
-	ctel := telemetry.New(net)
-	ctel.Registry = d.tel.Registry
-	ctel.Recorder = d.tel.Recorder
+	// shares the daemon's sinks — registry, recorder and incident counter —
+	// so every campaign's labeled series and incidents land in one
+	// exposition.
+	ctel := d.tel.WithClock(net)
 	net.SetTelemetry(ctel)
 
 	prog := collect.NewProgress()
@@ -586,14 +591,13 @@ func (d *Daemon) enqueueRescan(cs *campaignState) {
 		tenant: cs.tenant,
 		spec:   cs.spec,
 	}
-	d.campaigns = append(d.campaigns, next)
 	d.mu.Unlock()
 
-	d.cRescans.Inc()
 	if err := d.enqueue(next); err != nil {
 		d.lg.Error("spool write failed", "campaign", next.ID, "err", err.Error())
 		return
 	}
+	d.cRescans.Inc()
 	d.lg.Info("rescan enrolled", "campaign", next.ID, "not_before", fmt.Sprint(next.NotBefore))
 }
 

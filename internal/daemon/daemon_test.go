@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -318,6 +319,52 @@ func TestAPIErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit before start: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestSubmitSpoolFailureAcceptsNothing: a submission whose record the spool
+// cannot take is refused with a 500 (the daemon's fault, not the client's)
+// and leaves no campaign behind: none is listed, none can be cancelled.
+func TestSubmitSpoolFailureAcceptsNothing(t *testing.T) {
+	dir := t.TempDir()
+	h := startDaemon(t, dir, Config{})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := h.do(t, "POST", "/api/v1/campaigns", &Spec{Tenant: "alice", Topology: "figure3"}); code != http.StatusInternalServerError {
+		t.Errorf("submit onto a removed spool: status %d, body %s; want 500", code, body)
+	}
+	if docs := h.d.List(); len(docs) != 0 {
+		t.Errorf("a refused submission is listed: %+v", docs)
+	}
+	if st, err := h.d.Cancel("c0001"); !errors.Is(err, ErrUnknownCampaign) {
+		t.Errorf("Cancel(c0001) = %q, %v; want ErrUnknownCampaign", st, err)
+	}
+}
+
+// TestCampaignIncidentsReachDaemonRegistry: every campaign runs on its own
+// network's clock but shares the daemon's incident counter, so the daemon's
+// tracenet_incidents_total counts each breaker opening and each degraded
+// subnet its campaigns raised.
+func TestCampaignIncidentsReachDaemonRegistry(t *testing.T) {
+	h := startDaemon(t, t.TempDir(), Config{})
+	var ids []string
+	for seed := int64(1); seed <= 8; seed++ {
+		ids = append(ids, h.submit(t, &Spec{Tenant: "alice", Topology: "random", Seed: seed,
+			Chaos: seed, Defend: true, Backoff: true, Breaker: true}))
+	}
+	for id, st := range h.await(t, ids...) {
+		if st != stateDone {
+			t.Fatalf("campaign %s finished %s, want done", id, st)
+		}
+	}
+	reg := h.d.Telemetry().Registry
+	opens := reg.Counter("tracenet_probe_breaker_opens_total").Value()
+	degraded := reg.Counter("tracenet_session_degraded_subnets_total").Value()
+	incidents := reg.Counter("tracenet_incidents_total").Value()
+	if opens+degraded == 0 || incidents != opens+degraded {
+		t.Errorf("tracenet_incidents_total = %d, want breaker opens %d + degraded subnets %d (> 0)",
+			incidents, opens, degraded)
 	}
 }
 

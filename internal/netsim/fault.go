@@ -517,15 +517,15 @@ func (n *Network) strikes(kind FaultKind, r *Router, now uint64) *armedFault {
 	return nil
 }
 
-// count records one strike of a at r: the plan's per-kind count and, with
-// telemetry attached, the kind's fault counter and a flight-recorder entry
-// stamped now.
+// count records one strike of a at r: the plan's per-kind count, the
+// kind's fault counter and, with a flight recorder attached, a recorder
+// entry stamped now.
 func (n *Network) count(fs *faultState, a *armedFault, r *Router, now uint64) {
 	fs.counts[a.Kind].Add(1)
-	if n.tel == nil {
+	n.cFault[a.Kind].Inc()
+	if !n.tel.HasRecorder() {
 		return
 	}
-	n.cFault[a.Kind].Inc()
 	var key, scope string
 	switch {
 	case a.subnet != nil:

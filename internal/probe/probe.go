@@ -801,25 +801,34 @@ func (p *Prober) once(dst ipv4.Addr, ttl uint8) (Result, error) {
 	return res, nil
 }
 
-// observeExchange mirrors one raw exchange onto the telemetry pipeline: a
-// flight-recorder entry, a "probe" trace slice, and the reply-TTL histogram.
-// Only called when p.tel != nil, keeping the disabled path to one nil check.
-// It works from the packets the exchange already decoded — re-decoding the
-// request and reply here used to cost four heap allocations per telemetered
-// probe.
+// observeExchange mirrors one raw exchange onto the telemetry pipeline: the
+// reply-TTL histogram, and — only for the sinks attached — a flight-recorder
+// entry and a "probe" trace slice. Only called when p.tel != nil, keeping
+// the disabled path to one nil check; a registry-only Telemetry (tracenetd's)
+// renders nothing and allocates nothing here. It works from the packets the
+// exchange already decoded — re-decoding the request and reply here used to
+// cost four heap allocations per telemetered probe.
 func (p *Prober) observeExchange(start uint64, sent, reply *wire.Packet, rawReply []byte, err, derr error) {
 	end := p.tel.Ticks()
 	ev := probeEvent(end, sent, reply, rawReply, err, derr)
+	if ev.Err == ErrNone {
+		p.hReplyTTL.Observe(uint64(ev.ReplyTTL))
+	}
+	if p.tel.HasRecorder() {
+		// Render the recorder line into prober-owned scratch (copied into
+		// recorder-owned storage by RecordBytes).
+		p.evBuf = ev.AppendText(p.evBuf[:0])
+		p.tel.RecordBytes("probe", p.evBuf)
+	}
+	if !p.tel.HasTracer() {
+		return
+	}
 	outcome := ev.Outcome
 	if ev.Err != ErrNone {
 		outcome = ev.Err.String()
 	}
-	// Render the recorder line into prober-owned scratch (copied into
-	// recorder-owned storage by RecordBytes) and memoize the destination
-	// string — a trace probes one address many times in a row, so the
-	// steady-state telemetry cost is a few appends, not a heap of formatting.
-	p.evBuf = ev.AppendText(p.evBuf[:0])
-	p.tel.RecordBytes("probe", p.evBuf)
+	// Memoize the destination string: a trace probes one address many
+	// times in a row.
 	if ev.Dst != p.dstMemoAddr || p.dstMemo == "" {
 		p.dstMemoAddr = ev.Dst
 		p.dstMemo = ev.Dst.String()
@@ -828,9 +837,6 @@ func (p *Prober) observeExchange(start uint64, sent, reply *wire.Packet, rawRepl
 		"dst", p.dstMemo,
 		"ttl", strconv.FormatUint(uint64(ev.TTL), 10),
 		"outcome", outcome)
-	if ev.Err == ErrNone {
-		p.hReplyTTL.Observe(uint64(ev.ReplyTTL))
-	}
 }
 
 // classify maps a decoded reply onto a Result, verifying it answers our probe

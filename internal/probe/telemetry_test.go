@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracenet/internal/invariant"
 	"tracenet/internal/netsim"
 	"tracenet/internal/telemetry"
 	"tracenet/internal/topo"
@@ -185,6 +186,49 @@ func TestLoggingTransportLogsReplyTTL(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("transcript lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// raceEnabled is set in race builds, where allocation counts through
+// netsim's scratch pool are not exact: the race detector makes sync.Pool
+// drop items at random. Builds with invariants compiled in allocate for
+// the assertions' arguments, so exact counts hold only without either.
+var raceEnabled bool
+
+// TestRegistryOnlyExchangeZeroAlloc: with a registry-only Telemetry —
+// tracenetd's arrangement, no tracer and no flight recorder — an exchange
+// builds no sink arguments, so a probe allocates what a bare prober's
+// does, nothing, while its counters and the reply-TTL histogram still move.
+func TestRegistryOnlyExchangeZeroAlloc(t *testing.T) {
+	dst := addr("10.0.5.2")
+	exchangeAllocs := func(metered bool) (*Prober, float64) {
+		n := netsim.New(topo.Figure3(), netsim.Config{})
+		port, err := n.PortFor("vantage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Retry: &RetryPolicy{}}
+		if metered {
+			opts.Telemetry = telemetry.New(n)
+			n.SetTelemetry(opts.Telemetry)
+		}
+		p := New(port, port.LocalAddr(), opts)
+		return p, testing.AllocsPerRun(1000, func() {
+			if _, err := p.Probe(dst, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	_, bare := exchangeAllocs(false)
+	p, metered := exchangeAllocs(true)
+	if !raceEnabled && !invariant.Enabled && (metered != 0 || bare != 0) {
+		t.Errorf("registry-only Probe allocates %.1f per exchange, a bare one %.1f; want 0", metered, bare)
+	}
+	tel, proto := p.Telemetry(), p.Protocol().String()
+	sent := tel.Counter("tracenet_probe_sent_total", "proto", proto).Value()
+	ttls := tel.Histogram("tracenet_probe_reply_ttl", ReplyTTLBuckets, "proto", proto).Count()
+	if st := p.Stats(); sent != st.Sent || ttls != st.Answered || sent == 0 {
+		t.Errorf("sent_total %d, reply_ttl count %d; want %d sent, %d answered", sent, ttls, st.Sent, st.Answered)
 	}
 }
 

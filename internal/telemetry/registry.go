@@ -2,8 +2,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -148,10 +149,11 @@ func (h *Histogram) snapshot() []uint64 {
 }
 
 // series is one registered metric: a family name plus an optional label set,
-// holding exactly one instrument.
+// holding exactly one instrument of its family's kind.
 type series struct {
 	family string
 	labels string // canonical rendered label set, "" when unlabelled
+	kind   metricKind
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
@@ -164,8 +166,8 @@ type series struct {
 type Registry struct {
 	mu       sync.Mutex
 	kinds    map[string]metricKind // family name -> kind
-	byKey    map[string]*series
-	ordered  []*series // registration order; sorted at exposition
+	byKey    map[string]*series    // family name + rendered label set
+	ordered  []*series             // registration order; sorted at exposition
 	hbuckets map[string][]uint64
 }
 
@@ -178,50 +180,66 @@ func NewRegistry() *Registry {
 	}
 }
 
-// labelString canonicalizes alternating key/value pairs into a rendered
-// Prometheus label set, sorting by key so the same labels in any order name
-// the same series. It panics on an odd pair count: label sets are written at
-// instrumentation sites, so a mismatch is a programming error.
-func labelString(labels []string) string {
+// keyBufSize is the stack buffer a lookup renders its series key into; every
+// key tracenet registers fits, and a longer one only costs a heap buffer.
+const keyBufSize = 128
+
+// appendLabels appends the canonical rendered Prometheus label set of
+// alternating key/value pairs to dst — sorted by key, so the same labels in
+// any order name the same series, each value quoted as %q quotes it — and
+// nothing for an empty list. It panics on an odd pair count: label sets are
+// written at instrumentation sites, so a mismatch is a programming error.
+// labels does not escape, so a caller's variadic label slice stays on its
+// stack.
+func appendLabels(dst []byte, labels []string) []byte {
 	if len(labels) == 0 {
-		return ""
+		return dst
 	}
 	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: odd label list %q", labels))
+		// Format a copy: handing labels itself to fmt would move every
+		// caller's label slice to the heap.
+		panic(fmt.Sprintf("telemetry: odd label list %q", append([]string(nil), labels...)))
 	}
-	type kv struct{ k, v string }
-	kvs := make([]kv, 0, len(labels)/2)
-	for i := 0; i < len(labels); i += 2 {
-		kvs = append(kvs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range kvs {
-		if i > 0 {
-			b.WriteByte(',')
+	// Insertion-sort the pair indices by key, stably: a label set holds a
+	// pair or two, and sort.Slice's closure and pair slice would allocate.
+	var small [8]int
+	order := small[:0]
+	for i := 0; i < len(labels)/2; i++ {
+		order = append(order, i)
+		for j := len(order) - 1; j > 0 && labels[2*order[j-1]] > labels[2*i]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
 	}
-	b.WriteByte('}')
-	return b.String()
+	dst = append(dst, '{')
+	for n, i := range order {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[2*i]...)
+		dst = append(dst, '=')
+		dst = strconv.AppendQuote(dst, labels[2*i+1])
+	}
+	return append(dst, '}')
 }
 
-// seriesLocked resolves (name, labels) to its series, creating it on first
-// use. It panics when one family name is used with two different kinds —
-// like a conflicting probe.Options, a call-site programming error.
-// Called with r.mu held.
-func (r *Registry) seriesLocked(name, ls string, kind metricKind) *series {
+// seriesLocked resolves a series key — the family name followed by its
+// rendered label set — to its series, creating it on first use. Resolving
+// an existing series allocates nothing and writes no map. It panics when one
+// family name is used with two different kinds — like a conflicting
+// probe.Options, a call-site programming error. Called with r.mu held.
+func (r *Registry) seriesLocked(name string, key []byte, kind metricKind) *series {
+	if s, ok := r.byKey[string(key)]; ok && s.kind == kind {
+		return s
+	}
+	// A hit of another kind falls through to panic here: its family is
+	// registered under that kind.
 	if have, ok := r.kinds[name]; ok && have != kind {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %v and %v", name, have, kind))
 	}
 	r.kinds[name] = kind
-	key := name + ls
-	if s, ok := r.byKey[key]; ok {
-		return s
-	}
-	s := &series{family: name, labels: ls}
-	r.byKey[key] = s
+	k := string(key)
+	s := &series{family: name, labels: k[len(name):], kind: kind}
+	r.byKey[k] = s
 	r.ordered = append(r.ordered, s)
 	return s
 }
@@ -229,10 +247,11 @@ func (r *Registry) seriesLocked(name, ls string, kind metricKind) *series {
 // Counter returns the counter for (name, labels), registering it on first
 // use. Labels are alternating key/value pairs.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	ls := labelString(labels)
+	var buf [keyBufSize]byte
+	key := appendLabels(append(buf[:0], name...), labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, ls, kindCounter)
+	s := r.seriesLocked(name, key, kindCounter)
 	if s.c == nil {
 		s.c = &Counter{}
 	}
@@ -241,10 +260,11 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 
 // Gauge returns the gauge for (name, labels), registering it on first use.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	ls := labelString(labels)
+	var buf [keyBufSize]byte
+	key := appendLabels(append(buf[:0], name...), labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, ls, kindGauge)
+	s := r.seriesLocked(name, key, kindGauge)
 	if s.g == nil {
 		s.g = &Gauge{}
 	}
@@ -260,24 +280,22 @@ func (r *Registry) Histogram(name string, buckets []uint64, labels ...string) *H
 			panic(fmt.Sprintf("telemetry: histogram %q buckets not ascending: %v", name, buckets))
 		}
 	}
-	ls := labelString(labels)
+	var buf [keyBufSize]byte
+	key := appendLabels(append(buf[:0], name...), labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, ls, kindHistogram)
-	if have, ok := r.hbuckets[name]; ok {
-		same := len(have) == len(buckets)
-		for i := 0; same && i < len(have); i++ {
-			same = have[i] == buckets[i]
-		}
-		if !same {
-			panic(fmt.Sprintf("telemetry: histogram %q re-registered with different buckets", name))
-		}
-	} else {
-		r.hbuckets[name] = append([]uint64(nil), buckets...)
-	}
+	s := r.seriesLocked(name, key, kindHistogram)
 	if s.h == nil {
-		s.h = &Histogram{bounds: append([]uint64(nil), buckets...)}
-		s.h.counts = make([]atomic.Uint64, len(buckets)+1)
+		// The family's series share its first registration's bounds.
+		bounds, ok := r.hbuckets[name]
+		if !ok {
+			bounds = append([]uint64(nil), buckets...)
+			r.hbuckets[name] = bounds
+		}
+		s.h = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	}
+	if !slices.Equal(s.h.bounds, buckets) {
+		panic(fmt.Sprintf("telemetry: histogram %q re-registered with different buckets", name))
 	}
 	return s.h
 }

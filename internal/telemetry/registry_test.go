@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -94,6 +96,60 @@ func TestHistogramBucketMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.Histogram("tracenet_h", []uint64{1, 2, 8})
+}
+
+// TestLabelRendering: a label set renders as its pairs sorted by key, each
+// value quoted as fmt's %q quotes it, so the exposition reads as it did
+// when labels were formatted with fmt.
+func TestLabelRendering(t *testing.T) {
+	for _, labels := range [][]string{
+		nil,
+		{"proto", "icmp"},
+		{"status", "done", "campaign", "c0001.r2"},
+		{"b", "2", "a", "1", "c", "3", "a", "0"},
+		{"tenant", "quote\"back\\slash\nnewline\x00ctl\u00e9\xff"},
+	} {
+		pairs := make([]string, 0, len(labels)/2)
+		for i := 0; i < len(labels); i += 2 {
+			pairs = append(pairs, fmt.Sprintf("%s=%q", labels[i], labels[i+1]))
+		}
+		sort.SliceStable(pairs, func(i, j int) bool {
+			return strings.SplitN(pairs[i], "=", 2)[0] < strings.SplitN(pairs[j], "=", 2)[0]
+		})
+		want := ""
+		if len(pairs) > 0 {
+			want = "{" + strings.Join(pairs, ",") + "}"
+		}
+		if got := string(appendLabels(nil, labels)); got != want {
+			t.Errorf("labels %q render %s, want %s", labels, got, want)
+		}
+	}
+}
+
+// TestLookupZeroAlloc: resolving the handle of an existing labelled series
+// formats nothing and allocates nothing, and a lookup on a nil Telemetry
+// allocates nothing either — the caller's variadic label slice stays on its
+// stack.
+func TestLookupZeroAlloc(t *testing.T) {
+	tel := New(nil)
+	var none *Telemetry
+	buckets := []uint64{16, 32, 64}
+	proto, campaign := "icmp", "c0001"
+	for _, tc := range []struct {
+		name   string
+		lookup func()
+	}{
+		{"counter", func() { tel.Counter("tracenet_probe_sent_total", "proto", proto) }},
+		{"two-label counter", func() { tel.Counter("tracenet_campaign_targets_total", "status", "done", "campaign", campaign) }},
+		{"gauge", func() { tel.Gauge("tracenet_campaign_workers_inflight", "campaign", campaign) }},
+		{"histogram", func() { tel.Histogram("tracenet_probe_reply_ttl", buckets, "proto", proto) }},
+		{"nil telemetry", func() { none.Counter("tracenet_probe_sent_total", "proto", proto) }},
+	} {
+		tc.lookup() // register the series
+		if allocs := testing.AllocsPerRun(100, tc.lookup); allocs != 0 {
+			t.Errorf("%s lookup allocates %.1f, want 0", tc.name, allocs)
+		}
+	}
 }
 
 // golden compares got against the checked-in file, rewriting it when

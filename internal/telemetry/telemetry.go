@@ -14,7 +14,9 @@
 //
 // All entry points are nil-safe: a nil *Telemetry, nil *Counter, nil *Span,
 // and so on are inert no-ops, so instrumented code pays only a nil check when
-// telemetry is disabled.
+// telemetry is disabled. Likewise a site builds a sink's arguments only when
+// that sink is attached (HasTracer, HasRecorder), so a registry-only
+// Telemetry pays for its metrics and nothing else.
 package telemetry
 
 import (
@@ -76,6 +78,33 @@ func New(clock Clock) *Telemetry {
 		cIncidents: reg.Counter("tracenet_incidents_total"),
 	}
 }
+
+// WithClock returns a Telemetry over clock that shares t's sinks — its
+// registry, tracer, recorder and incident counter — so work running on its
+// own clock (a daemon campaign on its network's virtual clock) lands its
+// series, events and incidents where t's do. The incident writer and the
+// Incidents tally stay with t. Nil on a nil t.
+func (t *Telemetry) WithClock(clock Clock) *Telemetry {
+	if t == nil {
+		return nil
+	}
+	return &Telemetry{
+		Clock:      clock,
+		Registry:   t.Registry,
+		Tracer:     t.Tracer,
+		Recorder:   t.Recorder,
+		cIncidents: t.cIncidents,
+	}
+}
+
+// HasTracer reports whether a tracer is attached. An instrumentation site
+// builds span and event arguments only when it is, so a registry-only
+// Telemetry costs nothing for the tracer it lacks.
+func (t *Telemetry) HasTracer() bool { return t != nil && t.Tracer != nil }
+
+// HasRecorder reports whether a flight recorder is attached. An
+// instrumentation site renders recorder lines only when it is.
+func (t *Telemetry) HasRecorder() bool { return t != nil && t.Recorder != nil }
 
 // Ticks reads the clock; 0 when the telemetry or its clock is absent.
 func (t *Telemetry) Ticks() uint64 {

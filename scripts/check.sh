@@ -116,7 +116,7 @@ done
 
 echo "== bench smoke (1 iteration per benchmark) + baseline diff (gating on exact counts)"
 bench_tmp="$(mktemp)"
-go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkCampaign(Progress|ISP|Faulted)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
+go test -run '^$' -bench '^(BenchmarkProbeExchange|BenchmarkSingleTrace)(Telemetry)?$|^BenchmarkSingleTraceMetrics$|^BenchmarkCampaign(Progress|ISP|Faulted)?$|^BenchmarkAccuracy$|^BenchmarkDaemonThroughput$' -benchmem -benchtime 1x . | tee "$bench_tmp"
 go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/telemetry/ | tee -a "$bench_tmp"
 # Diff the smoke run against the newest committed baseline. Exact counts
 # gate: a rise in a benchmark's wire-probes, probes/trace or
